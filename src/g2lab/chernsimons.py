@@ -23,6 +23,8 @@ from .exterior import ConstForm, interior
 from .fibration import TorusFibration, DeformationSplit, decompose_deformation
 from .g2core import G2Structure, standard_structure
 from .gauge.fourier import CurvatureField, FourierField, curvature, topological_charge
+from .gauge.lattice import (_BASE_PLANES, _PLANES7, _charge, _clover_stack,
+                            _cs_integral)
 from .rng import SplitMix64
 
 EIGHT_PI_SQ = 8.0 * np.pi ** 2
@@ -280,116 +282,67 @@ class ObstructionReport:
         }
 
 
-def obstruction_verdict(ctx: CSContext, F: CurvatureField, xi: ConstForm,
-                        tol: float = 1e-9) -> ObstructionReport:
-    """Does the perturbed structure still admit this instanton family?
-
-    Decomposes xi, picks the unit base translation maximizing |eps(v)| for
-    the transverse block eps = -c_IV/2, and tests the linear functional
-    r_phi(beta_v).  Obstructed exactly when the charge and the transverse
-    block are both nonzero; the numeric verdict uses a 10x-tolerance
-    threshold to separate signal from quadrature rounding.
-    """
+def _verdict(xi: ConstForm, tol: float, measure) -> ObstructionReport:
+    """Decompose xi, pick the unit base translation v maximizing |eps(v)|
+    for the transverse block eps = -c_IV/2, and threshold r_phi(beta_v) at
+    10 tol.  ``measure(v)`` returns (q, rho(beta_v), r_phi(beta_v))."""
     split = decompose_deformation(xi)
     eps = [-float(c) / 2.0 for c in split.c_iv]
     best = int(np.argmax([abs(e) for e in eps]))
     v = tuple(1.0 if i == best else 0.0 for i in range(7))
-    q = topological_charge(_restrict_base(F))
-    beta = translation_tangent(F, v)
-    rho_val = cs_one_form(ctx, F, beta)
-    r_phi = perturbed_rho(ctx, F, beta, xi, normalized=True)
-    n_phi = eps[best] * q
+    q, rho_val, r_phi = measure(v)
     verdict = Verdict.OBSTRUCTED if abs(r_phi) > 10.0 * tol else Verdict.SURVIVES
     return ObstructionReport(xi=xi, split=split, v=v, rho_value=rho_val,
-                             r_phi_value=r_phi, n_phi_value=n_phi, q=q,
+                             r_phi_value=r_phi, n_phi_value=eps[best] * q, q=q,
                              verdict=verdict, tolerance=tol)
+
+
+def obstruction_verdict(ctx: CSContext, F: CurvatureField, xi: ConstForm,
+                        tol: float = 1e-9) -> ObstructionReport:
+    """Does the perturbed structure still admit this instanton family?
+
+    Tests the linear functional r_phi(beta_v) along the transverse base
+    translation (see _verdict).  Obstructed exactly when the charge and the
+    transverse block are both nonzero; the numeric verdict uses a
+    10x-tolerance threshold to separate signal from quadrature rounding.
+    """
+    def measure(v):
+        beta = translation_tangent(F, v)
+        return (topological_charge(_restrict_base(F)),
+                cs_one_form(ctx, F, beta),
+                perturbed_rho(ctx, F, beta, xi, normalized=True))
+    return _verdict(xi, tol, measure)
 
 
 # ---------------------------------------------------------------------------
 # lattice (site-sum) quadrature
 
 
-def _lattice_curvature_components(U) -> tuple:
-    """Continuum-normalized clover curvature per site, 21 lex components.
-
-    The clover approximates a_mu a_nu F_{mu nu}; in adapted coordinates the
-    torus is the unit cube, so a_mu = 1/N_mu and the site average is the
-    integral.
-    """
-    from .gauge.lattice import clover_field
-    from .exterior import lex_basis
-    if U.ndim != 7:
-        raise ValueError("expected a 7D lattice field")
-    pairs = lex_basis(7, 2)
-    n = int(np.prod(U.dims))
-    r = U.rank
-    F = np.zeros((21, n, r, r), dtype=complex)
-    for k, (i, j) in enumerate(pairs):
-        scale = float(U.dims[i - 1] * U.dims[j - 1])
-        F[k] = scale * clover_field(U, i - 1, j - 1).reshape(n, r, r)
-    return pairs, F
-
-
-def _lattice_triple_integral(pairs, F, v, four_form: ConstForm) -> float:
-    """Site-averaged top coefficient of tr(F ^ (v -| F)) ^ four_form."""
-    from .exterior import merge_indices
-    n = F.shape[1]
-    beta = {}  # 1-index -> (n, r, r) array, components of v -| F
-    for k, (i, j) in enumerate(pairs):
-        if v[i - 1]:
-            beta[j] = beta.get(j, 0) + v[i - 1] * F[k]
-        if v[j - 1]:
-            beta[i] = beta.get(i, 0) - v[j - 1] * F[k]
-    total = np.zeros(n)
-    for k, pr in enumerate(pairs):
-        for c_idx, bc in beta.items():
-            m1 = merge_indices(pr, (c_idx,))
-            if m1 is None:
-                continue
-            s1, i3 = m1
-            for kidx, coeff in four_form.coeffs.items():
-                m2 = merge_indices(i3, kidx)
-                if m2 is None:
-                    continue
-                s2, _ = m2
-                w = s1 * s2 * float(coeff)
-                total += w * np.real(np.trace(F[k] @ bc, axis1=-2, axis2=-1))
-    return float(total.sum() / n)
-
-
 def rho_lattice(ctx: CSContext, U, v) -> float:
     """rho(beta_v) by site-sum quadrature on a 7D lattice field."""
-    pairs, F = _lattice_curvature_components(U)
-    star_phi = ctx.adapted().star_phi.to_double()
-    return _lattice_triple_integral(pairs, F, [float(x) for x in v], star_phi)
+    return _cs_integral(U, _clover_stack(U, _PLANES7), v,
+                        ctx.adapted().star_phi)
 
 
 def perturbed_rho_lattice(ctx: CSContext, U, v, xi: ConstForm,
                           normalized: bool = True) -> float:
     """(r_phi)(beta_v) by site-sum quadrature, in charge units if normalized."""
-    pairs, F = _lattice_curvature_components(U)
-    val = _lattice_triple_integral(pairs, F, [float(x) for x in v],
-                                   xi.to_double())
+    val = _cs_integral(U, _clover_stack(U, _PLANES7), v, xi)
     return val / EIGHT_PI_SQ if normalized else val
 
 
 def obstruction_verdict_lattice(ctx: CSContext, U, xi: ConstForm,
                                 tol: float = 0.05) -> ObstructionReport:
     """Lattice analogue of obstruction_verdict, with clover charge and
-    site-sum quadrature; the tolerance reflects discretization error."""
-    from .gauge.lattice import clover_charge
-    split = decompose_deformation(xi)
-    eps = [-float(c) / 2.0 for c in split.c_iv]
-    best = int(np.argmax([abs(e) for e in eps]))
-    v = tuple(1.0 if i == best else 0.0 for i in range(7))
-    q = clover_charge(U)
-    rho_val = rho_lattice(ctx, U, v)
-    r_phi = perturbed_rho_lattice(ctx, U, v, xi, normalized=True)
-    n_phi = eps[best] * q
-    verdict = Verdict.OBSTRUCTED if abs(r_phi) > 10.0 * tol else Verdict.SURVIVES
-    return ObstructionReport(xi=xi, split=split, v=v, rho_value=rho_val,
-                             r_phi_value=r_phi, n_phi_value=n_phi, q=q,
-                             verdict=verdict, tolerance=tol)
+    site-sum quadrature; the tolerance reflects discretization error.  One
+    clover pass over the 21 planes serves q, rho and r_phi."""
+    F = _clover_stack(U, _PLANES7)
+
+    def measure(v):
+        return (_charge(U, F[_BASE_PLANES]),
+                _cs_integral(U, F, v, ctx.adapted().star_phi),
+                _cs_integral(U, F, v, xi) / EIGHT_PI_SQ)
+    return _verdict(xi, tol, measure)
 
 
 def _restrict_base(F: CurvatureField) -> CurvatureField:

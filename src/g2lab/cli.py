@@ -7,9 +7,8 @@ exits 0 on success, 1 on validation errors and 2 on numerical failures,
 with a machine-readable error JSON on stderr.
 
 Randomness everywhere flows through the documented 64-bit splitmix-style
-generator (see rng.py for the exact recurrence), keyed by ``--seed``.
-The ``G2LAB_THREADS`` environment variable caps BLAS parallelism; set it
-before launching for fully reproducible timing runs.
+generator (see rng.py for the exact recurrence), keyed by ``--seed`` on
+the commands that draw random numbers (flow, cs, report).
 """
 
 from __future__ import annotations
@@ -21,23 +20,23 @@ import sys
 
 import numpy as np
 
-from .exterior import ConstForm, interior, lex_basis, hodge
+from .exterior import ConstForm, interior, lex_basis
 from .fibration import (FibrationSpec, build_fibration, decompose_deformation)
-from .g2core import eigen_split, standard_phi, standard_star_phi
+from .g2core import (eigen_split, standard_phi, standard_star_phi,
+                     standard_structure)
 from .gauge.fibered import q_map
 from .gauge.lattice import (
-    CoolingDivergence, add_link_noise, asd_residual_4d, clover_charge,
-    chirality_energies, constant_flux_field, cool_to_sd, lift_lattice_7d,
-    read_snapshot, residual_7d, write_snapshot,
+    CoolingDivergence, add_link_noise, clover_charge, chirality_energies,
+    constant_flux_field, cool_to_sd, lift_lattice_7d, read_snapshot,
+    residual_7d, write_snapshot,
 )
 from .gauge.fourier import (
     constant_curvature_u1, instanton_residual_field, lift_to_7d,
     topological_charge,
 )
 from .chernsimons import (
-    CSContext, obstruction_verdict, obstruction_verdict_lattice,
-    perturbed_rho, rho_lattice, rho_on_translation, random_offsets,
-    translation_tangent, cs_one_form,
+    CSContext, obstruction_verdict, obstruction_verdict_lattice, rho_lattice,
+    rho_on_translation, random_offsets,
 )
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2
@@ -214,17 +213,12 @@ def cmd_fibration(args) -> int:
     product = bool(np.abs(mixing).max() == 0.0)
     _emit({
         "command": "fibration",
-        "mode": args.mode,
         "generator_matrix": [[float(x) for x in row] for row in fib.ltilde],
-        "phi": _form_json(fib.phi),
+        "phi": fib.phi.to_json_dict(),
         "orthonormality_residual": float(ortho),
         "diagnosis": "product" if product else "non-product",
     })
     return EXIT_OK
-
-
-def _form_json(a: ConstForm) -> dict:
-    return a.to_json_dict()
 
 
 def cmd_deform(args) -> int:
@@ -236,8 +230,7 @@ def cmd_deform(args) -> int:
     if (xi.dim, xi.degree) != (7, 4):
         raise ValidationFailure("xi must be a 4-form on the 7-torus")
     sp = decompose_deformation(xi)
-    _emit({"command": "deform", "mode": args.mode,
-           "split": sp.to_json_dict()})
+    _emit({"command": "deform", "split": sp.to_json_dict()})
     return EXIT_OK
 
 
@@ -285,7 +278,7 @@ def cmd_flow(args) -> int:
     from .gauge.lattice import plaquette_chirality_energies
     en = plaquette_chirality_energies(field)
     _emit({
-        "command": "flow", "mode": args.mode, "seed": args.seed,
+        "command": "flow", "seed": args.seed,
         "lattice": list(dims), "group": args.group, "start": args.start,
         "noise": args.noise, "tol": args.tol,
         "converged": bool(result["converged"]),
@@ -309,11 +302,10 @@ def _write_history_csv(path: str, history) -> None:
 
 def cmd_lift(args) -> int:
     U = _read_field(args.infile, ndim=4)
-    _load_spec(args.spec)  # validated; lattice lift runs in adapted coords
     t_dims = _parse_dims(args.tgrid, 3)
     U7 = lift_lattice_7d(U, t_dims)
     write_snapshot(U7, args.out)
-    _emit({"command": "lift", "mode": args.mode,
+    _emit({"command": "lift",
            "base_dims": list(U.dims), "t_dims": list(t_dims),
            "dims": list(U7.dims), "out": args.out})
     return EXIT_OK
@@ -333,27 +325,23 @@ def _read_field(path: str, ndim: int):
 
 def cmd_residual(args) -> int:
     U7 = _read_field(args.infile, ndim=7)
-    spec = _load_spec(args.spec)
-    fib = build_fibration(spec)
-    res = residual_7d(U7, fib.adapted_g2())
-    _emit({"command": "residual", "mode": args.mode,
-           "dims": list(U7.dims),
+    # lattice work runs in adapted coordinates, where phi is standard
+    res = residual_7d(U7, standard_structure())
+    _emit({"command": "residual", "dims": list(U7.dims),
            "r_a": res["r_a"], "r_b": res["r_b"], "f7_norm": res["f7_norm"]})
     return EXIT_OK
 
 
 def cmd_cs(args) -> int:
     U7 = _read_field(args.field, ndim=7)
-    spec = _load_spec(args.spec)
-    fib = build_fibration(spec)
-    ctx = CSContext(fib, fib.g2)
+    ctx = CSContext.standard()
     v = tuple(float(x) for x in (1, 0, 0, 0, 0, 0, 0))
     values = [rho_lattice(ctx, U7, v)]
     for k in range(args.probe_offsets):
         probe = add_link_noise(U7, args.probe_amplitude, args.seed + k + 1)
         values.append(rho_lattice(ctx, probe, v))
     _emit({
-        "command": "cs", "mode": args.mode, "seed": args.seed,
+        "command": "cs", "seed": args.seed,
         "v": list(v), "probe_offsets": args.probe_offsets,
         "probe_amplitude": args.probe_amplitude,
         "rho_values": values,
@@ -371,12 +359,8 @@ def cmd_obstruct(args) -> int:
         raise ValidationFailure(f"invalid form JSON: {exc}") from exc
     if (xi.dim, xi.degree) != (7, 4):
         raise ValidationFailure("xi must be a 4-form on the 7-torus")
-    spec = _load_spec(args.spec)
-    fib = build_fibration(spec)
-    ctx = CSContext(fib, fib.g2)
-    rep = obstruction_verdict_lattice(ctx, U7, xi)
-    _emit({"command": "obstruct", "mode": args.mode,
-           "report": rep.to_json_dict()})
+    rep = obstruction_verdict_lattice(CSContext.standard(), U7, xi)
+    _emit({"command": "obstruct", "report": rep.to_json_dict()})
     return EXIT_OK
 
 
@@ -387,9 +371,8 @@ def cmd_obstruct(args) -> int:
 def cmd_report(args) -> int:
     ids = identity_suite("exact")
 
-    spec = FibrationSpec.standard()
-    fib = build_fibration(spec)
-    ctx = CSContext(fib, fib.g2)
+    ctx = CSContext.standard()
+    fib = ctx.fib
 
     # continuum lift of the unit SD flux and its residual triple
     F4 = constant_curvature_u1(_UNIT_SD_FLUX)
@@ -415,7 +398,6 @@ def cmd_report(args) -> int:
 
     report = {
         "command": "report",
-        "mode": args.mode,
         "seed": args.seed,
         "identities": {"items": ids, "all_pass": all(i["pass"] for i in ids)},
         "fibration": {
@@ -477,27 +459,26 @@ def _print_report_table(report: dict) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=("exact", "double"), default="exact",
-                        help="arithmetic mode for form computations")
-    common.add_argument("--seed", type=int, default=42,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=42,
                         help="seed for the documented splitmix-style PRNG")
 
     p = argparse.ArgumentParser(prog="g2lab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("identities", parents=[common],
-                   help="run the exact identity suite")
+    q = sub.add_parser("identities", help="run the exact identity suite")
+    q.add_argument("--mode", choices=("exact", "double"), default="exact",
+                   help="arithmetic: exact rationals or floats")
 
-    q = sub.add_parser("fibration", parents=[common],
+    q = sub.add_parser("fibration",
                        help="build a torus fibration from a spec file")
     q.add_argument("--spec", default=None, help="fibration spec JSON")
 
-    q = sub.add_parser("deform", parents=[common],
+    q = sub.add_parser("deform",
                        help="split a 4-form perturbation into its blocks")
     q.add_argument("--xi", required=True, help="4-form JSON file")
 
-    q = sub.add_parser("flow", parents=[common], help="cool a lattice field")
+    q = sub.add_parser("flow", parents=[seeded], help="cool a lattice field")
     q.add_argument("--lattice", default="6x6x6x6")
     q.add_argument("--group", default="su2")
     q.add_argument("--tol", type=float, default=1e-3)
@@ -507,31 +488,25 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "half-flux", "sd-flux", "identity"))
     q.add_argument("--out", required=True)
 
-    q = sub.add_parser("lift", parents=[common], help="lift a 4D snapshot")
+    q = sub.add_parser("lift", help="lift a 4D snapshot")
     q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--spec", default=None)
     q.add_argument("--tgrid", default="4x4x4")
     q.add_argument("--out", required=True)
 
-    q = sub.add_parser("residual", parents=[common],
-                       help="7D instanton residuals of a snapshot")
+    q = sub.add_parser("residual", help="7D instanton residuals of a snapshot")
     q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--spec", default=None)
 
-    q = sub.add_parser("cs", parents=[common],
+    q = sub.add_parser("cs", parents=[seeded],
                        help="Chern-Simons 1-form on translation tangents")
     q.add_argument("--field", required=True)
-    q.add_argument("--spec", default=None)
     q.add_argument("--probe-offsets", type=int, default=5)
     q.add_argument("--probe-amplitude", type=float, default=0.02)
 
-    q = sub.add_parser("obstruct", parents=[common],
-                       help="deformation obstruction verdict")
+    q = sub.add_parser("obstruct", help="deformation obstruction verdict")
     q.add_argument("--field", required=True)
     q.add_argument("--xi", required=True)
-    q.add_argument("--spec", default=None)
 
-    q = sub.add_parser("report", parents=[common],
+    q = sub.add_parser("report", parents=[seeded],
                        help="bundle module outputs into one JSON report")
     q.add_argument("--out", default=None)
 
@@ -552,11 +527,6 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    threads = os.environ.get("G2LAB_THREADS")
-    if threads and threads.isdigit():
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -43,7 +43,6 @@ from .lattice import (
     residual_7d,
     reunitarize,
     toron_su2,
-    wilson_force,
     write_snapshot,
 )
 
@@ -58,5 +57,5 @@ __all__ = [
     "lift_to_7d", "plaquette", "plaquette_chirality_energies",
     "plaquette_field", "q_map", "random_gauge_transform", "read_snapshot",
     "residual_7d", "reunitarize", "topological_charge", "toron_su2",
-    "wilson_force", "write_snapshot", "ym_energy_4d",
+    "write_snapshot", "ym_energy_4d",
 ]

@@ -8,13 +8,16 @@ topological charge selects the sector.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..exterior import ConstForm, lex_basis, merge_indices
+from ..exterior import ConstForm, interior, lex_basis, wedge
 from ..rng import SplitMix64
 
 _MAGIC = b"G2LAT001"
@@ -105,6 +108,14 @@ def plaquette(U: LatticeGaugeField, site, mu: int, nu: int) -> np.ndarray:
     return plaquette_field(U, mu, nu)[site]
 
 
+def _project_algebra(m: np.ndarray, rank: int) -> np.ndarray:
+    g = 0.5 * (m - _dag(m))
+    if rank > 1:
+        tr = np.trace(g, axis1=-2, axis2=-1) / rank
+        g = g - tr[..., None, None] * np.eye(rank)
+    return g
+
+
 def clover_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
     """Anti-Hermitian traceless clover average F^_{mu nu}(x).
 
@@ -126,24 +137,31 @@ def clover_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
           @ _shift(um_mnu[None], mu, -1)[0] @ un_mnu)
     # leaf 4: -nu, mu
     p4 = _dag(un_mnu) @ um_mnu @ _shift(un_mnu[None], mu, 1)[0] @ _dag(um)
-    c = p1 + p2 + p3 + p4
-    f = (c - _dag(c)) / 8.0
-    if U.rank > 1:
-        tr = np.trace(f, axis1=-2, axis2=-1) / U.rank
-        f = f - tr[..., None, None] * np.eye(U.rank)
-    return f
+    # the factors are powers of 2, so this is (C - C^+)/8 to the bit
+    return _project_algebra(p1 + p2 + p3 + p4, U.rank) / 4.0
 
 
-def clover_charge(U: LatticeGaugeField) -> float:
-    """Charge (1/8 pi^2) sum tr(F^F) via the clover discretization on the
-    first four directions; gauge invariant by construction."""
-    if U.ndim < 4:
-        raise ValueError("need at least 4 directions")
-    f = {}
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            f[(mu, nu)] = clover_field(U, mu, nu)
-    dens = (f[(0, 1)] @ f[(2, 3)] - f[(0, 2)] @ f[(1, 3)] + f[(0, 3)] @ f[(1, 2)])
+# (mu, nu) planes in lexicographic order: the six of the first four
+# directions, all 21 of a 7D lattice, and where the six sit among the 21
+_PLANES4 = tuple(itertools.combinations(range(4), 2))
+_PLANES7 = tuple(itertools.combinations(range(7), 2))
+_BASE_PLANES = [_PLANES7.index(p) for p in _PLANES4]
+
+
+def _clover_stack(U: LatticeGaugeField, planes) -> np.ndarray:
+    """clover_field of every (mu, nu) in ``planes``, stacked on axis 0.
+
+    The one clover pass behind every lattice curvature observable."""
+    F = np.empty((len(planes), *U.dims, U.rank, U.rank), dtype=complex)
+    for k, (mu, nu) in enumerate(planes):
+        F[k] = clover_field(U, mu, nu)
+    return F
+
+
+def _charge(U: LatticeGaugeField, f) -> float:
+    """(1/8 pi^2) sum tr(F^F) from the six base planes ``f`` (_PLANES4)."""
+    f01, f02, f03, f12, f13, f23 = f
+    dens = f01 @ f23 - f02 @ f13 + f03 @ f12
     total = float(np.real(np.trace(dens, axis1=-2, axis2=-1)).sum())
     if U.ndim > 4:
         # lifted fields repeat each base slice across the fiber volume
@@ -151,23 +169,37 @@ def clover_charge(U: LatticeGaugeField) -> float:
     return total / (4.0 * np.pi ** 2)
 
 
-def chirality_energies(U: LatticeGaugeField) -> dict:
-    """Per-site-summed |F+|^2 and |F-|^2 from the clover field (4D part)."""
-    f = {}
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            f[(mu, nu)] = clover_field(U, mu, nu)
+def clover_charge(U: LatticeGaugeField) -> float:
+    """Charge (1/8 pi^2) sum tr(F^F) via the clover discretization on the
+    first four directions; gauge invariant by construction."""
+    if U.ndim < 4:
+        raise ValueError("need at least 4 directions")
+    return _charge(U, _clover_stack(U, _PLANES4))
 
-    def nrm(a):
-        return float(np.real(np.trace(a @ _dag(a), axis1=-2, axis2=-1)).sum())
 
-    sd = 0.5 * (nrm(f[(0, 1)] + f[(2, 3)]) + nrm(f[(0, 2)] - f[(1, 3)])
-                + nrm(f[(0, 3)] + f[(1, 2)]))
-    asd = 0.5 * (nrm(f[(0, 1)] - f[(2, 3)]) + nrm(f[(0, 2)] + f[(1, 3)])
-                 + nrm(f[(0, 3)] - f[(1, 2)]))
+def _norm_sq(a: np.ndarray) -> float:
+    """Sum of |a_ij|^2 over all entries: sum over sites of tr(a a^+)."""
+    return float(np.vdot(a, a).real)
+
+
+def _sd_asd(f) -> tuple:
+    """Self-dual and anti-self-dual parts of the six planes ``f`` (_PLANES4),
+    three components each."""
+    f01, f02, f03, f12, f13, f23 = f
+    return ((f01 + f23, f02 - f13, f03 + f12),
+            (f01 - f23, f02 + f13, f03 - f12))
+
+
+def _chirality(f) -> dict:
+    sd, asd = (0.5 * sum(_norm_sq(a) for a in part) for part in _sd_asd(f))
     total = sd + asd
     return {"sd_sq": sd, "asd_sq": asd, "total": total,
             "asd_fraction": asd / total if total > 0 else 0.0}
+
+
+def chirality_energies(U: LatticeGaugeField) -> dict:
+    """Per-site-summed |F+|^2 and |F-|^2 from the clover field (4D part)."""
+    return _chirality(_clover_stack(U, _PLANES4))
 
 
 # ---------------------------------------------------------------------------
@@ -292,51 +324,11 @@ def reunitarize(U: LatticeGaugeField) -> None:
     U.links = u
 
 
-def _staple_sum(U: LatticeGaugeField, mu: int) -> np.ndarray:
-    u = U.links
-    total = np.zeros_like(u[mu])
-    for nu in range(U.ndim):
-        if nu == mu:
-            continue
-        un = u[nu]
-        un_up_mu = _shift(un[None], mu, 1)[0]
-        um_up_nu = _shift(u[mu:mu + 1], nu, 1)[0]
-        total += un_up_mu @ _dag(um_up_nu) @ _dag(un)
-        un_dn = _shift(un[None], nu, -1)[0]
-        un_dn_up_mu = _shift(un_dn[None], mu, 1)[0]
-        um_dn = _shift(u[mu:mu + 1], nu, -1)[0]
-        total += _dag(un_dn_up_mu) @ _dag(um_dn) @ un_dn
-    return total
-
-
-def wilson_force(U: LatticeGaugeField) -> np.ndarray:
-    """Anti-Hermitian (traceless for su2) gradient of the Wilson action.
-
-    G_mu(x) is the projection of U_mu(x) Sigma_mu(x) onto the Lie algebra;
-    stepping U <- exp(-tau G) U decreases the action to first order.
-    """
-    out = np.zeros_like(U.links)
-    for mu in range(U.ndim):
-        m = U.links[mu] @ _staple_sum(U, mu)
-        g = 0.5 * (m - _dag(m))
-        if U.rank > 1:
-            tr = np.trace(g, axis1=-2, axis2=-1) / U.rank
-            g = g - tr[..., None, None] * np.eye(U.rank)
-        out[mu] = g
-    return out
-
-
+# plane -> (its component in the ASD part of _sd_asd, its sign there); the
+# order is the order in which asd_force accumulates
 _PLANE_SIGNS = {(0, 1): (0, 1.0), (2, 3): (0, -1.0),
                 (0, 2): (1, 1.0), (1, 3): (1, 1.0),
                 (0, 3): (2, 1.0), (1, 2): (2, -1.0)}
-
-
-def _project_algebra(m: np.ndarray, rank: int) -> np.ndarray:
-    g = 0.5 * (m - _dag(m))
-    if rank > 1:
-        tr = np.trace(g, axis1=-2, axis2=-1) / rank
-        g = g - tr[..., None, None] * np.eye(rank)
-    return g
 
 
 def plaquette_chirality_energies(U: LatticeGaugeField) -> dict:
@@ -345,19 +337,8 @@ def plaquette_chirality_energies(U: LatticeGaugeField) -> dict:
     This is the functional the cooling flow descends exactly, so its value
     is guaranteed monotone along accepted steps.
     """
-    F = {p: _project_algebra(plaquette_field(U, p[0], p[1]), U.rank)
-         for p in _PLANE_SIGNS}
-
-    def nrm(a):
-        return float(np.real(np.trace(a @ _dag(a), axis1=-2, axis2=-1)).sum())
-
-    asd = 0.5 * (nrm(F[(0, 1)] - F[(2, 3)]) + nrm(F[(0, 2)] + F[(1, 3)])
-                 + nrm(F[(0, 3)] - F[(1, 2)]))
-    sd = 0.5 * (nrm(F[(0, 1)] + F[(2, 3)]) + nrm(F[(0, 2)] - F[(1, 3)])
-                + nrm(F[(0, 3)] + F[(1, 2)]))
-    total = sd + asd
-    return {"sd_sq": sd, "asd_sq": asd, "total": total,
-            "asd_fraction": asd / total if total > 0 else 0.0}
+    return _chirality([_project_algebra(plaquette_field(U, mu, nu), U.rank)
+                       for mu, nu in _PLANES4])
 
 
 def asd_force(U: LatticeGaugeField) -> np.ndarray:
@@ -367,10 +348,8 @@ def asd_force(U: LatticeGaugeField) -> np.ndarray:
     plaquettes; the chain rule contributes four terms per (link, plane)
     since each link sits in two plaquettes of each containing plane.
     """
-    P = {p: plaquette_field(U, p[0], p[1]) for p in _PLANE_SIGNS}
-    Fp = {p: _project_algebra(P[p], U.rank) for p in _PLANE_SIGNS}
-    D = [Fp[(0, 1)] - Fp[(2, 3)], Fp[(0, 2)] + Fp[(1, 3)],
-         Fp[(0, 3)] - Fp[(1, 2)]]
+    P = {p: plaquette_field(U, *p) for p in _PLANES4}
+    D = _sd_asd([_project_algebra(P[p], U.rank) for p in _PLANES4])[1]
     u = U.links
     out = np.zeros_like(u)
     for (mu, nu), (k, s) in _PLANE_SIGNS.items():
@@ -472,19 +451,14 @@ def lift_lattice_7d(U: LatticeGaugeField, t_dims) -> LatticeGaugeField:
     return LatticeGaugeField(dims7, U.group, links, U.spacing)
 
 
-def _wedge_star_phi_matrix(star_phi: ConstForm) -> np.ndarray:
-    """7 x 21 matrix of F -> F ^ star_phi in the lexicographic bases."""
-    pairs = lex_basis(7, 2)
-    sixes = lex_basis(7, 6)
-    W = np.zeros((7, 21))
-    for j, pr in enumerate(pairs):
-        for idx, c in star_phi.coeffs.items():
-            merged = merge_indices(pr, idx)
-            if merged is None:
-                continue
-            sign, out_idx = merged
-            W[sixes.index(out_idx), j] += sign * float(c)
-    return W
+def _wedge_table(form: ConstForm, degree: int) -> np.ndarray:
+    """Matrix of eta -> eta ^ form from lexicographic ``degree``-forms to
+    lexicographic (degree + form.degree)-forms."""
+    n = form.dim
+    out = lex_basis(n, degree + form.degree)
+    rows = [wedge(ConstForm.basis(n, idx, 1.0), form).coeff_vector(out)
+            for idx in lex_basis(n, degree)]
+    return np.array(rows, dtype=float).T
 
 
 def residual_7d(U: LatticeGaugeField, s) -> dict:
@@ -495,24 +469,43 @@ def residual_7d(U: LatticeGaugeField, s) -> dict:
     """
     if U.ndim != 7:
         raise ValueError("expected a 7D field")
-    pairs = lex_basis(7, 2)
-    r = U.rank
-    n = U.n_sites()
-    F = np.zeros((21, n, r, r), dtype=complex)
-    for k, (i, j) in enumerate(pairs):
-        F[k] = clover_field(U, i - 1, j - 1).reshape(n, r, r)
+    F = _clover_stack(U, _PLANES7)
     p7 = s.p7_array()
     T = p7 * (float(s.lambda7) - float(s.lambda14)) + float(s.lambda14) * np.eye(21)
-    W = _wedge_star_phi_matrix(s.star_phi)
+    W = _wedge_table(s.star_phi, 2)
+    n = U.n_sites()
 
-    def rms(comp):
-        sq = np.real(np.trace(comp @ _dag(comp), axis1=-2, axis2=-1))
-        return float(np.sqrt(sq.sum(axis=(0, 1)) / n))
+    def rms(M):
+        return float(np.sqrt(_norm_sq(np.tensordot(M, F, axes=(1, 0))) / n))
 
-    f7 = np.tensordot(p7, F, axes=(1, 0))
-    diff = F - np.tensordot(T, F, axes=(1, 0)) / float(s.lambda14)
-    wa = np.tensordot(W, F, axes=(1, 0))
-    return {"r_a": rms(wa), "r_b": rms(diff), "f7_norm": rms(f7)}
+    return {"r_a": rms(W), "r_b": rms(np.eye(21) - T / float(s.lambda14)),
+            "f7_norm": rms(p7)}
+
+
+def _cs_integral(U: LatticeGaugeField, F: np.ndarray, v,
+                 four_form: ConstForm) -> float:
+    """Site average of the top coefficient of tr(F ^ (v -| F)) ^ four_form.
+
+    ``F`` is the 21-plane clover stack of a 7D field.  In adapted
+    coordinates the torus is the unit cube, so a_mu = 1/N_mu, the clover
+    times N_mu N_nu is the curvature and the site average is the integral.
+    The form algebra is a 21 x 21 table T with
+    top(eta_k ^ (v -| eta_l) ^ four_form) = T[k, l]; the sites enter through
+    one contraction of T with tr(F_k F_l).
+    """
+    if U.ndim != 7:
+        raise ValueError("expected a 7D lattice field")
+    v = [float(x) for x in v]
+    covectors = [ConstForm.basis(7, (c,), 1.0) for c in range(1, 8)]
+    # M[k, c] = top(eta_k ^ e^c ^ four_form), B[c, l] = e^c part of v -| eta_l
+    M = np.stack([_wedge_table(wedge(e, four_form), 2)[0] for e in covectors],
+                 axis=1)
+    B = np.array([interior(v, ConstForm.basis(7, idx, 1.0)).coeff_vector(
+        lex_basis(7, 1)) for idx in lex_basis(7, 2)], dtype=float).T
+    scale = np.array([U.dims[i] * U.dims[j] for i, j in _PLANES7], dtype=float)
+    T = (M @ B) * np.outer(scale, scale)
+    total = np.einsum("kl,k...ab,l...ba->", T, F, F, optimize=True)
+    return float(total.real) / U.n_sites()
 
 
 def asd_residual_4d(U: LatticeGaugeField) -> float:
@@ -551,20 +544,37 @@ def write_snapshot(U: LatticeGaugeField, path: str) -> None:
 
 
 def read_snapshot(path: str) -> LatticeGaugeField:
+    """Read a write_snapshot file.  The header is checked, and the file
+    length against it, before the links are allocated; any mismatch raises
+    ValueError."""
+    size = os.path.getsize(path)
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
+        def unpack(fmt):
+            raw = fh.read(struct.calcsize(fmt))
+            if len(raw) != struct.calcsize(fmt):
+                raise ValueError("truncated snapshot header")
+            return struct.unpack(fmt, raw)
+
+        if fh.read(8) != _MAGIC:
             raise ValueError("not a lattice snapshot")
-        version, = struct.unpack("<I", fh.read(4))
+        version, ndim = unpack("<2I")
         if version != 1:
             raise ValueError(f"unsupported snapshot version {version}")
-        ndim, = struct.unpack("<I", fh.read(4))
-        dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-        code, = struct.unpack("<I", fh.read(4))
-        spacing, = struct.unpack("<d", fh.read(8))
+        if not 1 <= ndim <= 7:
+            raise ValueError(f"snapshot claims {ndim} dimensions, not 1 to 7")
+        dims = unpack(f"<{ndim}I")
+        code, spacing = unpack("<Id")
+        if code not in _GROUP_NAME:
+            raise ValueError(f"unknown group code {code}")
+        if min(dims) < 1:
+            raise ValueError(f"snapshot extents {list(dims)} must be >= 1")
         group = _GROUP_NAME[code]
         r = _RANK[group]
-        count = ndim * int(np.prod(dims)) * r * r
+        count = ndim * math.prod(dims) * r * r
+        want = fh.tell() + 16 * count
+        if size != want:
+            raise ValueError(f"snapshot has {size} bytes, its header "
+                             f"{list(dims)} {group} needs {want}")
         raw = np.frombuffer(fh.read(16 * count), dtype="<c16")
     links = raw.reshape(ndim, *dims, r, r).astype(complex)
-    return LatticeGaugeField(dims, group, links.copy(), spacing)
+    return LatticeGaugeField(dims, group, links, spacing)

@@ -203,3 +203,27 @@ def test_lattice_quadrature_matches_continuum(cs_context):
     rep0 = obstruction_verdict_lattice(
         cs_context, U7, ConstForm.basis(7, (1, 2, 3, 4), 1.0))
     assert rep0.verdict is Verdict.SURVIVES
+
+
+def test_lattice_verdict_is_one_clover_pass(cs_context, monkeypatch):
+    """obstruction_verdict_lattice builds the 21 clover planes once and
+    reads q, rho and r_phi from them."""
+    from g2lab.gauge import lattice
+    base = lattice.add_link_noise(
+        lattice.constant_flux_field((4, 4, 4, 4), SD_UNIT, "su2"), 0.05, 3)
+    # fiber noise makes rho nonzero, so equality is not 0 == 0
+    U7 = lattice.add_link_noise(lattice.lift_lattice_7d(base, (2, 2, 2)),
+                                0.05, 4)
+    planes = []
+    clover = lattice.clover_field
+    monkeypatch.setattr(lattice, "clover_field",
+                        lambda U, mu, nu: planes.append((mu, nu))
+                        or clover(U, mu, nu))
+    rep = obstruction_verdict_lattice(cs_context, U7, XI_IV)
+    assert len(planes) == 21 and len(set(planes)) == 21
+    monkeypatch.undo()
+    assert rep.rho_value != 0.0
+    assert rep.rho_value == rho_lattice(cs_context, U7, rep.v)
+    assert rep.q == lattice.clover_charge(U7)
+    assert rep.r_phi_value == perturbed_rho_lattice(cs_context, U7, rep.v,
+                                                    XI_IV)

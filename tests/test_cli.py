@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import jsonschema
 import pytest
@@ -144,6 +145,32 @@ def test_lift_schema(pipeline, capsys):
 def test_residual_rejects_4d_snapshot(pipeline, capsys):
     code, _, err = run_cli(["residual", "--in", pipeline["four"]], capsys)
     assert code == 1
+    assert err["error"]["code"] == "validation"
+
+
+def _header(ndim, dims, code):
+    return (b"G2LAT001" + struct.pack("<II", 1, ndim)
+            + struct.pack(f"<{ndim}I", *dims) + struct.pack("<Id", code, 0.25))
+
+
+@pytest.mark.parametrize("case", ["unknown-group", "huge-header",
+                                  "short-file"])
+def test_residual_rejects_bad_snapshot_header(pipeline, case, capsys):
+    with open(pipeline["seven"], "rb") as fh:
+        good = fh.read()
+    header = len(_header(7, (4, 4, 4, 4, 3, 3, 3), 1))
+    if case == "unknown-group":
+        data = _header(7, (4, 4, 4, 4, 3, 3, 3), 9) + good[header:]
+    elif case == "huge-header":
+        data = _header(7, (100000,) * 7, 1) + good[header:]
+    else:
+        data = good[:-16]
+    path = str(pipeline["root"] / f"{case}.lat")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    code, out, err = run_cli(["residual", "--in", path], capsys)
+    assert code == 1 and out is None
+    jsonschema.validate(err, load_schema("error"))
     assert err["error"]["code"] == "validation"
 
 

@@ -8,8 +8,7 @@ from g2lab.gauge.lattice import (
     asd_residual_4d, chirality_energies, clover_charge, clover_field,
     constant_flux_field, cool_to_sd, identity_field, lift_lattice_7d,
     plaquette, plaquette_chirality_energies, random_gauge_transform,
-    read_snapshot, residual_7d, reunitarize, toron_su2, wilson_force,
-    write_snapshot,
+    read_snapshot, residual_7d, reunitarize, toron_su2, write_snapshot,
 )
 
 SD_UNIT = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
@@ -100,12 +99,6 @@ def test_cooling_monotone_and_converges():
     fracs = [row[1] for row in out["history"]]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(fracs, fracs[1:]))
     assert abs(out["history"][-1][2] + 1.0) < 0.1
-
-
-def test_wilson_force_is_antihermitian():
-    U = add_link_noise(identity_field((4, 4, 4, 4), "su2"), 0.3, seed=3)
-    G = wilson_force(U)
-    assert np.abs(G + np.conj(np.swapaxes(G, -1, -2))).max() < 1e-12
 
 
 def test_reunitarize_projects_back():
