@@ -100,7 +100,7 @@ def identity_suite(mode: str) -> list:
     """
     exact = mode == "exact"
     phi = standard_phi() if exact else standard_phi().to_double()
-    s = eigen_split(phi)
+    s = standard_structure() if exact else eigen_split(phi)
     items = []
 
     def add(name, residual):

@@ -49,44 +49,44 @@ OMEGA_BAR_BASE = (
 EPSILON3 = {(1, 2): 3, (2, 3): 1, (1, 3): -2}  # (i,j) -> signed k with eps^ijk
 
 
-def sd_basis(eta: Metric) -> tuple:
-    """eta-orthogonal basis of the omega-chirality 2-forms, |w|^2 = 2.
+def chirality_basis(eta: Metric, sign: int) -> tuple:
+    """eta-orthogonal basis of one chirality of base 2-forms, |w|^2 = 2.
 
-    Returns the +1 eigenspace of the eta Hodge star taken with the fiber
+    ``sign`` picks the eigenvalue of the eta Hodge star taken with the fiber
     orientation (the one in which omega_1 = e^12 - e^34 is self-dual; it is
-    opposite to +e^1234).  Continuity near the identity metric comes from
-    Gram-Schmidt against the flat omega triple.
+    opposite to +e^1234): +1 gives the omega chirality, -1 the opposite one.
+    Continuity near the identity metric comes from Gram-Schmidt against the
+    flat triple of that chirality, which is returned as is for eta = 1.
     """
     if eta.dim != 4:
         raise ValueError("base metric must be 4-dimensional")
+    flat = OMEGA_BASE if sign > 0 else OMEGA_BAR_BASE
     if eta.mat == Metric.identity(4).mat:
-        return OMEGA_BASE
+        return flat
     o = Orientation(-1)  # fiber-compatible orientation on the base
     star = np.zeros((6, 6))
     for j, idx in enumerate(BASE_LAMBDA2):
         img = hodge(ConstForm.basis(4, idx).to_double(), eta, o)
         star[:, j] = [float(x) for x in img.coeff_vector(BASE_LAMBDA2)]
     evals, evecs = np.linalg.eig(star)
-    plus = evecs[:, np.abs(evals - 1.0) < 1e-8].real
-    if plus.shape[1] != 3:
-        raise ValueError("self-dual eigenspace is not 3-dimensional")
-    proj = plus @ np.linalg.pinv(plus)
+    span = evecs[:, np.abs(evals - sign) < 1e-8].real
+    if span.shape[1] != 3:
+        raise ValueError(f"star eigenspace {sign:+d} is not 3-dimensional")
+    proj = span @ np.linalg.pinv(span)
 
     def inner(u, v):
         a = ConstForm(4, 2, dict(zip(BASE_LAMBDA2, u)))
         b = ConstForm(4, 2, dict(zip(BASE_LAMBDA2, v)))
         return float(form_inner(a, b, eta))
 
-    out = []
-    vecs = []
-    for om in OMEGA_BASE:
+    out, vecs = [], []
+    for om in flat:
         v = proj @ np.array([float(x) for x in om.coeff_vector(BASE_LAMBDA2)])
         for w in vecs:
             v = v - (inner(w, v) / inner(w, w)) * w
-        vecs.append(v)
         v = v * np.sqrt(2.0 / inner(v, v))
+        vecs.append(v)
         out.append(ConstForm(4, 2, {k: c for k, c in zip(BASE_LAMBDA2, v) if c != 0.0}))
-        vecs[-1] = np.array([float(x) for x in out[-1].coeff_vector(BASE_LAMBDA2)])
     return tuple(out)
 
 
@@ -197,8 +197,12 @@ def build_fibration(spec: FibrationSpec) -> TorusFibration:
     if not exact:
         G = [[float(x) for x in row] for row in G]
     Ginv = mat_inverse(G)
-    phi = pullback_linear(Ginv, standard_phi() if exact else standard_phi().to_double())
-    g2s = eigen_split(phi)
+    phi0 = standard_phi() if exact else standard_phi().to_double()
+    phi = pullback_linear(Ginv, phi0)
+    # An exact spec that leaves phi standard shares the one exact structure.
+    # Only on the exact path: a float phi compares equal to it (1.0 == 1)
+    # but must keep its own float split.
+    g2s = g2core.standard_structure() if exact and phi == phi0 else eigen_split(phi)
     Finv = mat_inverse(F)
     f_matrix = tuple(tuple(Finv[i]) + (zero,) * 3 for i in range(4))
     return TorusFibration(spec=spec, ltilde=tuple(tuple(r) for r in G),
@@ -292,41 +296,6 @@ def _fiber_pair_form(k: int) -> ConstForm:
     return ConstForm.basis(7, pairs[k])
 
 
-def _chirality_bases(eta: Metric):
-    """(omega, opposite) bases of the eta star eigenspaces, |.|^2 = 2 each."""
-    if eta.mat == Metric.identity(4).mat:
-        return OMEGA_BASE, OMEGA_BAR_BASE
-    return sd_basis(eta), _asd_basis(eta)
-
-
-def _asd_basis(eta: Metric) -> tuple:
-    o = Orientation(-1)
-    star = np.zeros((6, 6))
-    for j, idx in enumerate(BASE_LAMBDA2):
-        img = hodge(ConstForm.basis(4, idx).to_double(), eta, o)
-        star[:, j] = [float(x) for x in img.coeff_vector(BASE_LAMBDA2)]
-    evals, evecs = np.linalg.eig(star)
-    minus = evecs[:, np.abs(evals + 1.0) < 1e-8].real
-    if minus.shape[1] != 3:
-        raise ValueError("anti-self-dual eigenspace is not 3-dimensional")
-    proj = minus @ np.linalg.pinv(minus)
-
-    def inner(u, v):
-        a = ConstForm(4, 2, dict(zip(BASE_LAMBDA2, u)))
-        b = ConstForm(4, 2, dict(zip(BASE_LAMBDA2, v)))
-        return float(form_inner(a, b, eta))
-
-    out, vecs = [], []
-    for om in OMEGA_BAR_BASE:
-        v = proj @ np.array([float(x) for x in om.coeff_vector(BASE_LAMBDA2)])
-        for w in vecs:
-            v = v - (inner(w, v) / inner(w, w)) * w
-        v = v * np.sqrt(2.0 / inner(v, v))
-        vecs.append(v)
-        out.append(ConstForm(4, 2, {k: c for k, c in zip(BASE_LAMBDA2, v) if c != 0.0}))
-    return tuple(out)
-
-
 def decompose_deformation(xi: ConstForm, eta: Metric | None = None) -> DeformationSplit:
     """Split a 4-form on R^4 (+) R^3 by its number of fiber legs.
 
@@ -337,7 +306,7 @@ def decompose_deformation(xi: ConstForm, eta: Metric | None = None) -> Deformati
     if xi.dim != 7 or xi.degree != 4:
         raise ValueError("expected a 4-form on R^7")
     eta = eta if eta is not None else Metric.identity(4)
-    plus, minus = _chirality_bases(eta)
+    plus, minus = chirality_basis(eta, 1), chirality_basis(eta, -1)
     flat = eta.mat == Metric.identity(4).mat
     c_i = xi[(1, 2, 3, 4)]
     c_ii = [[0] * 4 for _ in range(3)]

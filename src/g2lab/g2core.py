@@ -245,8 +245,21 @@ def _exact_spectrum_ok(T, l7, l14) -> bool:
     return True
 
 
+_STANDARD: G2Structure | None = None
+
+
 def standard_structure() -> G2Structure:
-    return eigen_split(standard_phi())
+    """The exact G2 structure of ``standard_phi()``, shared and read-only.
+
+    Built on first use (``eigen_split`` in Fraction arithmetic, the costly
+    step of every lattice-adapted integral) and returned as the same object
+    on every later call.  Callers must not mutate it: the coefficient dicts
+    of its forms are shared by the whole process.
+    """
+    global _STANDARD
+    if _STANDARD is None:
+        _STANDARD = eigen_split(standard_phi())
+    return _STANDARD
 
 
 def t_phi(eta2: ConstForm, s: G2Structure) -> ConstForm:

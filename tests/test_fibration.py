@@ -8,10 +8,11 @@ from hypothesis import given, strategies as st
 
 from g2lab.exterior import ConstForm, Metric, interior, lex_basis, wedge
 from g2lab.fibration import (
-    FibrationSpec, build_fibration, decompose_deformation, poincare_pairing,
+    OMEGA_BAR_BASE, OMEGA_BASE, FibrationSpec, build_fibration,
+    chirality_basis, decompose_deformation, poincare_pairing,
     pullback_along_f, xi_from_perturbation,
 )
-from g2lab.g2core import standard_phi
+from g2lab.g2core import standard_phi, standard_structure
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
@@ -51,6 +52,62 @@ def test_twisted_fibration_is_non_product():
     for i in range(7):
         for j in range(7):
             assert g[i][j] == (1 if i == j else 0)
+
+
+def test_only_exact_standard_spec_shares_the_standard_structure():
+    exact = build_fibration(FibrationSpec.standard())
+    assert exact.g2 is standard_structure()
+    assert isinstance(exact.g2.lambda7, Fraction)
+    # identity entries as floats compare equal to the exact ones (1.0 == 1),
+    # yet the float spec must get its own float split
+    eye = [[1.0 if i == j else 0.0 for j in range(3)] for i in range(3)]
+    floats = build_fibration(FibrationSpec(Metric.identity(4, exact=False),
+                                           eye, [[0.0] * 4 for _ in range(3)]))
+    assert floats.g2 is not standard_structure()
+    assert type(floats.g2.lambda7) is float
+    assert all(type(c) is float for c in floats.g2.phi.coeffs.values())
+
+
+# Both chirality bases of a tilted base metric, recorded before sd_basis and
+# _asd_basis were merged into chirality_basis (numpy 2.4, OpenBLAS, x86-64).
+TILTED_ETA = Metric(4, [[2.0, 0.3, 0.0, 0.1], [0.3, 1.5, 0.2, 0.0],
+                        [0.0, 0.2, 1.0, 0.05], [0.1, 0.0, 0.05, 1.2]])
+TILTED_BASES = {
+    1: [
+        {(1, 2): 1.701190892551154, (1, 3): 0.1369485162893838,
+         (1, 4): 0.016768022801321173, (2, 3): -0.009883046871164501,
+         (2, 4): -0.1756701785698374, (3, 4): -1.0937090472133577},
+        {(1, 2): 0.1167376858855193, (1, 3): 1.406320528451018,
+         (1, 4): 0.13433106611772241, (2, 3): 0.16387050756273047,
+         (2, 4): 1.3246541878779363, (3, 4): 0.035632524575323794},
+        {(1, 2): -0.048185680394719495, (1, 3): -0.05922562910926536,
+         (1, 4): 1.54002402516552, (2, 3): -1.1971001554321492,
+         (2, 4): 0.1201302247508364, (3, 4): 0.005553668700783046},
+    ],
+    -1: [
+        {(1, 2): 1.6879083304642517, (1, 3): 0.03023114019500496,
+         (1, 4): -0.021933070563246622, (2, 3): 0.009365252032991449,
+         (2, 4): 0.103121361347471, (3, 4): 1.090129523576437},
+        {(1, 2): 0.24628531387923905, (1, 3): 1.406976765430074,
+         (1, 4): -0.08167102081865074, (2, 3): 0.09345300941158823,
+         (2, 4): -1.32752575668018, (3, 4): -0.09521344593552805},
+        {(1, 2): 0.01757874047784666, (1, 3): 0.13965120730747835,
+         (1, 4): 1.5436478823793027, (2, 3): 1.2046488397397295,
+         (2, 4): 0.1644425437183454, (3, 4): 0.007212595933020403},
+    ],
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chirality_basis_is_bit_identical_on_tilted_metric(sign):
+    got = [{k: float(c) for k, c in f.coeffs.items()}
+           for f in chirality_basis(TILTED_ETA, sign)]
+    assert got == TILTED_BASES[sign]
+
+
+def test_chirality_basis_of_flat_metric_is_the_omega_triples():
+    assert chirality_basis(Metric.identity(4), 1) is OMEGA_BASE
+    assert chirality_basis(Metric.identity(4), -1) is OMEGA_BAR_BASE
 
 
 def test_nonflat_eta_induces_inverse_metric_on_base():

@@ -1,15 +1,22 @@
 """Exact structure identities and the two-eigenvalue spectral calculus."""
 
+import contextlib
+import io
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from g2lab.exterior import ConstForm, hodge, interior, lex_basis, wedge
+from g2lab import cli, g2core
+from g2lab.chernsimons import CSContext, obstruction_verdict, path_integrate
+from g2lab.exterior import (ConstForm, hodge, interior, is_exact, lex_basis,
+                            wedge)
 from g2lab.g2core import (
     UnstableForm, eigen_split, energy_report, instanton_residual,
     l_star_phi, metric_from_phi, standard_phi, standard_star_phi, t_phi,
 )
+from g2lab.gauge.fourier import FourierField, constant_curvature_u1, lift_to_7d
 
 
 def test_coassociative_dual_closed_form(standard_structure):
@@ -103,3 +110,59 @@ def test_instanton_residual_zero_iff_14(standard_structure):
     eta7 = s.apply_p7(ConstForm.basis(7, (1, 2)))
     res7 = instanton_residual(eta7.to_double(), s)
     assert min(res7.values()) > 1e-3
+
+
+# --- the shared standard structure ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def exact_standard_builds():
+    """Drive the lattice-adapted consumers from an empty structure slot and
+    count the eigen_split calls made on the exact standard phi.
+
+    eigen_split is replaced wherever a g2lab module holds it, so a caller
+    that imported the name is counted too.  Yields inside the patch: the
+    slot still holds the structure those consumers used.
+    """
+    original = g2core.eigen_split
+    phi0 = standard_phi()
+    builds = []
+
+    def counted(phi, *args, **kwargs):
+        if phi == phi0 and all(is_exact(c) for c in phi.coeffs.values()):
+            builds.append(phi)
+        return original(phi, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, mod in list(sys.modules.items()):
+            if (name == "g2lab" or name.startswith("g2lab.")) \
+                    and getattr(mod, "eigen_split", None) is original:
+                mp.setattr(mod, "eigen_split", counted)
+        mp.setattr(g2core, "_STANDARD", None)
+        a = FourierField.zero(7, 1, 1, 2)
+        a.add_coeff((1, 0, 0, 0, 0, 0, 0), (2,), 0.2 + 0.9j)
+        a.add_coeff((0, 0, 1, 0, 0, 0, 0), (5,), 0.1 - 0.5j)
+        ctx = CSContext.standard()
+        path_integrate(ctx, a.symmetrized(), 16, "linear")
+        F7 = lift_to_7d(constant_curvature_u1(
+            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]),
+            ctx.fib)
+        for idx in ((1, 2, 3, 4), (1, 5, 6, 7), (1, 2, 6, 7)):
+            obstruction_verdict(CSContext.standard(), F7,
+                                ConstForm.basis(7, idx, 1.0))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["report", "--seed", "42"]) == cli.EXIT_OK
+        yield builds
+
+
+def test_exact_standard_structure_is_built_once(exact_standard_builds):
+    # the slot starts empty, so exactly one build must be seen
+    assert len(exact_standard_builds) == 1
+
+
+def test_shared_structure_survives_a_report_run(exact_standard_builds):
+    shared = g2core.standard_structure()
+    fresh = eigen_split(standard_phi())
+    for field in ("phi", "metric", "star_phi", "lambda7", "lambda14",
+                  "p7", "p14"):
+        assert getattr(shared, field) == getattr(fresh, field), field
