@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from g2lab.fibration import FibrationSpec, build_fibration
+from g2lab.g2core import standard_structure
 from g2lab.gauge.lattice import (
     add_link_noise, asd_residual_4d, clover_charge, constant_flux_field,
     cool_to_sd, lift_lattice_7d, plaquette_chirality_energies, residual_7d,
@@ -61,8 +61,8 @@ def main(argv=None):
 
     field = out["field"]
     en = plaquette_chirality_energies(field)
-    fib = build_fibration(FibrationSpec.standard())
-    res = residual_7d(lift_lattice_7d(field, cfg.t_dims), fib.adapted_g2())
+    # lattice work runs in adapted coordinates, where phi is standard
+    res = residual_7d(lift_lattice_7d(field, cfg.t_dims), standard_structure())
     print(f"converged      {out['converged']} in {out['steps']} steps")
     print(f"asd_fraction   {en['asd_fraction']:.3e}")
     print(f"clover charge  {clover_charge(field):+.4f}")

@@ -20,11 +20,12 @@ from enum import Enum
 import numpy as np
 
 from .exterior import ConstForm, interior
-from .fibration import TorusFibration, DeformationSplit, decompose_deformation
+from .fibration import (DeformationSplit, FibrationSpec, TorusFibration,
+                        build_fibration, decompose_deformation)
 from .g2core import G2Structure, standard_structure
 from .gauge.fourier import CurvatureField, FourierField, curvature, topological_charge
 from .gauge.lattice import (_BASE_PLANES, _PLANES7, _charge, _clover_stack,
-                            _cs_integral)
+                            _cs_integral, su2)
 from .rng import SplitMix64
 
 EIGHT_PI_SQ = 8.0 * np.pi ** 2
@@ -48,21 +49,24 @@ class CSContext:
 
     @staticmethod
     def standard() -> "CSContext":
-        from .fibration import FibrationSpec, build_fibration
-        fib = build_fibration(FibrationSpec.standard())
-        return CSContext(fib, fib.g2)
+        """The standard fibration's context, built on first use and shared
+        (read-only) afterwards, like ``g2core.standard_structure()``."""
+        global _STANDARD
+        if _STANDARD is None:
+            fib = build_fibration(FibrationSpec.standard())
+            _STANDARD = CSContext(fib, fib.g2)
+        return _STANDARD
 
     def adapted(self) -> G2Structure:
         return standard_structure()
 
 
-def _tr(field: FourierField) -> FourierField:
-    return field.trace() if field.group_rank > 1 else field
+_STANDARD: CSContext | None = None
 
 
 def _integral_against(field: FourierField, four_form: ConstForm) -> float:
     """Re of the integral of tr(field) ^ four_form over the unit torus."""
-    return float(np.real(_tr(field).wedge_const(four_form).integrate_top()))
+    return float(np.real(field.trace().wedge_const(four_form).integrate_top()))
 
 
 def cs_one_form(ctx: CSContext, F: CurvatureField, b: FourierField) -> float:
@@ -99,12 +103,9 @@ def default_detour(a: FourierField) -> FourierField:
     Reweights each mode by 1 + |m|_1 so the quadratic path genuinely leaves
     the line spanned by ``a``.
     """
-    out = a.copy()
-    for m, d in out.modes.items():
-        w = 1.0 + sum(abs(x) for x in m)
-        for i in d:
-            d[i] = d[i] * w
-    return out
+    w = 1.0 + np.abs(a.freqs).sum(axis=1)
+    return FourierField(a.dim, a.degree, a.group_rank, a.cutoff,
+                        a.freqs, a.masks, a.coeffs * w[:, None, None])
 
 
 def path_integrate(ctx: CSContext, a: FourierField, n_steps: int = 64,
@@ -196,9 +197,7 @@ def random_offsets(dim: int, group_rank: int, count: int, seed: int,
             if group_rank == 1:
                 c = rng.gauss() + 1j * rng.gauss()
             else:
-                g = [rng.gauss() for _ in range(3)]
-                c = np.array([[1j * g[0], g[1] + 1j * g[2]],
-                              [-g[1] + 1j * g[2], -1j * g[0]]])
+                c = su2([rng.gauss() for _ in range(3)])
             f.add_coeff(m, i, c)
         out.append(f.symmetrized())
     return out
@@ -349,12 +348,11 @@ def _restrict_base(F: CurvatureField) -> CurvatureField:
     """Base 4-torus field under a lifted 7D field (fiber modes must vanish)."""
     if F.dim == 4:
         return F
-    out = FourierField.zero(4, 2, F.group_rank, F.fluctuation.cutoff)
-    for m, d in F.fluctuation.modes.items():
-        if any(x != 0 for x in m[4:]):
-            raise ValueError("field is not a lift: fiber frequencies present")
-        for idx, c in d.items():
-            if any(i > 4 for i in idx):
-                raise ValueError("field is not a lift: fiber legs present")
-            out.add_coeff(m[:4], idx, c)
+    fl = F.fluctuation
+    if fl.freqs[:, 4:].any():
+        raise ValueError("field is not a lift: fiber frequencies present")
+    if (fl.masks >> 4).any():
+        raise ValueError("field is not a lift: fiber legs present")
+    out = FourierField(4, 2, fl.group_rank, fl.cutoff,
+                       fl.freqs[:, :4], fl.masks, fl.coeffs)
     return CurvatureField(out, flux=F.flux, truncation_error=F.truncation_error)

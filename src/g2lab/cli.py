@@ -20,15 +20,16 @@ import sys
 
 import numpy as np
 
-from .exterior import ConstForm, interior, lex_basis
-from .fibration import (FibrationSpec, build_fibration, decompose_deformation)
-from .g2core import (eigen_split, standard_phi, standard_star_phi,
+from .exterior import ConstForm, interior, lex_basis, wedge
+from .fibration import (OMEGA_BASE, FibrationSpec, TorusFibration,
+                        build_fibration, decompose_deformation)
+from .g2core import (eigen_split, l_star_phi, standard_phi, standard_star_phi,
                      standard_structure)
 from .gauge.fibered import q_map
 from .gauge.lattice import (
     CoolingDivergence, add_link_noise, clover_charge, chirality_energies,
-    constant_flux_field, cool_to_sd, lift_lattice_7d, read_snapshot,
-    residual_7d, write_snapshot,
+    constant_flux_field, cool_to_sd, identity_field, lift_lattice_7d,
+    plaquette_chirality_energies, read_snapshot, residual_7d, write_snapshot,
 )
 from .gauge.fourier import (
     constant_curvature_u1, instanton_residual_field, lift_to_7d,
@@ -80,6 +81,18 @@ def _load_spec(path: str | None) -> FibrationSpec:
         raise ValidationFailure(f"invalid fibration spec: {exc}") from exc
 
 
+def _load_xi(path: str) -> ConstForm:
+    """The perturbation 4-form on the 7-torus in a form JSON file."""
+    d = _load_json(path)
+    try:
+        xi = ConstForm.from_json_dict(d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationFailure(f"invalid form JSON: {exc}") from exc
+    if (xi.dim, xi.degree) != (7, 4):
+        raise ValidationFailure("xi must be a 4-form on the 7-torus")
+    return xi
+
+
 def _parse_dims(text: str, n: int) -> tuple:
     parts = text.lower().split("x")
     if len(parts) != n or not all(p.isdigit() and int(p) >= 2 for p in parts):
@@ -90,6 +103,10 @@ def _parse_dims(text: str, n: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # identities
+
+
+def _max_abs(form: ConstForm) -> float:
+    return max((abs(float(c)) for c in form.coeffs.values()), default=0.0)
 
 
 def identity_suite(mode: str) -> list:
@@ -110,9 +127,7 @@ def identity_suite(mode: str) -> list:
 
     # the coassociative 4-form in closed form
     target = standard_star_phi() if exact else standard_star_phi().to_double()
-    add("coassociative-dual",
-        max((abs(float(c)) for c in (s.star_phi - target).coeffs.values()),
-            default=0.0))
+    add("coassociative-dual", _max_abs(s.star_phi - target))
 
     # the induced metric of the model form is the identity
     g = s.metric.mat
@@ -126,9 +141,7 @@ def identity_suite(mode: str) -> list:
     for i in range(7):
         v = [one if j == i else one * 0 for j in range(7)]
         gen = interior(v, phi)
-        diff = s.apply_p7(gen) - gen
-        res = max(res, max((abs(float(c)) for c in diff.coeffs.values()),
-                           default=0.0))
+        res = max(res, _max_abs(s.apply_p7(gen) - gen))
     add("two-form-7-block-span", res)
 
     # wedging with the coassociative form kills the 14-block and has rank 7
@@ -136,11 +149,7 @@ def identity_suite(mode: str) -> list:
     cols = []
     for idx in lex_basis(7, 2):
         eta = ConstForm.basis(7, idx, one)
-        img14 = s.apply_p14(eta)
-        from .g2core import l_star_phi
-        dead = l_star_phi(img14, s)
-        kill = max(kill, max((abs(float(c)) for c in dead.coeffs.values()),
-                             default=0.0))
+        kill = max(kill, _max_abs(l_star_phi(s.apply_p14(eta), s)))
         cols.append([float(c) for c in l_star_phi(eta, s).coeff_vector(
             lex_basis(7, 6))])
     rank = int(np.linalg.matrix_rank(np.array(cols).T, tol=1e-9))
@@ -148,15 +157,12 @@ def identity_suite(mode: str) -> list:
     add("coassociative-wedge-rank", abs(rank - 7))
 
     # the fiber-plane map sends the three coordinate planes to the omegas
-    from .fibration import OMEGA_BASE
     res = 0.0
     blocks = [([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], OMEGA_BASE[2]),
               ([[0, 0, 0], [0, 0, 1], [0, -1, 0]], OMEGA_BASE[0]),
               ([[0, 0, -1], [0, 0, 0], [1, 0, 0]], OMEGA_BASE[1])]
     for blk, want in blocks:
-        diff = q_map(blk) - want
-        res = max(res, max((abs(float(c)) for c in diff.coeffs.values()),
-                           default=0.0))
+        res = max(res, _max_abs(q_map(blk) - want))
     add("fiber-plane-map", res)
 
     # the 4-form split round-trips and its blocks count 1+12+9+9+4 = 35
@@ -165,9 +171,7 @@ def identity_suite(mode: str) -> list:
     for idx in lex_basis(7, 4):
         xi = ConstForm.basis(7, idx, one)
         sp = decompose_deformation(xi)
-        back = sp.reassemble() - xi
-        res = max(res, max((abs(float(c)) for c in back.coeffs.values()),
-                           default=0.0))
+        res = max(res, _max_abs(sp.reassemble() - xi))
         if sp.c_i != 0:
             active[0].add(0)
         for a in range(3):
@@ -203,33 +207,28 @@ def cmd_identities(args) -> int:
 # fibration / deform
 
 
+def _diagnosis(fib: TorusFibration) -> str:
+    """Product exactly when the base-to-fiber block of the generators is 0."""
+    return "product" if np.abs(fib.mixing_block()).max() == 0.0 else "non-product"
+
+
 def cmd_fibration(args) -> int:
-    spec = _load_spec(args.spec)
-    fib = build_fibration(spec)
+    fib = build_fibration(_load_spec(args.spec))
     g = fib.g2.metric.mat
     ortho = max(abs(float(g[i][j]) - (1.0 if i == j else 0.0))
                 for i in range(7) for j in range(7))
-    mixing = fib.mixing_block()
-    product = bool(np.abs(mixing).max() == 0.0)
     _emit({
         "command": "fibration",
         "generator_matrix": [[float(x) for x in row] for row in fib.ltilde],
         "phi": fib.phi.to_json_dict(),
         "orthonormality_residual": float(ortho),
-        "diagnosis": "product" if product else "non-product",
+        "diagnosis": _diagnosis(fib),
     })
     return EXIT_OK
 
 
 def cmd_deform(args) -> int:
-    d = _load_json(args.xi)
-    try:
-        xi = ConstForm.from_json_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationFailure(f"invalid form JSON: {exc}") from exc
-    if (xi.dim, xi.degree) != (7, 4):
-        raise ValidationFailure("xi must be a 4-form on the 7-torus")
-    sp = decompose_deformation(xi)
+    sp = decompose_deformation(_load_xi(args.xi))
     _emit({"command": "deform", "split": sp.to_json_dict()})
     return EXIT_OK
 
@@ -253,7 +252,6 @@ def _flow_start(dims, group: str, start: str, noise: float, seed: int):
     elif start == "sd-flux":
         U = constant_flux_field(dims, _UNIT_SD_FLUX, group)
     elif start == "identity":
-        from .gauge.lattice import identity_field
         U = identity_field(dims, group)
     else:
         raise ValidationFailure(f"unknown start {start!r}")
@@ -275,7 +273,6 @@ def cmd_flow(args) -> int:
     field = result["field"]
     write_snapshot(field, args.out)
     _write_history_csv(args.out + ".csv", result["history"])
-    from .gauge.lattice import plaquette_chirality_energies
     en = plaquette_chirality_energies(field)
     _emit({
         "command": "flow", "seed": args.seed,
@@ -352,14 +349,7 @@ def cmd_cs(args) -> int:
 
 def cmd_obstruct(args) -> int:
     U7 = _read_field(args.field, ndim=7)
-    d = _load_json(args.xi)
-    try:
-        xi = ConstForm.from_json_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationFailure(f"invalid form JSON: {exc}") from exc
-    if (xi.dim, xi.degree) != (7, 4):
-        raise ValidationFailure("xi must be a 4-form on the 7-torus")
-    rep = obstruction_verdict_lattice(CSContext.standard(), U7, xi)
+    rep = obstruction_verdict_lattice(CSContext.standard(), U7, _load_xi(args.xi))
     _emit({"command": "obstruct", "report": rep.to_json_dict()})
     return EXIT_OK
 
@@ -385,7 +375,6 @@ def cmd_report(args) -> int:
     rho_vals = rho_on_translation(ctx, F7, v, offsets)
 
     # obstruction verdicts: transverse perturbation vs conformal one
-    from .exterior import wedge
     xi_iv = wedge(ConstForm.basis(7, (1,), -2.0), ConstForm.basis(7, (5, 6, 7)))
     xi_i = ConstForm.basis(7, (1, 2, 3, 4), 1.0)
     rep_iv = obstruction_verdict(ctx, F7, xi_iv)
@@ -402,8 +391,7 @@ def cmd_report(args) -> int:
         "identities": {"items": ids, "all_pass": all(i["pass"] for i in ids)},
         "fibration": {
             "generator_matrix": [[float(x) for x in row] for row in fib.ltilde],
-            "diagnosis": "product" if np.abs(fib.mixing_block()).max() == 0
-            else "non-product",
+            "diagnosis": _diagnosis(fib),
         },
         "lift": {
             "flux": [list(r) for r in _UNIT_SD_FLUX],

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
 
+import numpy as np
+
 Index = Tuple[int, ...]
 
 
@@ -35,13 +37,34 @@ class ExactnessError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# index bookkeeping
+# index bookkeeping: the one index kernel of the package
+#
+# An increasing index tuple over 1..7 is also a 7-bit mask (bit i - 1 for
+# index i).  MERGE_SIGN[a, b] is the sign that sorts the concatenation
+# (a, b), or 0 when a and b share an index; it drives every form product
+# and contraction here and in gauge.fourier.
+
+
+def _merge_sign_table() -> np.ndarray:
+    masks = np.arange(128, dtype=np.int16)
+    bits = (masks[:, None] >> np.arange(7, dtype=np.int16)) & 1
+    # inversions of (a, b): pairs i in a, j in b with i > j
+    inversions = bits @ np.tril(np.ones((7, 7), dtype=np.int16), -1) @ bits.T
+    sign = np.where(masks[:, None] & masks, 0, 1 - 2 * (inversions & 1))
+    return sign.astype(np.int8)
+
+
+MERGE_SIGN = _merge_sign_table()
+#: mask -> index tuple, and back
+INDEX_OF = tuple(tuple(i + 1 for i in range(7) if m >> i & 1) for m in range(128))
+MASK_OF = {idx: m for m, idx in enumerate(INDEX_OF)}
 
 
 def sort_indices(seq: Sequence[int]) -> Tuple[int, Index] | None:
     """Sort ``seq`` into increasing order, returning (sign, tuple).
 
-    Returns None if an index repeats (the wedge monomial vanishes).
+    Returns None if an index repeats (the wedge monomial vanishes).  The
+    reference for arbitrary sequences; increasing tuples use MERGE_SIGN.
     """
     idx = list(seq)
     sign = 1
@@ -59,20 +82,22 @@ def sort_indices(seq: Sequence[int]) -> Tuple[int, Index] | None:
 
 
 def merge_indices(left: Index, right: Index) -> Tuple[int, Index] | None:
-    """Sign and sorted tuple of the concatenation, or None if they collide."""
-    return sort_indices(left + right)
+    """Sign and sorted tuple of the concatenation of two increasing index
+    tuples, or None if they collide."""
+    a, b = MASK_OF[left], MASK_OF[right]
+    sign = MERGE_SIGN.item(a, b)
+    return (sign, INDEX_OF[a | b]) if sign else None
 
 
 def complement(idx: Index, dim: int) -> Index:
-    s = set(idx)
-    return tuple(i for i in range(1, dim + 1) if i not in s)
+    return INDEX_OF[MASK_OF[idx] ^ ((1 << dim) - 1)]
 
 
 def perm_sign(idx: Index, rest: Index) -> int:
     """Sign of the permutation (idx, rest) relative to increasing order."""
-    res = sort_indices(idx + rest)
-    assert res is not None
-    return res[0]
+    sign = MERGE_SIGN.item(MASK_OF[idx], MASK_OF[rest])
+    assert sign
+    return sign
 
 
 def increasing_tuples(dim: int, degree: int) -> Iterable[Index]:
@@ -316,10 +341,6 @@ class ConstForm:
     def to_double(self) -> "ConstForm":
         return ConstForm(self.dim, self.degree, {k: float(c) for k, c in self.coeffs.items()})
 
-    def to_exact(self) -> "ConstForm":
-        return ConstForm(self.dim, self.degree, {k: Fraction(c).limit_denominator(10**12)
-                                                 for k, c in self.coeffs.items()})
-
     def coeff_vector(self, basis: Sequence[Index] | None = None) -> list:
         basis = basis if basis is not None else lex_basis(self.dim, self.degree)
         return [self.coeffs.get(k, 0) for k in basis]
@@ -374,13 +395,6 @@ def wedge(a: ConstForm, b: ConstForm) -> ConstForm:
     return ConstForm(a.dim, deg, out)
 
 
-def wedge_all(*forms: ConstForm) -> ConstForm:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 def interior(v: Sequence, a: ConstForm) -> ConstForm:
     """Interior product v -| a for a plain vector v (no metric involved)."""
     if len(v) != a.dim:
@@ -389,12 +403,12 @@ def interior(v: Sequence, a: ConstForm) -> ConstForm:
         return ConstForm.zero(a.dim, 0)
     out: dict = {}
     for idx, c in a.coeffs.items():
-        for p, i in enumerate(idx):
+        for i in idx:
             vi = v[i - 1]
             if vi == 0:
                 continue
-            key = idx[:p] + idx[p + 1:]
-            out[key] = out.get(key, 0) + ((-1) ** p) * vi * c
+            rest = INDEX_OF[MASK_OF[idx] ^ 1 << (i - 1)]
+            out[rest] = out.get(rest, 0) + perm_sign((i,), rest) * vi * c
     return ConstForm(a.dim, a.degree - 1, out)
 
 

@@ -48,6 +48,9 @@ OMEGA_BAR_BASE = (
 
 EPSILON3 = {(1, 2): 3, (2, 3): 1, (1, 3): -2}  # (i,j) -> signed k with eps^ijk
 
+#: the exact flat base metric, built once: its checks cost Fraction minors
+_FLAT_ETA = Metric.identity(4)
+
 
 def chirality_basis(eta: Metric, sign: int) -> tuple:
     """eta-orthogonal basis of one chirality of base 2-forms, |w|^2 = 2.
@@ -61,7 +64,7 @@ def chirality_basis(eta: Metric, sign: int) -> tuple:
     if eta.dim != 4:
         raise ValueError("base metric must be 4-dimensional")
     flat = OMEGA_BASE if sign > 0 else OMEGA_BAR_BASE
-    if eta.mat == Metric.identity(4).mat:
+    if eta.mat == _FLAT_ETA.mat:
         return flat
     o = Orientation(-1)  # fiber-compatible orientation on the base
     star = np.zeros((6, 6))
@@ -122,7 +125,7 @@ class FibrationSpec:
         one = Fraction(1)
         zero = Fraction(0)
         eye3 = [[one if i == j else zero for j in range(3)] for i in range(3)]
-        return FibrationSpec(Metric.identity(4), eye3, [[zero] * 4 for _ in range(3)])
+        return FibrationSpec(_FLAT_ETA, eye3, [[zero] * 4 for _ in range(3)])
 
     def to_json_dict(self) -> dict:
         def num(x):
@@ -305,9 +308,9 @@ def decompose_deformation(xi: ConstForm, eta: Metric | None = None) -> Deformati
     """
     if xi.dim != 7 or xi.degree != 4:
         raise ValueError("expected a 4-form on R^7")
-    eta = eta if eta is not None else Metric.identity(4)
+    eta = eta if eta is not None else _FLAT_ETA
     plus, minus = chirality_basis(eta, 1), chirality_basis(eta, -1)
-    flat = eta.mat == Metric.identity(4).mat
+    flat = eta.mat == _FLAT_ETA.mat
     c_i = xi[(1, 2, 3, 4)]
     c_ii = [[0] * 4 for _ in range(3)]
     c_iv = [0] * 4

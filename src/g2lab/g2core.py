@@ -25,6 +25,7 @@ from .exterior import (
     interior,
     is_exact,
     lex_basis,
+    mat_det,
     volume_form,
     wedge,
 )
@@ -122,7 +123,6 @@ def metric_from_phi(phi: ConstForm):
         raise UnstableForm("bilinear form is indefinite")
     detB = np.linalg.det(Bf)
     if exact:
-        from .exterior import mat_det
         try:
             scale = _ninth_root(mat_det(B))
             g = Metric(7, [[x / scale for x in row] for row in B])

@@ -8,90 +8,162 @@ with c_{m,J} an r x r complex matrix (anti-Hermitian values once the
 reality condition c_{-m,J} = -c_{m,J}^dagger holds).  All integrals reduce
 to reading off the zero mode, so quadrature is exact for polynomial
 expressions in the modes.
+
+A field stores its terms as three arrays, one row per (m, J): frequencies,
+index masks and coefficients.  Products, derivatives and contractions are
+array operations on the index kernel of ``exterior``, followed by one
+canonicaliser that sums rows with equal (m, J) and prunes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from ..exterior import ConstForm, lex_basis, merge_indices
-from ..fibration import OMEGA_BASE, OMEGA_BAR_BASE, TorusFibration
-
-Freq = tuple
-Idx = tuple
+from ..exterior import INDEX_OF, MASK_OF, MERGE_SIGN, ConstForm, lex_basis
+from ..fibration import TorusFibration
+from .lattice import _chirality, _instanton_residuals, _norm_sq, _sd_asd
 
 TWO_PI_I = 2.0j * np.pi
 
-
-def _mat(x, r: int) -> np.ndarray:
-    m = np.asarray(x, dtype=complex)
-    if m.shape == ():
-        m = m.reshape(1, 1)
-    if m.shape != (r, r):
-        raise ValueError(f"coefficient shape {m.shape} != ({r}, {r})")
-    return m
+# row keys (m, J) -> int64: the mask in the low 7 bits, above it each
+# frequency plus an offset in 56 // dim bits, the first frequency highest
+_KEY_OFFSET = {n: 1 << (56 // n - 1) for n in range(1, 8)}
+_KEY_WEIGHTS = {n: 1 << (7 + 56 // n * np.arange(n - 1, -1, -1))
+                for n in range(1, 8)}
 
 
-@dataclass
+@dataclass(eq=False)
 class FourierField:
+    """One row per term: ``freqs`` (n, dim) integer frequencies m, ``masks``
+    (n,) index masks J (see ``exterior``) and ``coeffs`` (n, r, r) c_{m,J}.
+
+    Rows have distinct (m, J).  Operations build new arrays and never write
+    into existing ones, so fields may share them.  Build fields with
+    add_coeff / set_coeff and read them through the ``modes`` view.
+    """
+
     dim: int
     degree: int
-    group_rank: int
-    cutoff: int
-    modes: dict = field(default_factory=dict)  # freq -> {idx -> (r, r) complex}
+    group_rank: int = 1
+    cutoff: int = 8
+    freqs: np.ndarray = None
+    masks: np.ndarray = None
+    coeffs: np.ndarray = None
+
+    def __post_init__(self):
+        if self.freqs is None:
+            r = self.group_rank
+            self.freqs = np.zeros((0, self.dim), dtype=np.int64)
+            self.masks = np.zeros(0, dtype=np.int64)
+            self.coeffs = np.zeros((0, r, r), dtype=complex)
 
     @staticmethod
     def zero(dim: int, degree: int, group_rank: int = 1, cutoff: int = 8) -> "FourierField":
-        return FourierField(dim, degree, group_rank, cutoff, {})
+        return FourierField(dim, degree, group_rank, cutoff)
+
+    def _canonical(self, freqs, masks, coeffs, degree=None, cutoff=None,
+                   tol: float = 0.0) -> "FourierField":
+        """The canonicaliser: a field of this dimension from rows that may
+        repeat (m, J).  Repeats are summed in row order, then rows with
+        every |entry| <= tol are dropped."""
+        if len(masks):
+            if np.abs(freqs).max() >= _KEY_OFFSET[self.dim]:
+                raise ValueError("frequency too large to index")
+            keys = (freqs + _KEY_OFFSET[self.dim]) @ _KEY_WEIGHTS[self.dim] + masks
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = np.empty(len(keys), dtype=bool)
+            first[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            # 0 + the sum: a -0.0 total reads +0.0, as when summing from 0
+            coeffs = 0 + np.add.reduceat(coeffs[order], starts, axis=0)
+            live = np.abs(coeffs).max(axis=(1, 2)) > tol
+            rows = order[starts[live]]
+            freqs, masks, coeffs = freqs[rows], masks[rows], coeffs[live]
+        return FourierField(self.dim, self.degree if degree is None else degree,
+                            coeffs.shape[-1], self.cutoff if cutoff is None else cutoff,
+                            freqs, masks, coeffs)
+
+    @property
+    def modes(self):
+        """Read-only {freq: {idx: (r, r) coefficient}} view of the rows."""
+        coeffs = self.coeffs.view()
+        coeffs.flags.writeable = False
+        out: dict = {}
+        for m, mask, c in zip(self.freqs.tolist(), self.masks.tolist(), coeffs):
+            out.setdefault(tuple(m), {})[INDEX_OF[mask]] = c
+        return MappingProxyType({m: MappingProxyType(d) for m, d in out.items()})
 
     def copy(self) -> "FourierField":
         return FourierField(self.dim, self.degree, self.group_rank, self.cutoff,
-                            {m: {i: c.copy() for i, c in d.items()}
-                             for m, d in self.modes.items()})
+                            self.freqs.copy(), self.masks.copy(), self.coeffs.copy())
 
-    def set_coeff(self, freq: Freq, idx: Idx, value) -> None:
-        freq = tuple(int(f) for f in freq)
-        if len(freq) != self.dim or len(idx) != self.degree:
-            raise ValueError("freq/idx shape mismatch")
-        self.modes.setdefault(freq, {})[tuple(idx)] = _mat(value, self.group_rank)
+    def _put(self, freq: tuple, idx: tuple, value, add: bool) -> None:
+        freq = [int(f) for f in freq]
+        mask = MASK_OF.get(tuple(idx), -1)
+        if len(freq) != self.dim or len(idx) != self.degree \
+                or not 0 <= mask < 1 << self.dim \
+                or max(map(abs, freq), default=0) >= _KEY_OFFSET[self.dim]:
+            raise ValueError(f"freq {freq} / index {tuple(idx)} do not fit "
+                             f"a {self.dim}D {self.degree}-form")
+        value = np.asarray(value, dtype=complex).reshape(np.shape(value) or (1, 1))
+        if value.shape != (self.group_rank,) * 2:
+            raise ValueError(f"coefficient shape {value.shape} is not "
+                             f"({self.group_rank}, {self.group_rank})")
+        row = np.flatnonzero((self.masks == mask) & (self.freqs == freq).all(axis=1))
+        if row.size:
+            coeffs = self.coeffs.copy()
+            coeffs[row[0]] = coeffs[row[0]] + value if add else value
+            self.coeffs = coeffs
+            return
+        self.freqs = np.vstack([self.freqs, freq])
+        self.masks = np.append(self.masks, mask)
+        self.coeffs = np.concatenate([self.coeffs, [0 + value if add else value]])
 
-    def add_coeff(self, freq: Freq, idx: Idx, value) -> None:
-        freq = tuple(int(f) for f in freq)
-        d = self.modes.setdefault(freq, {})
-        d[tuple(idx)] = d.get(tuple(idx), 0) + _mat(value, self.group_rank)
+    def set_coeff(self, freq: tuple, idx: tuple, value) -> None:
+        self._put(freq, idx, value, add=False)
+
+    def add_coeff(self, freq: tuple, idx: tuple, value) -> None:
+        self._put(freq, idx, value, add=True)
 
     def prune(self, tol: float = 0.0) -> "FourierField":
-        out = {}
-        for m, d in self.modes.items():
-            kept = {i: c for i, c in d.items() if np.abs(c).max() > tol}
-            if kept:
-                out[m] = kept
-        self.modes = out
+        keep = np.abs(self.coeffs).max(axis=(1, 2), initial=0.0) > tol
+        self.freqs, self.masks, self.coeffs = \
+            self.freqs[keep], self.masks[keep], self.coeffs[keep]
         return self
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(np.abs(c).max() <= tol for d in self.modes.values() for c in d.values())
+        return not (np.abs(self.coeffs) > tol).any()
 
     def __add__(self, other: "FourierField") -> "FourierField":
         self._check_compat(other)
-        out = self.copy()
-        out.cutoff = max(self.cutoff, other.cutoff)
-        for m, d in other.modes.items():
-            for i, c in d.items():
-                out.add_coeff(m, i, c)
-        return out.prune()
+        cutoff = max(self.cutoff, other.cutoff)
+        a, b = (other, self) if not len(self.masks) else (self, other)
+        if not len(b.masks):
+            coeffs = 0 + a.coeffs
+        elif len(a.masks) == len(b.masks) and (a.masks == b.masks).all() \
+                and (a.freqs == b.freqs).all():
+            coeffs = 0 + a.coeffs + b.coeffs
+        else:
+            return self._canonical(np.concatenate([a.freqs, b.freqs]),
+                                   np.concatenate([a.masks, b.masks]),
+                                   np.concatenate([a.coeffs, b.coeffs]),
+                                   cutoff=cutoff)
+        # the rows of a as they are: nothing to merge
+        return FourierField(a.dim, a.degree, a.group_rank, cutoff,
+                            a.freqs, a.masks, coeffs).prune()
 
     def __sub__(self, other: "FourierField") -> "FourierField":
         return self + other.scale(-1.0)
 
     def scale(self, s) -> "FourierField":
-        out = self.copy()
-        for d in out.modes.values():
-            for i in d:
-                d[i] = d[i] * s
-        return out
+        return FourierField(self.dim, self.degree, self.group_rank, self.cutoff,
+                            self.freqs, self.masks, self.coeffs * s)
 
     def _check_compat(self, other: "FourierField") -> None:
         if (self.dim, self.degree, self.group_rank) != \
@@ -100,49 +172,50 @@ class FourierField:
 
     # -- reality -----------------------------------------------------------
 
+    def _reflected(self) -> "FourierField":
+        """c_m -> c_{-m}^dagger."""
+        return FourierField(self.dim, self.degree, self.group_rank, self.cutoff,
+                            -self.freqs, self.masks,
+                            self.coeffs.conj().swapaxes(-1, -2))
+
     def reality_defect(self) -> float:
         """max |c_{-m} + c_m^dagger|; zero for a real Lie-algebra field."""
-        worst = 0.0
-        for m, d in self.modes.items():
-            neg = tuple(-x for x in m)
-            dn = self.modes.get(neg, {})
-            for i, c in d.items():
-                other = dn.get(i, np.zeros_like(c))
-                worst = max(worst, float(np.abs(other + c.conj().T).max()))
-        return worst
+        return float(np.abs((self + self._reflected()).coeffs).max(initial=0.0))
 
     def symmetrized(self) -> "FourierField":
         """Project onto the real Lie-algebra subspace, c_{-m} = -c_m^dagger."""
-        out = FourierField.zero(self.dim, self.degree, self.group_rank, self.cutoff)
-        keys = set(self.modes)
-        keys.update(tuple(-x for x in m) for m in self.modes)
-        zero = np.zeros((self.group_rank, self.group_rank), dtype=complex)
-        for m in keys:
-            neg = tuple(-x for x in m)
-            idxs = set(self.modes.get(m, {})) | set(self.modes.get(neg, {}))
-            for i in idxs:
-                c = self.modes.get(m, {}).get(i, zero)
-                other = self.modes.get(neg, {}).get(i, zero)
-                out.add_coeff(m, i, 0.5 * (c - other.conj().T))
-        return out.prune()
+        return (self - self._reflected()).scale(0.5)
 
     # -- calculus ----------------------------------------------------------
 
     def d(self) -> "FourierField":
         """Exterior derivative, exact in Fourier space: d(e^{2pi i m.x} e^J)
         = 2 pi i sum_j m_j e^j ^ e^J."""
-        out = FourierField.zero(self.dim, self.degree + 1, self.group_rank, self.cutoff)
-        for m, dct in self.modes.items():
-            for idx, c in dct.items():
-                for j in range(self.dim):
-                    if m[j] == 0:
-                        continue
-                    merged = merge_indices((j + 1,), idx)
-                    if merged is None:
-                        continue
-                    sign, new_idx = merged
-                    out.add_coeff(m, new_idx, TWO_PI_I * m[j] * sign * c)
-        return out.prune()
+        bits = 1 << np.arange(self.dim)
+        sign = MERGE_SIGN[bits, self.masks[:, None]]
+        row, j = np.nonzero((self.freqs != 0) & (sign != 0))
+        scal = TWO_PI_I * self.freqs[row, j] * sign[row, j]
+        return self._canonical(self.freqs[row], self.masks[row] | bits[j],
+                               scal[:, None, None] * self.coeffs[row],
+                               degree=self.degree + 1)
+
+    def _product(self, other: "FourierField", lim, cutoff: int,
+                 tol: float) -> "FourierField":
+        """Matrix-valued wedge by mode convolution, dropping output modes
+        with a frequency beyond ``lim`` (none when lim is None)."""
+        if not (len(self.masks) and len(other.masks)):
+            return FourierField(self.dim, self.degree + other.degree,
+                                self.group_rank, cutoff)
+        sign = MERGE_SIGN[self.masks[:, None], other.masks]
+        freqs = self.freqs[:, None] + other.freqs
+        keep = sign != 0
+        if lim is not None:
+            keep &= np.abs(freqs).max(axis=2, initial=0) <= lim
+        i, j = np.nonzero(keep)
+        coeffs = sign[i, j, None, None] * (self.coeffs[i] @ other.coeffs[j])
+        return self._canonical(freqs[i, j], self.masks[i] | other.masks[j], coeffs,
+                               degree=self.degree + other.degree, cutoff=cutoff,
+                               tol=tol)
 
     def wedge(self, other: "FourierField", cutoff: int | None = None) -> "FourierField":
         """Matrix-valued wedge by mode convolution.
@@ -154,62 +227,39 @@ class FourierField:
         if self.dim != other.dim or self.group_rank != other.group_rank:
             raise ValueError("field shape mismatch")
         lim = cutoff if cutoff is not None else self.cutoff + other.cutoff
-        out = FourierField.zero(self.dim, self.degree + other.degree,
-                                self.group_rank, lim)
-        if out.degree > self.dim:
-            return out
-        for m1, d1 in self.modes.items():
-            for m2, d2 in other.modes.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                if max(abs(x) for x in m) > lim if m else False:
-                    continue
-                for i1, c1 in d1.items():
-                    for i2, c2 in d2.items():
-                        merged = merge_indices(i1, i2)
-                        if merged is None:
-                            continue
-                        sign, idx = merged
-                        out.add_coeff(m, idx, sign * (c1 @ c2))
-        return out.prune(1e-300)
+        return self._product(other, lim, lim, 1e-300)
 
     def contract(self, v) -> "FourierField":
         """Interior product with a constant vector (1-indexed components v)."""
         if len(v) != self.dim:
             raise ValueError("vector dimension mismatch")
-        out = FourierField.zero(self.dim, self.degree - 1, self.group_rank, self.cutoff)
-        for m, dct in self.modes.items():
-            for idx, c in dct.items():
-                for p, i in enumerate(idx):
-                    if v[i - 1] == 0:
-                        continue
-                    rest = idx[:p] + idx[p + 1:]
-                    out.add_coeff(m, rest, ((-1) ** p) * v[i - 1] * c)
-        return out.prune()
+        bits = 1 << np.arange(self.dim)
+        rest = self.masks[:, None] ^ bits
+        # zero unless bit j is in the mask: e^j in front of the rest
+        sign = MERGE_SIGN[bits, rest]
+        v = np.array([float(x) for x in v])
+        row, j = np.nonzero((sign != 0) & (v != 0))
+        return self._canonical(self.freqs[row], rest[row, j],
+                               (sign[row, j] * v[j])[:, None, None] * self.coeffs[row],
+                               degree=self.degree - 1)
 
     def trace(self) -> "FourierField":
-        out = FourierField.zero(self.dim, self.degree, 1, self.cutoff)
-        for m, dct in self.modes.items():
-            for idx, c in dct.items():
-                out.add_coeff(m, idx, np.trace(c))
-        return out.prune()
+        """tr c_{m,J} as a rank-1 field; a rank-1 field is its own trace."""
+        if self.group_rank == 1:
+            return FourierField(self.dim, self.degree, 1, self.cutoff,
+                                self.freqs, self.masks, self.coeffs)
+        return self._canonical(self.freqs, self.masks,
+                               np.trace(self.coeffs, axis1=1, axis2=2)[:, None, None])
 
     def wedge_const(self, a: ConstForm) -> "FourierField":
-        """Wedge with a constant scalar-coefficient form on the right."""
+        """Wedge with a constant scalar-coefficient form on the right: the
+        wedge with the zero-mode field a times the identity."""
         if a.dim != self.dim:
             raise ValueError("dimension mismatch")
-        out = FourierField.zero(self.dim, self.degree + a.degree,
-                                self.group_rank, self.cutoff)
-        if out.degree > self.dim:
-            return out
-        for m, dct in self.modes.items():
-            for idx, c in dct.items():
-                for ia, ca in a.coeffs.items():
-                    merged = merge_indices(idx, ia)
-                    if merged is None:
-                        continue
-                    sign, new_idx = merged
-                    out.add_coeff(m, new_idx, sign * float(ca) * c)
-        return out.prune()
+        const = _zero_mode(self.dim, a.degree, self.group_rank,
+                           [MASK_OF[i] for i in a.coeffs],
+                           [float(c) for c in a.coeffs.values()])
+        return self._product(const, None, self.cutoff, 0.0)
 
     def integrate_top(self) -> complex:
         """Integral over the unit torus of the top-degree component.
@@ -219,22 +269,37 @@ class FourierField:
         """
         if self.degree != self.dim:
             raise ValueError("integrand must be a top-degree form")
-        top = tuple(range(1, self.dim + 1))
-        c = self.modes.get((0,) * self.dim, {}).get(top)
-        if c is None:
+        row = np.flatnonzero(~self.freqs.any(axis=1))   # every mask is the top one
+        if not row.size:
             return 0.0
+        c = self.coeffs[row[0]]
         return complex(np.trace(c)) if self.group_rank > 1 else complex(c[0, 0])
 
     def norm_sq(self) -> float:
         """Parseval L^2 norm squared with the tr(c c^dagger) matrix norm."""
-        return float(sum(np.real(np.trace(c @ c.conj().T))
-                         for d in self.modes.values() for c in d.values()))
+        return _norm_sq(self.coeffs)
 
-    def coeff_vector(self, freq: Freq, basis=None) -> list:
-        basis = basis if basis is not None else lex_basis(self.dim, self.degree)
-        d = self.modes.get(tuple(freq), {})
-        z = np.zeros((self.group_rank, self.group_rank), dtype=complex)
-        return [d.get(i, z) for i in basis]
+
+def _zero_mode(dim: int, degree: int, rank: int, masks, values) -> FourierField:
+    """The constant field sum_J values_J e^J, times the r x r identity."""
+    return FourierField(dim, degree, rank, 0,
+                        np.zeros((len(masks), dim), dtype=np.int64),
+                        np.asarray(masks, dtype=np.int64),
+                        np.asarray(values)[:, None, None] * np.eye(rank, dtype=complex))
+
+
+def _components(f: FourierField) -> np.ndarray:
+    """Lexicographic components of ``f``, one column per frequency:
+    (components, modes, r, r), zero where a term is absent.  By Parseval,
+    sums of squares over it are L^2 norms."""
+    basis = [MASK_OF[i] for i in lex_basis(f.dim, f.degree)]
+    pos = np.zeros(1 << f.dim, dtype=np.int64)
+    pos[basis] = np.arange(len(basis))
+    _, col = np.unique(f.freqs, axis=0, return_inverse=True)
+    r = f.group_rank
+    out = np.zeros((len(basis), col.max(initial=-1) + 1, r, r), dtype=complex)
+    out[pos[f.masks], col.ravel()] = f.coeffs
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +313,7 @@ class CurvatureField:
     The constant part 2 pi i m_{jk} e^{jk} is stored separately in ``flux``
     (a 4x4 antisymmetric integer matrix over the base coordinates) so that
     topological data stays exact; ``fluctuation`` carries the Fourier part.
+    The flux is fixed at construction: its zero-mode field is built once.
     """
 
     fluctuation: FourierField
@@ -272,21 +338,16 @@ class CurvatureField:
     def group_rank(self) -> int:
         return self.fluctuation.group_rank
 
+    @cached_property
+    def _flux_field(self) -> FourierField:
+        """The constant part 2 pi i m_{jk} e^{jk} as a zero-mode field."""
+        j, k = np.nonzero(np.triu(self.flux))
+        return _zero_mode(self.dim, 2, self.group_rank, (1 << j) | (1 << k),
+                          TWO_PI_I * np.array(self.flux)[j, k])
+
     def full_field(self) -> FourierField:
         """Fluctuation plus the constant flux part folded into the zero mode."""
-        out = self.fluctuation.copy()
-        eye = np.eye(self.group_rank, dtype=complex)
-        zero = (0,) * self.dim
-        for j in range(4):
-            for k in range(j + 1, 4):
-                if self.flux[j][k] != 0:
-                    out.add_coeff(zero, (j + 1, k + 1),
-                                  TWO_PI_I * self.flux[j][k] * eye)
-        return out.prune()
-
-    def is_flat(self, tol: float = 0.0) -> bool:
-        return all(x == 0 for r in self.flux for x in r) \
-            and self.fluctuation.is_zero(tol)
+        return self.fluctuation + self._flux_field
 
 
 def curvature(A: FourierField) -> CurvatureField:
@@ -297,21 +358,14 @@ def curvature(A: FourierField) -> CurvatureField:
     """
     if A.degree != 1:
         raise ValueError("potential must be a 1-form")
-    dA = A.d()
     lim = 2 * A.cutoff
-    AA_full = A.wedge(A, cutoff=4 * A.cutoff)
-    AA = FourierField.zero(A.dim, 2, A.group_rank, lim)
-    tail = 0.0
-    for m, d in AA_full.modes.items():
-        far = m and max(abs(x) for x in m) > lim
-        for i, c in d.items():
-            if far:
-                tail += float(np.real(np.trace(c @ c.conj().T)))
-            else:
-                AA.add_coeff(m, i, c)
-    F = (dA + AA).prune()
+    AA = A.wedge(A, cutoff=4 * A.cutoff)
+    far = np.abs(AA.freqs).max(axis=1, initial=0) > lim
+    near = FourierField(A.dim, 2, A.group_rank, lim,
+                        AA.freqs[~far], AA.masks[~far], AA.coeffs[~far])
+    F = A.d() + near
     F.cutoff = lim
-    return CurvatureField(F, truncation_error=np.sqrt(tail))
+    return CurvatureField(F, truncation_error=np.sqrt(_norm_sq(AA.coeffs[far])))
 
 
 def constant_curvature_u1(m) -> CurvatureField:
@@ -349,15 +403,8 @@ def topological_charge(F: CurvatureField) -> float:
     if F.dim != 4:
         raise ValueError("charge is defined for 4D fields")
     FF = full.wedge(full, cutoff=2 * full.cutoff + 1)
-    val = FF.trace().integrate_top() if F.group_rank > 1 else FF.integrate_top()
+    val = FF.trace().integrate_top()
     return float(np.real(val)) / (8.0 * np.pi ** 2)
-
-
-def _chirality_vectors():
-    b2 = lex_basis(4, 2)
-    sd = [np.array([float(x) for x in w.coeff_vector(b2)]) for w in OMEGA_BAR_BASE]
-    asd = [np.array([float(x) for x in w.coeff_vector(b2)]) for w in OMEGA_BASE]
-    return b2, sd, asd
 
 
 def ym_energy_4d(F: CurvatureField) -> dict:
@@ -365,25 +412,14 @@ def ym_energy_4d(F: CurvatureField) -> dict:
 
     SD means the +1 eigenspace of the flat Hodge star with the +e^{1234}
     orientation: the e^{12}+e^{34} family, which is the chirality whose
-    lifts are instantons.  Parseval makes every number exact in the modes.
+    lifts are instantons.  Parseval makes every number exact in the modes;
+    the split is the lattice one, applied to the mode stack.
     """
     if F.dim != 4:
         raise ValueError("expected a 4D field")
-    full = F.full_field()
-    basis, sd_vecs, asd_vecs = _chirality_vectors()
-    sd_part = 0.0
-    asd_part = 0.0
-    for m in full.modes:
-        vec = full.coeff_vector(m, basis)
-        for u in sd_vecs:
-            comp = sum(u[i] * vec[i] for i in range(6)) / np.sqrt(2.0)
-            sd_part += float(np.real(np.trace(comp @ comp.conj().T)))
-        for u in asd_vecs:
-            comp = sum(u[i] * vec[i] for i in range(6)) / np.sqrt(2.0)
-            asd_part += float(np.real(np.trace(comp @ comp.conj().T)))
-    q = topological_charge(F)
-    return {"total": sd_part + asd_part, "sd_part": sd_part,
-            "asd_part": asd_part, "q": q}
+    en = _chirality(_components(F.full_field()))
+    return {"total": en["total"], "sd_part": en["sd_sq"],
+            "asd_part": en["asd_sq"], "q": topological_charge(F)}
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +436,9 @@ def lift_to_7d(F: CurvatureField, fib: TorusFibration) -> CurvatureField:
     if F.dim != 4:
         raise ValueError("expected a base field")
     del fib  # adapted coordinates make the map the same for every spec
-    out = FourierField.zero(7, 2, F.group_rank, F.fluctuation.cutoff)
-    for m, d in F.fluctuation.modes.items():
-        m7 = m + (0, 0, 0)
-        for idx, c in d.items():
-            out.add_coeff(m7, idx, c)
+    fl = F.fluctuation
+    out = FourierField(7, 2, fl.group_rank, fl.cutoff,
+                       np.pad(fl.freqs, ((0, 0), (0, 3))), fl.masks, fl.coeffs)
     return CurvatureField(out, flux=F.flux, truncation_error=F.truncation_error)
 
 
@@ -417,21 +451,11 @@ def energy_decomposition_7d(F: CurvatureField, s) -> dict:
     if F.dim != 7:
         raise ValueError("expected a 7D field")
     full = F.full_field()
-    basis = lex_basis(7, 2)
-    p7 = s.p7_array()
-    p14 = s.p14_array()
-    f7sq = 0.0
-    f14sq = 0.0
-    for m in full.modes:
-        vec = full.coeff_vector(m, basis)
-        stacked = np.stack(vec)  # (21, r, r)
-        v7 = np.tensordot(p7, stacked, axes=(1, 0))
-        v14 = np.tensordot(p14, stacked, axes=(1, 0))
-        f7sq += float(sum(np.real(np.trace(v7[i] @ v7[i].conj().T)) for i in range(21)))
-        f14sq += float(sum(np.real(np.trace(v14[i] @ v14[i].conj().T)) for i in range(21)))
+    comps = _components(full)
+    f7sq, f14sq = (_norm_sq(np.tensordot(p, comps, axes=(1, 0)))
+                   for p in (s.p7_array(), s.p14_array()))
     FF = full.wedge(full, cutoff=2 * full.cutoff + 1)
-    trFF = FF.trace() if F.group_rank > 1 else FF
-    kappa = -float(np.real(trFF.wedge_const(s.phi).integrate_top()))
+    kappa = -float(np.real(FF.trace().wedge_const(s.phi).integrate_top()))
     lam7 = float(s.lambda7)
     lam14 = float(s.lambda14)
     return {
@@ -442,37 +466,11 @@ def energy_decomposition_7d(F: CurvatureField, s) -> dict:
 
 
 def instanton_residual_field(F: CurvatureField, s) -> dict:
-    """L^2 residuals of the instanton conditions for a 7D Fourier field."""
+    """L^2 residuals of the instanton conditions for a 7D Fourier field:
+    the maps of ``lattice.residual_7d`` on the mode stack."""
     if F.dim != 7:
         raise ValueError("expected a 7D field")
-    full = F.full_field()
-    r_a_sq = full.wedge_const(s.star_phi).norm_sq()
-    basis = lex_basis(7, 2)
-    T = np.array([[float(x) for x in row]
-                  for row in _structure_t_matrix(s)])
-    lam14 = float(s.lambda14)
-    p7 = s.p7_array()
-    r_b_sq = 0.0
-    f7_sq = 0.0
-    for m in full.modes:
-        vec = np.stack(full.coeff_vector(m, basis))
-        diff = vec - np.tensordot(T, vec, axes=(1, 0)) / lam14
-        v7 = np.tensordot(p7, vec, axes=(1, 0))
-        r_b_sq += float(sum(np.real(np.trace(diff[i] @ diff[i].conj().T))
-                            for i in range(21)))
-        f7_sq += float(sum(np.real(np.trace(v7[i] @ v7[i].conj().T))
-                           for i in range(21)))
-    return {"r_a": float(np.sqrt(max(r_a_sq, 0.0))),
-            "r_b": float(np.sqrt(max(r_b_sq, 0.0))),
-            "f7_norm": float(np.sqrt(max(f7_sq, 0.0)))}
-
-
-def _structure_t_matrix(s):
-    # p7 = (T - lam14) / (lam7 - lam14)  =>  T = p7*(lam7-lam14) + lam14*I
-    lam7, lam14 = s.lambda7, s.lambda14
-    n = 21
-    return [[s.p7[i][j] * (lam7 - lam14) + (lam14 if i == j else 0)
-             for j in range(n)] for i in range(n)]
+    return _instanton_residuals(_components(F.full_field()), s, 1)
 
 
 def asd_defect_form(F: CurvatureField) -> np.ndarray:
@@ -481,15 +479,6 @@ def asd_defect_form(F: CurvatureField) -> np.ndarray:
     For a constant-flux abelian field these are the three matrix
     coefficients whose norms control the 7D residual of the lift.
     """
-    full = F.full_field()
-    r = F.group_rank
-    z = np.zeros((r, r), dtype=complex)
-    zero = (0,) * F.dim
-    d = full.modes.get(zero, {})
-
-    def comp(i, j):
-        return d.get((i, j), z)
-
-    return np.stack([comp(3, 4) - comp(1, 2),
-                     -comp(2, 4) - comp(1, 3),
-                     comp(2, 3) - comp(1, 4)])
+    d = F.full_field().modes.get((0,) * F.dim, {})
+    z = np.zeros((F.group_rank,) * 2, dtype=complex)
+    return -np.stack(_sd_asd([d.get(idx, z) for idx in lex_basis(4, 2)])[1])

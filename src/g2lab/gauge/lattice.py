@@ -264,12 +264,7 @@ def add_link_noise(U: LatticeGaugeField, amplitude: float, seed: int) -> Lattice
         flat[:, 0, 0] *= np.exp(1j * angles)
     else:
         coef = np.array(rng.gausses(3 * flat.shape[0])).reshape(-1, 3) * amplitude
-        X = np.zeros_like(flat)
-        X[:, 0, 0] = 1j * coef[:, 2]
-        X[:, 1, 1] = -1j * coef[:, 2]
-        X[:, 0, 1] = coef[:, 1] + 1j * coef[:, 0]
-        X[:, 1, 0] = -coef[:, 1] + 1j * coef[:, 0]
-        flat[:] = _expm_ah(X) @ flat
+        flat[:] = _expm_ah(su2(coef[:, ::-1])) @ flat
     return out
 
 
@@ -281,12 +276,7 @@ def random_gauge_transform(U: LatticeGaugeField, seed: int) -> LatticeGaugeField
         g = np.exp(1j * 2 * np.pi * np.array(rng.uniforms(n))).reshape(*U.dims, 1, 1)
     else:
         coef = np.array(rng.gausses(3 * n)).reshape(-1, 3)
-        X = np.zeros((n, 2, 2), dtype=complex)
-        X[:, 0, 0] = 1j * coef[:, 2]
-        X[:, 1, 1] = -1j * coef[:, 2]
-        X[:, 0, 1] = coef[:, 1] + 1j * coef[:, 0]
-        X[:, 1, 0] = -coef[:, 1] + 1j * coef[:, 0]
-        g = _expm_ah(X).reshape(*U.dims, 2, 2)
+        g = _expm_ah(su2(coef[:, ::-1])).reshape(*U.dims, 2, 2)
     out = U.copy()
     for mu in range(U.ndim):
         g_up = np.roll(g, -1, axis=mu)
@@ -296,6 +286,18 @@ def random_gauge_transform(U: LatticeGaugeField, seed: int) -> LatticeGaugeField
 
 # ---------------------------------------------------------------------------
 # group-manifold numerics
+
+
+def su2(g) -> np.ndarray:
+    """The su(2) element [[i g0, g1 + i g2], [-g1 + i g2, -i g0]] of real
+    coordinates g = (g0, g1, g2) on the last axis; leading axes batch."""
+    g = np.asarray(g, dtype=float)
+    X = np.empty(g.shape[:-1] + (2, 2), dtype=complex)
+    X[..., 0, 0] = 1j * g[..., 0]
+    X[..., 1, 1] = -1j * g[..., 0]
+    X[..., 0, 1] = g[..., 1] + 1j * g[..., 2]
+    X[..., 1, 0] = -g[..., 1] + 1j * g[..., 2]
+    return X
 
 
 def _expm_ah(X: np.ndarray) -> np.ndarray:
@@ -461,6 +463,18 @@ def _wedge_table(form: ConstForm, degree: int) -> np.ndarray:
     return np.array(rows, dtype=float).T
 
 
+def _instanton_residuals(F: np.ndarray, s, n: int) -> dict:
+    """RMS over the n columns of a 21-component 2-form stack ``F`` of the
+    three instanton residuals: r_a of F ^ star_phi, r_b of F - T(F)/lambda14
+    and f7_norm of p7 F, with T = p7 (lambda7 - lambda14) + lambda14."""
+    p7 = s.p7_array()
+    T = p7 * (float(s.lambda7) - float(s.lambda14)) + float(s.lambda14) * np.eye(21)
+    maps = {"r_a": _wedge_table(s.star_phi, 2),
+            "r_b": np.eye(21) - T / float(s.lambda14), "f7_norm": p7}
+    return {k: float(np.sqrt(_norm_sq(np.tensordot(M, F, axes=(1, 0))) / n))
+            for k, M in maps.items()}
+
+
 def residual_7d(U: LatticeGaugeField, s) -> dict:
     """Per-site RMS instanton residuals of a 7D lattice field.
 
@@ -469,17 +483,7 @@ def residual_7d(U: LatticeGaugeField, s) -> dict:
     """
     if U.ndim != 7:
         raise ValueError("expected a 7D field")
-    F = _clover_stack(U, _PLANES7)
-    p7 = s.p7_array()
-    T = p7 * (float(s.lambda7) - float(s.lambda14)) + float(s.lambda14) * np.eye(21)
-    W = _wedge_table(s.star_phi, 2)
-    n = U.n_sites()
-
-    def rms(M):
-        return float(np.sqrt(_norm_sq(np.tensordot(M, F, axes=(1, 0))) / n))
-
-    return {"r_a": rms(W), "r_b": rms(np.eye(21) - T / float(s.lambda14)),
-            "f7_norm": rms(p7)}
+    return _instanton_residuals(_clover_stack(U, _PLANES7), s, U.n_sites())
 
 
 def _cs_integral(U: LatticeGaugeField, F: np.ndarray, v,

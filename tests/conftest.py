@@ -1,6 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import settings, HealthCheck
+
+from g2lab.gauge.lattice import su2  # noqa: F401  (imported by the tests)
 
 settings.register_profile(
     "ci",
@@ -27,8 +28,3 @@ def standard_fibration():
 def cs_context(standard_fibration):
     from g2lab.chernsimons import CSContext
     return CSContext(standard_fibration, standard_fibration.g2)
-
-
-def su2(g):
-    return np.array([[1j * g[0], g[1] + 1j * g[2]],
-                     [-g[1] + 1j * g[2], -1j * g[0]]])

@@ -120,6 +120,20 @@ def test_translation_tangent_structure(cs_context):
     assert zero.is_zero()
 
 
+def test_standard_context_is_built_once(monkeypatch):
+    """CSContext.standard() builds the standard fibration on first use and
+    returns that one context afterwards."""
+    from g2lab import chernsimons
+    builds = []
+    build = chernsimons.build_fibration
+    monkeypatch.setattr(chernsimons, "build_fibration",
+                        lambda spec: builds.append(spec) or build(spec))
+    monkeypatch.setattr(chernsimons, "_STANDARD", None)
+    contexts = [CSContext.standard() for _ in range(4)]
+    assert len(builds) == 1
+    assert all(ctx is contexts[0] for ctx in contexts)
+
+
 def test_rho_on_translation_constant(cs_context):
     offs = random_offsets(7, 1, 10, seed=42)
     for flux in (SD_UNIT, ASD_UNIT):

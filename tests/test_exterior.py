@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from g2lab.exterior import (
-    ConstForm, DimensionMismatch, Metric, NotPositiveDefinite, Orientation,
-    form_inner, hodge, interior, lex_basis, mat_det, mat_inverse,
-    pullback_linear, volume_form, wedge,
+    INDEX_OF, MASK_OF, MERGE_SIGN, ConstForm, DimensionMismatch, Metric,
+    NotPositiveDefinite, Orientation, form_inner, hodge, interior, lex_basis,
+    mat_det, mat_inverse, merge_indices, pullback_linear, sort_indices,
+    volume_form, wedge,
 )
+from g2lab.gauge.fourier import FourierField
 
 DIM = 5
 
@@ -150,3 +152,63 @@ def test_matrix_helpers_exact():
     assert mat_det(m) == 1
     inv = mat_inverse(m)
     assert inv[0][0] == 1 and inv[0][1] == -1
+
+
+# ---------------------------------------------------------------------------
+# the bitmask index kernel
+
+
+def test_merge_sign_table_matches_sort_indices():
+    for a in range(128):
+        for b in range(128):
+            ref = sort_indices(INDEX_OF[a] + INDEX_OF[b])
+            if ref is None:
+                assert MERGE_SIGN[a, b] == 0, (a, b)
+                assert merge_indices(INDEX_OF[a], INDEX_OF[b]) is None
+            else:
+                assert MERGE_SIGN[a, b] == ref[0], (a, b)
+                assert INDEX_OF[a | b] == ref[1]
+                assert merge_indices(INDEX_OF[a], INDEX_OF[b]) == ref
+    assert all(MASK_OF[INDEX_OF[m]] == m for m in range(128))
+
+
+def zero_mode(a: ConstForm) -> FourierField:
+    """The constant form a as a scalar (rank 1) Fourier field."""
+    f = FourierField.zero(a.dim, a.degree, 1, 0)
+    for idx, c in a.coeffs.items():
+        f.add_coeff((0,) * a.dim, idx, float(c))
+    return f
+
+
+def assert_matches(field: FourierField, form: ConstForm):
+    assert (field.dim, field.degree) == (form.dim, form.degree)
+    got = {idx: complex(c[0, 0])
+           for idx, c in field.modes.get((0,) * form.dim, {}).items()}
+    assert set(field.modes) <= {(0,) * form.dim}
+    for idx in set(got) | set(form.coeffs):
+        assert got.get(idx, 0) == pytest.approx(float(form.coeffs.get(idx, 0)),
+                                                abs=1e-12), idx
+
+
+@given(forms(), forms())
+def test_fourier_wedge_matches_constant_wedge(a, b):
+    if a.degree + b.degree > DIM:
+        return
+    assert_matches(zero_mode(a).wedge(zero_mode(b)), wedge(a, b))
+    assert_matches(zero_mode(a).wedge_const(b), wedge(a, b))
+
+
+@given(forms(degree=1), forms(degree=1))
+def test_fourier_wedge_of_one_forms_anticommutes(a, b):
+    # odd degrees: the order of the factors shows in the sign
+    assert_matches(zero_mode(a).wedge(zero_mode(b)), wedge(a, b))
+    assert_matches(zero_mode(a).wedge_const(b), wedge(a, b))
+    assert_matches(zero_mode(b).wedge_const(a), wedge(a, b).scale(-1))
+
+
+@given(forms())
+def test_fourier_contract_matches_interior(a):
+    if a.degree == 0:
+        return
+    v = [Fraction(1), Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3)]
+    assert_matches(zero_mode(a).contract(v), interior(v, a))

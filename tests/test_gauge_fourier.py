@@ -44,6 +44,41 @@ def test_d_squared_is_zero():
     assert dd.is_zero(1e-12)
 
 
+def su2_one_form(terms):
+    f = FourierField.zero(4, 1, 2, 2)
+    for m, i, g in terms:
+        f.add_coeff(m, (i,), su2(g))
+    return f.symmetrized()
+
+
+su2_one_forms = st.builds(
+    su2_one_form,
+    st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * 4),
+                       st.integers(1, 4),
+                       st.tuples(*[st.floats(-1, 1)] * 3)),
+             min_size=1, max_size=4))
+
+
+@given(su2_one_forms, su2_one_forms)
+def test_leibniz_rule(a, b):
+    """d(a ^ b) = da ^ b - a ^ db for Lie-algebra valued 1-forms."""
+    lhs = a.wedge(b).d()
+    rhs = a.d().wedge(b) - a.wedge(b.d())
+    assert (lhs - rhs).is_zero(1e-9)
+
+
+@pytest.mark.parametrize("freq, idx", [
+    ((0, 0, 0), (1,)),            # frequency of the wrong length
+    ((0, 0, 0, 0), (2, 1)),       # index not increasing
+    ((0, 0, 0, 0), (5,)),         # index beyond the dimension
+    ((0, 0, 0, 0), (1, 2)),       # index of the wrong degree
+    ((9000, 0, 0, 0), (1,)),      # frequency beyond the row keys
+])
+def test_add_coeff_rejects_terms_that_do_not_fit(freq, idx):
+    with pytest.raises(ValueError):
+        FourierField.zero(4, 1, 1, 2).add_coeff(freq, idx, 1.0)
+
+
 def test_symmetrized_field_is_real():
     a = random_field(7, 1, 2, seed=5)
     assert a.reality_defect() < 1e-14
