@@ -23,7 +23,7 @@ from .exterior import ConstForm, interior
 from .fibration import (DeformationSplit, FibrationSpec, TorusFibration,
                         build_fibration, decompose_deformation)
 from .g2core import G2Structure, standard_structure
-from .gauge.fourier import CurvatureField, FourierField, curvature, topological_charge
+from .gauge.fourier import CurvatureField, FourierField, _full_charge, curvature
 from .gauge.lattice import (_BASE_PLANES, _PLANES7, _charge, _clover_stack,
                             _cs_integral, su2)
 from .rng import SplitMix64
@@ -64,9 +64,10 @@ class CSContext:
 _STANDARD: CSContext | None = None
 
 
-def _integral_against(field: FourierField, four_form: ConstForm) -> float:
-    """Re of the integral of tr(field) ^ four_form over the unit torus."""
-    return float(np.real(field.trace().wedge_const(four_form).integrate_top()))
+def _pairing(a: FourierField, b: FourierField, four_form: ConstForm) -> float:
+    """Re of the integral of tr(a ^ b) ^ four_form over the unit torus, for a
+    form in doubles: with a = F and b = beta, rho (star_phi) or 8 pi^2 r_phi (xi)."""
+    return float(np.real(a.wedge(b).trace().wedge_const(four_form).integrate_top()))
 
 
 def cs_one_form(ctx: CSContext, F: CurvatureField, b: FourierField) -> float:
@@ -78,8 +79,7 @@ def cs_one_form(ctx: CSContext, F: CurvatureField, b: FourierField) -> float:
         raise ValueError("expected 7D curvature and a 7D 1-form direction")
     if F.group_rank != b.group_rank:
         raise ValueError("group rank mismatch")
-    star_phi = ctx.adapted().star_phi.to_double()
-    return _integral_against(F.full_field().wedge(b), star_phi)
+    return _pairing(F.full_field(), b, ctx.adapted().star_phi.to_double())
 
 
 def cs_functional(ctx: CSContext, a: FourierField) -> float:
@@ -91,31 +91,21 @@ def cs_functional(ctx: CSContext, a: FourierField) -> float:
     if a.dim != 7 or a.degree != 1:
         raise ValueError("expected a 7D 1-form potential")
     star_phi = ctx.adapted().star_phi.to_double()
-    val = _integral_against(a.d().wedge(a), star_phi)
+    val = _pairing(a.d(), a, star_phi)
     if a.group_rank > 1:
-        val += (2.0 / 3.0) * _integral_against(a.wedge(a).wedge(a), star_phi)
+        val += (2.0 / 3.0) * _pairing(a.wedge(a), a, star_phi)
     return 0.5 * val
 
 
-def default_detour(a: FourierField) -> FourierField:
-    """A deterministic direction transverse to the ray through ``a``.
-
-    Reweights each mode by 1 + |m|_1 so the quadratic path genuinely leaves
-    the line spanned by ``a``.
-    """
-    w = 1.0 + np.abs(a.freqs).sum(axis=1)
-    return FourierField(a.dim, a.degree, a.group_rank, a.cutoff,
-                        a.freqs, a.masks, a.coeffs * w[:, None, None])
-
-
 def path_integrate(ctx: CSContext, a: FourierField, n_steps: int = 64,
-                   path: str = "linear", detour: FourierField | None = None) -> float:
+                   path: str = "linear") -> float:
     """Integrate rho along a path from 0 to ``a`` by Simpson quadrature.
 
-    ``linear`` takes A(t) = t a; ``quadratic-detour`` adds t(1-t) c for a
-    detour direction c.  Both must agree with cs_functional up to
-    quadrature error: the 1-form is the differential of the functional and
-    the result is path independent.
+    ``linear`` takes A(t) = t a; ``quadratic-detour`` adds t(1-t) c, where
+    c reweights each mode of ``a`` by 1 + |m|_1 so the path leaves the line
+    through ``a``.  Both must agree with cs_functional up to quadrature
+    error: the 1-form is the differential of the functional and the result
+    is path independent.
     """
     if n_steps < 16 or n_steps % 2:
         raise ValueError("n_steps must be even and >= 16")
@@ -123,7 +113,10 @@ def path_integrate(ctx: CSContext, a: FourierField, n_steps: int = 64,
         raise ValueError(f"unknown path {path!r}")
     c = None
     if path == "quadratic-detour":
-        c = detour if detour is not None else default_detour(a)
+        w = 1.0 + np.abs(a.freqs).sum(axis=1)
+        c = FourierField(a.dim, a.degree, a.group_rank, a.cutoff,
+                         a.freqs, a.masks, a.coeffs * w[:, None, None])
+    star_phi = ctx.adapted().star_phi.to_double()
 
     def rho_at(t: float) -> float:
         At = a.scale(t)
@@ -131,7 +124,7 @@ def path_integrate(ctx: CSContext, a: FourierField, n_steps: int = 64,
         if c is not None:
             At = At + c.scale(t * (1.0 - t))
             dAt = dAt + c.scale(1.0 - 2.0 * t)
-        return cs_one_form(ctx, curvature(At), dAt)
+        return _pairing(curvature(At).full_field(), dAt, star_phi)
 
     h = 1.0 / n_steps
     total = rho_at(0.0) + rho_at(1.0)
@@ -155,8 +148,7 @@ def closedness_residual(ctx: CSContext, A: FourierField | None,
             out = out + A.wedge(x) + x.wedge(A)
         return out
 
-    val = _integral_against(d_cov(a).wedge(b), star_phi) \
-        - _integral_against(a.wedge(d_cov(b)), star_phi)
+    val = _pairing(d_cov(a), b, star_phi) - _pairing(a, d_cov(b), star_phi)
     return abs(val)
 
 
@@ -171,21 +163,22 @@ def translation_tangent(F: CurvatureField, v) -> FourierField:
     return F.full_field().contract(v)
 
 
-def _probe_curvature(F: CurvatureField, offset: FourierField, h: float) -> CurvatureField:
-    """Curvature at A + h*offset given the curvature at A.
+def _probe_curvature(F: CurvatureField, offset: FourierField) -> CurvatureField:
+    """Curvature at A + h*offset, h = 0.1, given the curvature at A.
 
     The cross term [A, offset] requires a global potential; it vanishes for
     abelian fields and for offsets commuting with the holonomy, which are
     the probes used here.
     """
+    h = 0.1
     dF = offset.d().scale(h) + offset.wedge(offset).scale(h * h)
     return CurvatureField((F.fluctuation + dF).prune(), flux=F.flux,
                           truncation_error=F.truncation_error)
 
 
-def random_offsets(dim: int, group_rank: int, count: int, seed: int,
-                   cutoff: int = 2) -> list:
-    """Seeded real 1-form fields used as probe directions."""
+def random_offsets(dim: int, group_rank: int, count: int, seed: int) -> list:
+    """Seeded real 1-form fields with modes up to 2, used as probe directions."""
+    cutoff = 2
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):
@@ -203,39 +196,32 @@ def random_offsets(dim: int, group_rank: int, count: int, seed: int,
     return out
 
 
-def rho_on_translation(ctx: CSContext, F: CurvatureField, v,
-                       offsets, h: float = 0.1) -> list:
-    """Evaluate rho(beta_v) at probe points A + h*offset.
+def rho_on_translation(ctx: CSContext, F: CurvatureField, v, offsets) -> list:
+    """Evaluate rho(beta_v) at probe points A + 0.1 offset.
 
     The values are all equal (translation invariance of the integrand plus
     d(v -| star_phi) = 0), so the spread over probes measures quadrature
-    noise only.  The contraction v -| star_phi is checked to be constant
-    before integrating, which here is automatic.
+    noise only.
     """
-    star_phi = ctx.adapted().star_phi
-    contracted = interior([float(x) for x in v], star_phi.to_double())
-    if contracted.degree != 3:
-        raise RuntimeError("contraction degree")
+    star_phi = ctx.adapted().star_phi.to_double()
     values = []
     for off in offsets:
-        Fp = _probe_curvature(F, off, h)
-        beta = translation_tangent(Fp, v)
-        values.append(cs_one_form(ctx, Fp, beta))
+        full = _probe_curvature(F, off).full_field()
+        values.append(_pairing(full, full.contract(v), star_phi))
     return values
 
 
 def perturbed_rho(ctx: CSContext, F: CurvatureField, b: FourierField,
-                  xi: ConstForm, normalized: bool = True) -> float:
-    """(r_phi)_A(b): the integral of tr(F ^ b) ^ xi.
+                  xi: ConstForm) -> float:
+    """(r_phi)_A(b): the integral of tr(F ^ b) ^ xi, over 8 pi^2.
 
-    ``normalized`` divides by 8 pi^2 so that on translation tangents the
-    value reads directly in charge units: for xi = -2 eps ^ e567 and a
-    lifted field of charge q it equals eps(v) * q.
+    The division makes the value on translation tangents read directly in
+    charge units: for xi = -2 eps ^ e567 and a lifted field of charge q it
+    equals eps(v) * q.
     """
     if xi.dim != 7 or xi.degree != 4:
         raise ValueError("expected a 4-form perturbation")
-    val = _integral_against(F.full_field().wedge(b), xi.to_double())
-    return val / EIGHT_PI_SQ if normalized else val
+    return _pairing(F.full_field(), b, xi.to_double()) / EIGHT_PI_SQ
 
 
 def pairing_oracle(ctx: CSContext, F: CurvatureField, v, xi: ConstForm) -> float:
@@ -246,7 +232,7 @@ def pairing_oracle(ctx: CSContext, F: CurvatureField, v, xi: ConstForm) -> float
     """
     contracted = interior([float(x) for x in v], xi.to_double())
     full = F.full_field()
-    val = _integral_against(full.wedge(full), contracted)
+    val = _pairing(full, full, contracted)
     return -0.5 * val / EIGHT_PI_SQ
 
 
@@ -305,11 +291,13 @@ def obstruction_verdict(ctx: CSContext, F: CurvatureField, xi: ConstForm,
     transverse block are both nonzero; the numeric verdict uses a
     10x-tolerance threshold to separate signal from quadrature rounding.
     """
+    full = F.full_field()
+
     def measure(v):
-        beta = translation_tangent(F, v)
-        return (topological_charge(_restrict_base(F)),
-                cs_one_form(ctx, F, beta),
-                perturbed_rho(ctx, F, beta, xi, normalized=True))
+        beta = full.contract(v)
+        return (_full_charge(_restrict_base(full)),
+                _pairing(full, beta, ctx.adapted().star_phi.to_double()),
+                _pairing(full, beta, xi.to_double()) / EIGHT_PI_SQ)
     return _verdict(xi, tol, measure)
 
 
@@ -323,11 +311,9 @@ def rho_lattice(ctx: CSContext, U, v) -> float:
                         ctx.adapted().star_phi)
 
 
-def perturbed_rho_lattice(ctx: CSContext, U, v, xi: ConstForm,
-                          normalized: bool = True) -> float:
-    """(r_phi)(beta_v) by site-sum quadrature, in charge units if normalized."""
-    val = _cs_integral(U, _clover_stack(U, _PLANES7), v, xi)
-    return val / EIGHT_PI_SQ if normalized else val
+def perturbed_rho_lattice(ctx: CSContext, U, v, xi: ConstForm) -> float:
+    """(r_phi)(beta_v) by site-sum quadrature, in charge units."""
+    return _cs_integral(U, _clover_stack(U, _PLANES7), v, xi) / EIGHT_PI_SQ
 
 
 def obstruction_verdict_lattice(ctx: CSContext, U, xi: ConstForm,
@@ -344,15 +330,11 @@ def obstruction_verdict_lattice(ctx: CSContext, U, xi: ConstForm,
     return _verdict(xi, tol, measure)
 
 
-def _restrict_base(F: CurvatureField) -> CurvatureField:
+def _restrict_base(full: FourierField) -> FourierField:
     """Base 4-torus field under a lifted 7D field (fiber modes must vanish)."""
-    if F.dim == 4:
-        return F
-    fl = F.fluctuation
-    if fl.freqs[:, 4:].any():
+    if full.freqs[:, 4:].any():
         raise ValueError("field is not a lift: fiber frequencies present")
-    if (fl.masks >> 4).any():
+    if (full.masks >> 4).any():
         raise ValueError("field is not a lift: fiber legs present")
-    out = FourierField(4, 2, fl.group_rank, fl.cutoff,
-                       fl.freqs[:, :4], fl.masks, fl.coeffs)
-    return CurvatureField(out, flux=F.flux, truncation_error=F.truncation_error)
+    return FourierField(4, 2, full.group_rank, full.cutoff,
+                        full.freqs[:, :4], full.masks, full.coeffs)

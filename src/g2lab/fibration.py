@@ -241,7 +241,6 @@ class DeformationSplit:
     c_iv: tuple        # 4, coefficient of e^i ^ e^567
     beta_plus: tuple   # 3 base 2-forms, omega-chirality parts
     beta_minus: tuple  # 3 base 2-forms, opposite-chirality parts
-    eta: Metric
 
     def block_norms_sq(self) -> dict:
         def fro(m):
@@ -310,7 +309,8 @@ def decompose_deformation(xi: ConstForm, eta: Metric | None = None) -> Deformati
         raise ValueError("expected a 4-form on R^7")
     eta = eta if eta is not None else _FLAT_ETA
     plus, minus = chirality_basis(eta, 1), chirality_basis(eta, -1)
-    flat = eta.mat == _FLAT_ETA.mat
+    # both bases are g-orthogonal with |w|^2 = 2: each part is <b, w>_g w / 2
+    g = None if eta.mat == _FLAT_ETA.mat else eta
     c_i = xi[(1, 2, 3, 4)]
     c_ii = [[0] * 4 for _ in range(3)]
     c_iv = [0] * 4
@@ -334,33 +334,18 @@ def decompose_deformation(xi: ConstForm, eta: Metric | None = None) -> Deformati
     c_iii_mp = [[0.0] * 3 for _ in range(3)]
     beta_plus, beta_minus = [], []
     sqrt2 = float(np.sqrt(2.0))
+    half = Fraction(1, 2)
     for k in range(3):
         b = ConstForm(4, 2, beta[k])
-        exact = all(is_exact(c) for c in b.coeffs.values())
-        if flat and exact:
-            half = Fraction(1, 2)
-            bp = ConstForm.zero(4, 2)
-            bm = ConstForm.zero(4, 2)
-            for l in range(3):
-                rp = form_inner(b, plus[l])
-                rm = form_inner(b, minus[l])
-                bp = bp + plus[l].scale(rp * half)
-                bm = bm + minus[l].scale(rm * half)
-                c_iii_pp[k][l] = float(rp) / sqrt2
-                c_iii_mp[k][l] = float(rm) / sqrt2
-        else:
-            bvec = np.array([float(x) for x in b.coeff_vector(BASE_LAMBDA2)])
-            cols = [np.array([float(x) for x in f.coeff_vector(BASE_LAMBDA2)]) / sqrt2
-                    for f in (*plus, *minus)]
-            A = np.stack(cols, axis=1)
-            coef, *_ = np.linalg.lstsq(A, bvec, rcond=None)
-            bp = ConstForm.zero(4, 2).to_double()
-            bm = ConstForm.zero(4, 2).to_double()
-            for l in range(3):
-                c_iii_pp[k][l] = float(coef[l])
-                c_iii_mp[k][l] = float(coef[3 + l])
-                bp = bp + plus[l].to_double().scale(coef[l] / sqrt2)
-                bm = bm + minus[l].to_double().scale(coef[3 + l] / sqrt2)
+        bp = ConstForm.zero(4, 2)
+        bm = ConstForm.zero(4, 2)
+        for l in range(3):
+            rp = form_inner(b, plus[l], g)
+            rm = form_inner(b, minus[l], g)
+            bp = bp + plus[l].scale(rp * half)
+            bm = bm + minus[l].scale(rm * half)
+            c_iii_pp[k][l] = float(rp) / sqrt2
+            c_iii_mp[k][l] = float(rm) / sqrt2
         beta_plus.append(bp)
         beta_minus.append(bm)
     return DeformationSplit(
@@ -369,7 +354,6 @@ def decompose_deformation(xi: ConstForm, eta: Metric | None = None) -> Deformati
         c_iii_mp=tuple(tuple(r) for r in c_iii_mp),
         c_iv=tuple(c_iv),
         beta_plus=tuple(beta_plus), beta_minus=tuple(beta_minus),
-        eta=eta,
     )
 
 

@@ -182,7 +182,7 @@ def _apply_matrix(mat, eta: ConstForm) -> ConstForm:
     return ConstForm(7, 2, out)
 
 
-def eigen_split(phi: ConstForm, gap_tol: float = 1e-8) -> G2Structure:
+def eigen_split(phi: ConstForm) -> G2Structure:
     """Assemble T_phi on Lambda^2 and split its two eigenspaces.
 
     The realized eigenvalues are computed, not assumed: for the standard
@@ -195,7 +195,7 @@ def eigen_split(phi: ConstForm, gap_tol: float = 1e-8) -> G2Structure:
     Tf = np.array([[float(x) for x in row] for row in T])
     evals = np.linalg.eigvalsh(0.5 * (Tf + Tf.T))
     lo, hi = evals.min(), evals.max()
-    if hi - lo < gap_tol:
+    if hi - lo < 1e-8:
         raise EigenvalueClustering("eigenvalue clusters are not separated")
     mid = 0.5 * (lo + hi)
     n_lo = int(np.sum(evals < mid))

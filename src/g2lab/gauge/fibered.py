@@ -4,23 +4,23 @@ A connection is A_t(x) + sum_i sigma_i(x, t) dt^i: a t-parametrized family
 of base potentials plus three Lie-algebra scalars.  Its curvature splits
 into a base block, three mixed 1-form blocks and a fiber-fiber block; the
 instanton condition forces the last two to vanish and the base block to be
-self-dual slice-wise.
+self-dual slice-wise.  Each family is stacked into one FourierField with
+t-grid axes, so the number of field operations does not depend on the grid.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..exterior import ConstForm
 from ..fibration import EPSILON3, OMEGA_BASE
-from .fourier import FourierField, curvature
+from .fourier import CurvatureField, FourierField, _curvature_and_tail
 
 
 def _t_indices(t_dims):
-    return list(itertools.product(*[range(n) for n in t_dims]))
+    return list(np.ndindex(*t_dims))
 
 
 @dataclass
@@ -64,20 +64,36 @@ class FiberedConnection:
         return tuple(lst)
 
 
-def _t_derivative(grid: dict, conn: FiberedConnection, t, i: int) -> FourierField:
-    # centered difference on the periodic grid, h = 1/T_i
-    h = 1.0 / conn.t_dims[i]
-    up = grid[conn.t_shift(t, i, 1)]
-    dn = grid[conn.t_shift(t, i, -1)]
+def _stack(family: dict, t_dims: tuple) -> FourierField:
+    """One field with t-grid axes from a map of per-point fields, at their
+    largest cutoff, on the union of their rows in canonical (m, J) order."""
+    fields = [family[t] for t in _t_indices(t_dims)]
+    rows, row = np.unique(np.concatenate([np.column_stack([f.freqs, f.masks])
+                                          for f in fields]),
+                          axis=0, return_inverse=True)
+    point = np.repeat(np.arange(len(fields)), [len(f.masks) for f in fields])
+    f0, r = fields[0], fields[0].group_rank
+    coeffs = np.zeros((len(rows), len(fields), r, r), dtype=complex)
+    coeffs[row.ravel(), point] = np.concatenate([f.coeffs for f in fields])
+    return FourierField(f0.dim, f0.degree, r, max(f.cutoff for f in fields),
+                        rows[:, :-1], rows[:, -1],
+                        coeffs.reshape((len(rows), *t_dims, r, r)))
+
+
+def _by_point(f: FourierField, t_dims: tuple) -> dict:
+    """{t: f at grid point t, without the rows that vanish there}."""
+    c = f.coeffs.reshape((len(f.masks), *t_dims) + f.coeffs.shape[-2:])
+    return {t: FourierField(f.dim, f.degree, f.group_rank, f.cutoff, f.freqs, f.masks,
+                            c[(slice(None), *t)]).prune() for t in _t_indices(t_dims)}
+
+
+def _t_derivative(f: FourierField, t_dims: tuple, i: int) -> FourierField:
+    """Centred difference along t-grid axis i (periodic, h = 1/T_i)."""
+    h = 1.0 / t_dims[i]
+    up, dn = (FourierField(f.dim, f.degree, f.group_rank, f.cutoff, f.freqs,
+                           f.masks, np.roll(f.coeffs, -step, axis=1 + i))
+              for step in (1, -1))
     return (up - dn).scale(1.0 / (2.0 * h))
-
-
-def _commutator_field(a: FourierField, b: FourierField) -> FourierField:
-    out = a.wedge(b)  # degree sum 0 for scalars: plain pointwise product
-    if a.degree == 0 and b.degree == 0:
-        ba = b.wedge(a)
-        return out - ba
-    raise ValueError("commutator is for scalar fields")
 
 
 def covariant_d_scalar(A: FourierField, chi: FourierField) -> FourierField:
@@ -91,33 +107,29 @@ def covariant_d_scalar(A: FourierField, chi: FourierField) -> FourierField:
 def fibered_curvature(conn: FiberedConnection) -> dict:
     """The three curvature blocks of A_t + sum sigma_i dt^i.
 
-    Returns base curvatures per t-slice, the mixed blocks
+    Returns maps over the t-grid of the base curvatures, the mixed blocks
     d_{A_t} sigma_i - dA_t/dt^i, and the fiber-fiber block
     F_sigma = sum_{i<j} (dsigma_i/dt^j - dsigma_j/dt^i
     + 1/2 [sigma_i, sigma_j]) dt^i dt^j.  t-derivatives use centered
-    differences, so the first two blocks carry O(h^2) grid error.
+    differences, so the last two blocks carry O(h^2) grid error.  Each
+    family is truncated at the largest cutoff of its slices.
     """
-    idxs = _t_indices(conn.t_dims)
-    f_base = {t: curvature(conn.base[t]) for t in idxs}
-    mixed = []
-    for i in range(3):
-        block = {}
-        for t in idxs:
-            dA = _t_derivative(conn.base, conn, t, i)
-            block[t] = covariant_d_scalar(conn.base[t], conn.sigma[i][t]) - dA
-        mixed.append(block)
-    f_sigma = {}
-    for t in idxs:
-        comps = {}
-        for i in range(3):
-            for j in range(i + 1, 3):
-                ds_i = _t_derivative(conn.sigma[i], conn, t, j)
-                ds_j = _t_derivative(conn.sigma[j], conn, t, i)
-                term = ds_i - ds_j
-                comm = _commutator_field(conn.sigma[i][t], conn.sigma[j][t])
-                comps[(i, j)] = term + comm.scale(0.5)
-        f_sigma[t] = comps
-    return {"F_base": f_base, "mixed": tuple(mixed), "F_sigma": f_sigma}
+    dims = conn.t_dims
+    A = _stack(conn.base, dims)
+    sigma = [_stack(s, dims) for s in conn.sigma]
+    F, tail = _curvature_and_tail(A)
+    mixed = [covariant_d_scalar(A, s) - _t_derivative(A, dims, i)
+             for i, s in enumerate(sigma)]
+    f_sigma = {(i, j): (_t_derivative(sigma[i], dims, j)
+                        - _t_derivative(sigma[j], dims, i))
+               + (sigma[i].wedge(sigma[j]) - sigma[j].wedge(sigma[i])).scale(0.5)
+               for i, j in ((0, 1), (0, 2), (1, 2))}
+    base, tails = _by_point(F, dims), _by_point(tail, dims)
+    f_sigma = {k: _by_point(c, dims) for k, c in f_sigma.items()}
+    return {"F_base": {t: CurvatureField(base[t], truncation_error=np.sqrt(
+                tails[t].norm_sq())) for t in base},
+            "mixed": tuple(_by_point(m, dims) for m in mixed),
+            "F_sigma": {t: {k: c[t] for k, c in f_sigma.items()} for t in base}}
 
 
 def block_norms(blocks: dict) -> dict:

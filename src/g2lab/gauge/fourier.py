@@ -12,7 +12,8 @@ expressions in the modes.
 A field stores its terms as three arrays, one row per (m, J): frequencies,
 index masks and coefficients.  Products, derivatives and contractions are
 array operations on the index kernel of ``exterior``, followed by one
-canonicaliser that sums rows with equal (m, J) and prunes.
+canonicaliser that sums rows with equal (m, J) and prunes.  Grid axes between
+the row and matrix axes make a field a family on one set of rows.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ _KEY_WEIGHTS = {n: 1 << (7 + 56 // n * np.arange(n - 1, -1, -1))
 @dataclass(eq=False)
 class FourierField:
     """One row per term: ``freqs`` (n, dim) integer frequencies m, ``masks``
-    (n,) index masks J (see ``exterior``) and ``coeffs`` (n, r, r) c_{m,J}.
+    (n,) index masks J (see ``exterior``) and ``coeffs`` (n, *grid, r, r)
+    c_{m,J}; array operations act pointwise over the grid, which a single
+    field lacks and an empty field matches.
 
     Rows have distinct (m, J).  Operations build new arrays and never write
-    into existing ones, so fields may share them.  Build fields with
+    into existing ones, so fields may share them.  Build single fields with
     add_coeff / set_coeff and read them through the ``modes`` view.
     """
 
@@ -82,7 +85,7 @@ class FourierField:
             starts = np.flatnonzero(first)
             # 0 + the sum: a -0.0 total reads +0.0, as when summing from 0
             coeffs = 0 + np.add.reduceat(coeffs[order], starts, axis=0)
-            live = np.abs(coeffs).max(axis=(1, 2)) > tol
+            live = np.abs(coeffs).max(axis=tuple(range(1, coeffs.ndim))) > tol
             rows = order[starts[live]]
             freqs, masks, coeffs = freqs[rows], masks[rows], coeffs[live]
         return FourierField(self.dim, self.degree if degree is None else degree,
@@ -132,7 +135,7 @@ class FourierField:
         self._put(freq, idx, value, add=True)
 
     def prune(self, tol: float = 0.0) -> "FourierField":
-        keep = np.abs(self.coeffs).max(axis=(1, 2), initial=0.0) > tol
+        keep = np.abs(self.coeffs).max(axis=tuple(range(1, self.coeffs.ndim))) > tol
         self.freqs, self.masks, self.coeffs = \
             self.freqs[keep], self.masks[keep], self.coeffs[keep]
         return self
@@ -141,6 +144,8 @@ class FourierField:
         return not (np.abs(self.coeffs) > tol).any()
 
     def __add__(self, other: "FourierField") -> "FourierField":
+        if self.degree != other.degree:
+            raise ValueError("field shape mismatch")
         self._check_compat(other)
         cutoff = max(self.cutoff, other.cutoff)
         a, b = (other, self) if not len(self.masks) else (self, other)
@@ -166,8 +171,9 @@ class FourierField:
                             self.freqs, self.masks, self.coeffs * s)
 
     def _check_compat(self, other: "FourierField") -> None:
-        if (self.dim, self.degree, self.group_rank) != \
-                (other.dim, other.degree, other.group_rank):
+        if (self.dim, self.group_rank) != (other.dim, other.group_rank) or (
+                len(self.masks) and len(other.masks)
+                and self.coeffs.shape[1:] != other.coeffs.shape[1:]):
             raise ValueError("field shape mismatch")
 
     # -- reality -----------------------------------------------------------
@@ -196,7 +202,7 @@ class FourierField:
         row, j = np.nonzero((self.freqs != 0) & (sign != 0))
         scal = TWO_PI_I * self.freqs[row, j] * sign[row, j]
         return self._canonical(self.freqs[row], self.masks[row] | bits[j],
-                               scal[:, None, None] * self.coeffs[row],
+                               _per_row(scal, self.coeffs) * self.coeffs[row],
                                degree=self.degree + 1)
 
     def _product(self, other: "FourierField", lim, cutoff: int,
@@ -212,8 +218,9 @@ class FourierField:
         if lim is not None:
             keep &= np.abs(freqs).max(axis=2, initial=0) <= lim
         i, j = np.nonzero(keep)
-        coeffs = sign[i, j, None, None] * (self.coeffs[i] @ other.coeffs[j])
-        return self._canonical(freqs[i, j], self.masks[i] | other.masks[j], coeffs,
+        coeffs = self.coeffs[i] @ other.coeffs[j]
+        return self._canonical(freqs[i, j], self.masks[i] | other.masks[j],
+                               _per_row(sign[i, j], coeffs) * coeffs,
                                degree=self.degree + other.degree, cutoff=cutoff,
                                tol=tol)
 
@@ -224,8 +231,7 @@ class FourierField:
         are dropped; with polynomially generated fields the convolution is
         exact below that bound.
         """
-        if self.dim != other.dim or self.group_rank != other.group_rank:
-            raise ValueError("field shape mismatch")
+        self._check_compat(other)
         lim = cutoff if cutoff is not None else self.cutoff + other.cutoff
         return self._product(other, lim, lim, 1e-300)
 
@@ -240,7 +246,7 @@ class FourierField:
         v = np.array([float(x) for x in v])
         row, j = np.nonzero((sign != 0) & (v != 0))
         return self._canonical(self.freqs[row], rest[row, j],
-                               (sign[row, j] * v[j])[:, None, None] * self.coeffs[row],
+                               _per_row(sign[row, j] * v[j], self.coeffs) * self.coeffs[row],
                                degree=self.degree - 1)
 
     def trace(self) -> "FourierField":
@@ -249,13 +255,13 @@ class FourierField:
             return FourierField(self.dim, self.degree, 1, self.cutoff,
                                 self.freqs, self.masks, self.coeffs)
         return self._canonical(self.freqs, self.masks,
-                               np.trace(self.coeffs, axis1=1, axis2=2)[:, None, None])
+                               np.trace(self.coeffs, axis1=-2, axis2=-1)[..., None, None])
 
     def wedge_const(self, a: ConstForm) -> "FourierField":
         """Wedge with a constant scalar-coefficient form on the right: the
         wedge with the zero-mode field a times the identity."""
-        if a.dim != self.dim:
-            raise ValueError("dimension mismatch")
+        if a.dim != self.dim or self.coeffs.ndim > 3:
+            raise ValueError("expected a single field of the form's dimension")
         const = _zero_mode(self.dim, a.degree, self.group_rank,
                            [MASK_OF[i] for i in a.coeffs],
                            [float(c) for c in a.coeffs.values()])
@@ -267,8 +273,8 @@ class FourierField:
         Only the zero mode survives; returns the trace of its coefficient at
         the top index (scalar for group_rank 1).
         """
-        if self.degree != self.dim:
-            raise ValueError("integrand must be a top-degree form")
+        if self.degree != self.dim or self.coeffs.ndim > 3:
+            raise ValueError("integrand must be a single top-degree form")
         row = np.flatnonzero(~self.freqs.any(axis=1))   # every mask is the top one
         if not row.size:
             return 0.0
@@ -278,6 +284,11 @@ class FourierField:
     def norm_sq(self) -> float:
         """Parseval L^2 norm squared with the tr(c c^dagger) matrix norm."""
         return _norm_sq(self.coeffs)
+
+
+def _per_row(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per-row factors ``x`` shaped to scale the rows of ``coeffs``."""
+    return x.reshape((-1,) + (1,) * (coeffs.ndim - 1))
 
 
 def _zero_mode(dim: int, degree: int, rank: int, masks, values) -> FourierField:
@@ -350,22 +361,29 @@ class CurvatureField:
         return self.fluctuation + self._flux_field
 
 
+def _curvature_and_tail(A: FourierField) -> tuple:
+    """The fields F of ``curvature`` and the dropped tail of A ^ A."""
+    if A.degree != 1:
+        raise ValueError("potential must be a 1-form")
+    lim = 2 * A.cutoff
+    AA = A.wedge(A, cutoff=4 * A.cutoff)
+    far = np.abs(AA.freqs).max(axis=1, initial=0) > lim
+    near, tail = (FourierField(A.dim, 2, A.group_rank, lim, AA.freqs[rows],
+                               AA.masks[rows], AA.coeffs[rows])
+                  for rows in (~far, far))
+    F = A.d() + near
+    F.cutoff = lim
+    return F, tail
+
+
 def curvature(A: FourierField) -> CurvatureField:
     """F = dA + A ^ A for a globally defined (topologically trivial) potential.
 
     The quadratic term is a mode convolution truncated at twice the cutoff;
     the dropped tail is reported as ``truncation_error``.
     """
-    if A.degree != 1:
-        raise ValueError("potential must be a 1-form")
-    lim = 2 * A.cutoff
-    AA = A.wedge(A, cutoff=4 * A.cutoff)
-    far = np.abs(AA.freqs).max(axis=1, initial=0) > lim
-    near = FourierField(A.dim, 2, A.group_rank, lim,
-                        AA.freqs[~far], AA.masks[~far], AA.coeffs[~far])
-    F = A.d() + near
-    F.cutoff = lim
-    return CurvatureField(F, truncation_error=np.sqrt(_norm_sq(AA.coeffs[far])))
+    F, tail = _curvature_and_tail(A)
+    return CurvatureField(F, truncation_error=np.sqrt(tail.norm_sq()))
 
 
 def constant_curvature_u1(m) -> CurvatureField:
@@ -399,12 +417,15 @@ def flux_charge(m) -> int:
 
 def topological_charge(F: CurvatureField) -> float:
     """(1/8 pi^2) integral of tr(F ^ F); exact mode arithmetic."""
-    full = F.full_field()
     if F.dim != 4:
         raise ValueError("charge is defined for 4D fields")
+    return _full_charge(F.full_field())
+
+
+def _full_charge(full: FourierField) -> float:
+    """topological_charge from the full 4D curvature field."""
     FF = full.wedge(full, cutoff=2 * full.cutoff + 1)
-    val = FF.trace().integrate_top()
-    return float(np.real(val)) / (8.0 * np.pi ** 2)
+    return float(np.real(FF.trace().integrate_top())) / (8.0 * np.pi ** 2)
 
 
 def ym_energy_4d(F: CurvatureField) -> dict:

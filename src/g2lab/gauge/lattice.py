@@ -379,20 +379,20 @@ def asd_force(U: LatticeGaugeField) -> np.ndarray:
 
 
 def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
-               step_size: float = 0.1, tol: float = 1e-3,
-               log_every: int = 1) -> dict:
+               tol: float = 1e-3) -> dict:
     """Backtracking gradient descent on the anti-self-dual energy.
 
-    Descends the exact gradient of the plaquette ASD energy; steps are only
-    accepted when |F-|^2 does not increase, with up to 30 halvings.  A step
+    Descends the exact gradient of the plaquette ASD energy, scaled so its
+    largest entry moves by at most 0.1 per step; steps are only accepted
+    when |F-|^2 does not increase, with up to 30 halvings.  A step
     that cannot decrease the energy despite a substantial gradient raises
     CoolingDivergence; a vanishing gradient above tolerance is reported as
-    a plateau.  History rows are (step, asd_fraction, charge).
+    a plateau.  History rows are (step, asd_fraction, charge) for every step.
     """
     if U.ndim != 4:
         raise ValueError("cooling runs on 4D lattices")
     work = U.copy()
-    tau = step_size
+    tau = step_size = 0.1
     en = plaquette_chirality_energies(work)
     history = [(0, en["asd_fraction"], clover_charge(work))]
     if en["asd_fraction"] < tol:
@@ -424,8 +424,7 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
             raise CoolingDivergence(
                 f"no acceptable step at iteration {step}", history)
         work, en, tau = trial, trial_en, min(trial_tau * 1.5, step_size)
-        if step % log_every == 0 or en["asd_fraction"] < tol:
-            history.append((step, en["asd_fraction"], clover_charge(work)))
+        history.append((step, en["asd_fraction"], clover_charge(work)))
         if en["asd_fraction"] < tol:
             return {"field": work, "history": history, "converged": True,
                     "steps": step, "plateau": False}

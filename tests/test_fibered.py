@@ -1,5 +1,7 @@
 """Fibered connections: curvature blocks and the fiber-plane map."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,104 @@ from g2lab.gauge.fibered import (
     FiberedConnection, block_norms, covariant_d_scalar, fibered_curvature,
     q_map,
 )
-from g2lab.gauge.fourier import FourierField
+from g2lab.gauge.fourier import FourierField, curvature
 
 
 def _scalar_su2(coeffs, cutoff=2):
     f = FourierField.zero(4, 0, 2, cutoff)
     f.add_coeff((1, 0, 0, 0), (), coeffs)
     return f.symmetrized()
+
+
+def _su2_field(degree, terms, cutoff=2):
+    f = FourierField.zero(4, degree, 2, cutoff)
+    for m, idx, g in terms:
+        f.add_coeff(m, idx, su2(g))
+    return f.symmetrized()
+
+
+def varying_su2_family(t_dims, seed=7):
+    """A non-abelian family whose row supports vary with t: each slice adds
+    seeded multiples of fixed fields, with about a quarter of the weights 0.
+    A0 carries a mode beyond its cutoff, so curvature has a nonzero tail."""
+    rng = np.random.default_rng(seed)
+    A0 = _su2_field(1, [((3, 0, 1, 0), (2,), [0.3, -0.2, 0.5]),
+                        ((0, 1, 0, 0), (1,), [0.1, 0.4, 0.0])], cutoff=1)
+    B = [_su2_field(1, [((1, 0, 0, 0), (3,), [0.0, 0.6, -0.1])], cutoff=1),
+         _su2_field(1, [((0, 0, 1, -1), (4,), [0.2, 0.0, 0.3])], cutoff=1)]
+    C = [_su2_field(0, [((0, 0, 0, 0), (), [1.0, 0.0, 0.0])]),
+         _su2_field(0, [((0, 1, 0, 0), (), [0.0, 0.8, 0.2])]),
+         _su2_field(0, [((1, 0, 0, 1), (), [0.3, 0.0, -0.7])])]
+    w = rng.uniform(-1.0, 1.0, size=(len(B) + 3 * len(C), *t_dims))
+    w[w < -0.5] = 0.0
+    base, sigma = {}, ({}, {}, {})
+    for t in itertools.product(*map(range, t_dims)):
+        At = A0
+        for k, b in enumerate(B):
+            At = At + b.scale(w[(k, *t)])
+        base[t] = At
+        for i in range(3):
+            s = FourierField.zero(4, 0, 2, 2)
+            for k, c in enumerate(C):
+                s = s + c.scale(w[(len(B) + 3 * i + k, *t)])
+            sigma[i][t] = s
+    return FiberedConnection(t_dims, base, sigma)
+
+
+def _same_field(a, b):
+    return ((a.dim, a.degree, a.group_rank, a.cutoff)
+            == (b.dim, b.degree, b.group_rank, b.cutoff)
+            and np.array_equal(a.freqs, b.freqs)
+            and np.array_equal(a.masks, b.masks)
+            and np.array_equal(a.coeffs, b.coeffs))
+
+
+def test_grid_blocks_match_per_point_formulas(monkeypatch):
+    """Every per-t block equals the formula on that t-point's fields."""
+    t_dims = (4, 3, 5)
+    conn = varying_su2_family(t_dims)
+    assert len({len(a.masks) for a in conn.base.values()}) > 1
+    blocks = fibered_curvature(conn)
+
+    def d_t(grid, t, i):
+        up, dn = list(t), list(t)
+        up[i] = (t[i] + 1) % t_dims[i]
+        dn[i] = (t[i] - 1) % t_dims[i]
+        return (grid[tuple(up)] - grid[tuple(dn)]).scale(1.0 / (2.0 / t_dims[i]))
+
+    tails = 0
+    for t, A in conn.base.items():
+        want = curvature(A)
+        got = blocks["F_base"][t]
+        assert _same_field(got.fluctuation, want.fluctuation)
+        assert got.truncation_error == want.truncation_error
+        tails += want.truncation_error > 0
+        for i in range(3):
+            want = covariant_d_scalar(A, conn.sigma[i][t]) - d_t(conn.base, t, i)
+            assert _same_field(blocks["mixed"][i][t], want)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            si, sj = conn.sigma[i][t], conn.sigma[j][t]
+            want = (d_t(conn.sigma[i], t, j) - d_t(conn.sigma[j], t, i)) \
+                + (si.wedge(sj) - sj.wedge(si)).scale(0.5)
+            assert _same_field(blocks["F_sigma"][t][(i, j)], want)
+    assert tails == len(conn.base)
+
+    # the number of field products does not grow with the grid
+    calls = []
+    wedge = FourierField.wedge
+
+    def counted_wedge(self, *args, **kwargs):
+        calls.append(1)
+        return wedge(self, *args, **kwargs)
+
+    monkeypatch.setattr(FourierField, "wedge", counted_wedge)
+    counts = []
+    for T in (4, 8):
+        family = varying_su2_family((T, T, T))
+        calls.clear()
+        fibered_curvature(family)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_pullback_connection_has_base_block_only():

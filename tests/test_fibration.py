@@ -141,6 +141,24 @@ def test_split_roundtrip_is_exact(terms):
     assert (sp.reassemble() - xi).is_zero()
 
 
+@given(st.lists(st.tuples(st.sampled_from(lex_basis(7, 4)), rationals),
+                max_size=6))
+def test_float_split_matches_exact_split(terms):
+    """A float xi takes the exact projection in doubles: the blocks agree
+    with the exact split of the same rational xi, and reassemble xi."""
+    coeffs = {}
+    for idx, c in terms:
+        coeffs[idx] = coeffs.get(idx, Fraction(0)) + c
+    xi = ConstForm(7, 4, coeffs)
+    tol = 1e-15 * max([1.0] + [abs(float(c)) for c in xi.coeffs.values()])
+    split = decompose_deformation(xi.to_double())
+    exact, approx = decompose_deformation(xi).to_json_dict(), split.to_json_dict()
+    for key in ("c_I", "c_II", "c_III_pp", "c_III_mp", "c_IV"):
+        assert np.abs(np.subtract(approx[key], exact[key])).max() <= tol
+    back = split.reassemble() - xi.to_double()
+    assert all(abs(c) <= tol for c in back.coeffs.values())
+
+
 def test_split_block_dimensions():
     active = [set(), set(), set(), set(), set()]
     for idx in lex_basis(7, 4):

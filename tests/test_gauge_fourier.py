@@ -12,6 +12,7 @@ from g2lab.gauge.fourier import (
     curvature, energy_decomposition_7d, flux_charge, instanton_residual_field,
     is_self_dual_flux, lift_to_7d, topological_charge, ym_energy_4d,
 )
+from g2lab.exterior import MASK_OF
 from g2lab.rng import SplitMix64
 
 
@@ -65,6 +66,60 @@ def test_leibniz_rule(a, b):
     lhs = a.wedge(b).d()
     rhs = a.d().wedge(b) - a.wedge(b.d())
     assert (lhs - rhs).is_zero(1e-9)
+
+
+# quarter-integer entries: products stay exact and far from underflow, so a
+# row vanishes at a grid point exactly when it vanishes in that slice alone
+quarter_su2_one_forms = st.builds(
+    su2_one_form,
+    st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * 4),
+                       st.integers(1, 4),
+                       st.tuples(*[st.integers(-4, 4).map(lambda n: n / 4)] * 3)),
+             min_size=1, max_size=4))
+
+
+def on_grid(fields):
+    """The fields as one field with a grid axis, on the union of their rows."""
+    f0 = fields[0]
+    rows = sorted({(m, idx) for f in fields for m, d in f.modes.items() for idx in d})
+    zero = np.zeros((f0.group_rank,) * 2)
+    coeffs = [[f.modes.get(m, {}).get(idx, zero) for f in fields] for m, idx in rows]
+    r = f0.group_rank
+    return FourierField(f0.dim, f0.degree, r, f0.cutoff,
+                        np.array([m for m, _ in rows], dtype=np.int64).reshape(-1, f0.dim),
+                        np.array([MASK_OF[idx] for _, idx in rows], dtype=np.int64),
+                        np.array(coeffs, dtype=complex).reshape(-1, len(fields), r, r))
+
+
+def at_point(f, k):
+    if not len(f.masks):
+        return FourierField.zero(f.dim, f.degree, f.group_rank, f.cutoff)
+    return FourierField(f.dim, f.degree, f.group_rank, f.cutoff,
+                        f.freqs, f.masks, f.coeffs[:, k]).prune()
+
+
+def terms(f):
+    return {(m, idx): c.tolist() for m, d in f.modes.items() for idx, c in d.items()}
+
+
+@given(quarter_su2_one_forms, quarter_su2_one_forms,
+       quarter_su2_one_forms, quarter_su2_one_forms)
+def test_grid_operations_act_per_point(a0, a1, b0, b1):
+    """Each operation on a field with a 2-point grid equals the operation on
+    each slice: the same terms, with equal coefficients."""
+    a, b = on_grid([a0, a1]), on_grid([b0, b1])
+    assert a.coeffs.shape[1:-2] == b.coeffs.shape[1:-2] == (2,)
+    ops = [lambda f, g: f.wedge(g), lambda f, g: f.d(),
+           lambda f, g: f.contract((0.5, -1.0, 0.0, 2.0)),
+           lambda f, g: f.trace(), lambda f, g: f + g,
+           lambda f, g: f.symmetrized()]
+    for op in ops:
+        out = op(a, b)
+        for k, (f, g) in enumerate(((a0, b0), (a1, b1))):
+            got, want = at_point(out, k), op(f, g)
+            assert (got.degree, got.group_rank, got.cutoff) \
+                == (want.degree, want.group_rank, want.cutoff)
+            assert terms(got) == terms(want)
 
 
 @pytest.mark.parametrize("freq, idx", [
