@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -51,9 +52,13 @@ class NumericalFailure(Exception):
     pass
 
 
+def _json_line(obj: dict) -> str:
+    """RFC 8259 JSON: a NaN or infinity is a numerical failure, not a token."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
 def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_line(obj))
 
 
 def _emit_error(code: str, message: str) -> None:
@@ -62,13 +67,31 @@ def _emit_error(code: str, message: str) -> None:
     sys.stderr.write("\n")
 
 
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return x
+
+
+def _reject_bools(obj) -> None:
+    # form and spec files hold no booleans, and true must not count as 1
+    if isinstance(obj, bool):
+        raise ValueError("a boolean is not a number")
+    for v in obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ():
+        _reject_bools(v)
+
+
 def _load_json(path: str) -> dict:
+    """A form or spec file: finite numbers only, no NaN, Infinity or true."""
     if not os.path.exists(path):
         raise ValidationFailure(f"file not found: {path}")
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            d = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        _reject_bools(d)
+        return d
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationFailure(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -77,7 +100,7 @@ def _load_spec(path: str | None) -> FibrationSpec:
         return FibrationSpec.standard()
     try:
         return FibrationSpec.from_json_dict(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationFailure(f"invalid fibration spec: {exc}") from exc
 
 
@@ -86,11 +109,22 @@ def _load_xi(path: str) -> ConstForm:
     d = _load_json(path)
     try:
         xi = ConstForm.from_json_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationFailure(f"invalid form JSON: {exc}") from exc
     if (xi.dim, xi.degree) != (7, 4):
         raise ValidationFailure("xi must be a 4-form on the 7-torus")
     return xi
+
+
+def _bounded(kind, low: float, strict: bool = False):
+    """argparse type: a finite ``kind`` number >= low, or > low if strict."""
+    def parse(text: str):
+        x = kind(text)
+        if not math.isfinite(x) or x < low or (strict and x == low):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {'>' if strict else '>='} {low}, got {text!r}")
+        return x
+    return parse
 
 
 def _parse_dims(text: str, n: int) -> tuple:
@@ -415,7 +449,7 @@ def cmd_report(args) -> int:
             "final_charge": float(clover_charge(flow["field"])),
         },
     }
-    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    text = _json_line(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -469,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("flow", parents=[seeded], help="cool a lattice field")
     q.add_argument("--lattice", default="6x6x6x6")
     q.add_argument("--group", default="su2")
-    q.add_argument("--tol", type=float, default=1e-3)
-    q.add_argument("--steps", type=int, default=5000)
-    q.add_argument("--noise", type=float, default=0.005)
+    q.add_argument("--tol", type=_bounded(float, 0, strict=True), default=1e-3)
+    q.add_argument("--steps", type=_bounded(int, 0), default=5000)
+    q.add_argument("--noise", type=_bounded(float, 0), default=0.005)
     q.add_argument("--start", default="auto",
                    choices=("auto", "half-flux", "sd-flux", "identity"))
     q.add_argument("--out", required=True)
@@ -487,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("cs", parents=[seeded],
                        help="Chern-Simons 1-form on translation tangents")
     q.add_argument("--field", required=True)
-    q.add_argument("--probe-offsets", type=int, default=5)
-    q.add_argument("--probe-amplitude", type=float, default=0.02)
+    q.add_argument("--probe-offsets", type=_bounded(int, 0), default=5)
+    q.add_argument("--probe-amplitude", type=_bounded(float, 0), default=0.02)
 
     q = sub.add_parser("obstruct", help="deformation obstruction verdict")
     q.add_argument("--field", required=True)

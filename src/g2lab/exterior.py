@@ -9,7 +9,6 @@ serves both the exact identity suite and the floating-point pipelines.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -357,9 +356,6 @@ class ConstForm:
             terms.append({"idx": list(idx), "c": cv})
         return {"dim": self.dim, "degree": self.degree, "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @staticmethod
     def from_json_dict(d: dict) -> "ConstForm":
         coeffs = {}
@@ -367,10 +363,6 @@ class ConstForm:
             c = t["c"]
             coeffs[tuple(t["idx"])] = Fraction(c) if isinstance(c, str) else float(c)
         return ConstForm(d["dim"], d["degree"], coeffs)
-
-    @staticmethod
-    def from_json(s: str) -> "ConstForm":
-        return ConstForm.from_json_dict(json.loads(s))
 
 
 # ---------------------------------------------------------------------------

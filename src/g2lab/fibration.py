@@ -17,16 +17,14 @@ from . import g2core
 from .exterior import (
     ConstForm,
     Metric,
-    form_inner,
     hodge,
     interior,
     is_exact,
     lex_basis,
     mat_det,
+    mat_identity,
     mat_inverse,
-    Orientation,
     pullback_linear,
-    wedge,
 )
 from .g2core import G2Structure, eigen_split, metric_from_phi, standard_phi
 
@@ -50,47 +48,6 @@ EPSILON3 = {(1, 2): 3, (2, 3): 1, (1, 3): -2}  # (i,j) -> signed k with eps^ijk
 
 #: the exact flat base metric, built once: its checks cost Fraction minors
 _FLAT_ETA = Metric.identity(4)
-
-
-def chirality_basis(eta: Metric, sign: int) -> tuple:
-    """eta-orthogonal basis of one chirality of base 2-forms, |w|^2 = 2.
-
-    ``sign`` picks the eigenvalue of the eta Hodge star taken with the fiber
-    orientation (the one in which omega_1 = e^12 - e^34 is self-dual; it is
-    opposite to +e^1234): +1 gives the omega chirality, -1 the opposite one.
-    Continuity near the identity metric comes from Gram-Schmidt against the
-    flat triple of that chirality, which is returned as is for eta = 1.
-    """
-    if eta.dim != 4:
-        raise ValueError("base metric must be 4-dimensional")
-    flat = OMEGA_BASE if sign > 0 else OMEGA_BAR_BASE
-    if eta.mat == _FLAT_ETA.mat:
-        return flat
-    o = Orientation(-1)  # fiber-compatible orientation on the base
-    star = np.zeros((6, 6))
-    for j, idx in enumerate(BASE_LAMBDA2):
-        img = hodge(ConstForm.basis(4, idx).to_double(), eta, o)
-        star[:, j] = [float(x) for x in img.coeff_vector(BASE_LAMBDA2)]
-    evals, evecs = np.linalg.eig(star)
-    span = evecs[:, np.abs(evals - sign) < 1e-8].real
-    if span.shape[1] != 3:
-        raise ValueError(f"star eigenspace {sign:+d} is not 3-dimensional")
-    proj = span @ np.linalg.pinv(span)
-
-    def inner(u, v):
-        a = ConstForm(4, 2, dict(zip(BASE_LAMBDA2, u)))
-        b = ConstForm(4, 2, dict(zip(BASE_LAMBDA2, v)))
-        return float(form_inner(a, b, eta))
-
-    out, vecs = [], []
-    for om in flat:
-        v = proj @ np.array([float(x) for x in om.coeff_vector(BASE_LAMBDA2)])
-        for w in vecs:
-            v = v - (inner(w, v) / inner(w, w)) * w
-        v = v * np.sqrt(2.0 / inner(v, v))
-        vecs.append(v)
-        out.append(ConstForm(4, 2, {k: c for k, c in zip(BASE_LAMBDA2, v) if c != 0.0}))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -149,7 +106,7 @@ class FibrationSpec:
 
 def _sqrtm_spd(mat) -> list:
     rows = [list(r) for r in mat]
-    if rows == [list(r) for r in Metric.identity(len(rows)).mat]:
+    if rows == mat_identity(len(rows)):
         return rows  # keep exact identity exact
     m = np.array([[float(x) for x in r] for r in rows])
     w, v = np.linalg.eigh(0.5 * (m + m.T))
@@ -188,15 +145,8 @@ def build_fibration(spec: FibrationSpec) -> TorusFibration:
     exact = is_exact(F[0][0]) and all(is_exact(x) for r in spec.alpha for x in r) \
         and all(is_exact(x) for r in spec.l_basis for x in r)
     zero = Fraction(0) if exact else 0.0
-    G = [[zero] * 7 for _ in range(7)]
-    for i in range(4):
-        for j in range(4):
-            G[i][j] = F[i][j] if is_exact(F[i][j]) or not exact else F[i][j]
-    for i in range(3):
-        for j in range(4):
-            G[4 + i][j] = spec.alpha[i][j]
-        for j in range(3):
-            G[4 + i][4 + j] = spec.l_basis[i][j]
+    G = [list(row) + [zero] * 3 for row in F] \
+        + [list(a) + list(lb) for a, lb in zip(spec.alpha, spec.l_basis)]
     if not exact:
         G = [[float(x) for x in row] for row in G]
     Ginv = mat_inverse(G)
@@ -223,15 +173,51 @@ def pullback_along_f(fib: TorusFibration, a: ConstForm) -> ConstForm:
 # deformation decomposition
 
 
+def _split_table() -> dict:
+    """Coordinate 4-form -> (block, row, column, sign) of the 5-block split.
+
+    The number of fiber legs picks the block: 0 -> I, 1 -> II (row = fiber
+    axis, column = removed base index), 2 -> III (row = dual fiber axis,
+    column = base pair in BASE_LAMBDA2), 3 -> IV (column = base index).
+    A block entry is sign * coefficient, and the coefficient is sign * entry.
+    """
+    table = {}
+    for idx in lex_basis(7, 4):
+        base = tuple(i for i in idx if i <= 4)
+        fiber = tuple(i - 4 for i in idx if i >= 5)
+        if not fiber:
+            table[idx] = (0, 0, 0, 1)
+        elif len(fiber) == 1:
+            miss = next(i for i in range(1, 5) if i not in base)
+            # against (e_miss -| e^1234) ^ e^fiber
+            table[idx] = (1, fiber[0] - 1, miss - 1, (-1) ** (miss - 1))
+        elif len(fiber) == 2:
+            k = EPSILON3[fiber]
+            table[idx] = (2, abs(k) - 1, BASE_LAMBDA2.index(base), 1 if k > 0 else -1)
+        else:
+            table[idx] = (3, 0, base[0] - 1, 1)
+    return table
+
+
+_SPLIT = _split_table()
+
+#: (column, coefficient) pairs of each omega / omega-bar on BASE_LAMBDA2
+_CHIRAL_COLS = tuple(
+    tuple(tuple((BASE_LAMBDA2.index(p), c) for p, c in w.coeffs.items()) for w in triple)
+    for triple in (OMEGA_BASE, OMEGA_BAR_BASE))
+
+
 @dataclass(frozen=True)
 class DeformationSplit:
     """Orthogonal pieces of a 4-form deformation, sorted by fiber leg count.
 
-    c_i scales the base volume; c_ii redefines the twist; c_iii_pp / c_iii_mp
-    act on the fiber lattice and on the conformal class; c_iv is the
-    component transverse to every fibered structure.  beta_plus / beta_minus
-    keep the chirality parts of the 2-fiber-leg block as forms, so the round
-    trip through the split is exact even in rational mode.
+    The split is taken in the flat, lattice-adapted frame.  c_i scales the
+    base volume; c_ii redefines the twist; c_iii_pp / c_iii_mp act on the
+    fiber lattice and on the conformal class; c_iv is the component
+    transverse to every fibered structure.  r_plus / r_minus keep the exact
+    inner products <b_k, omega_l> and <b_k, omega-bar_l> of the base 2-form
+    b_k on each fiber pair, so the round trip through the split is exact
+    even in rational mode: b_k = sum_l (r+_kl omega_l + r-_kl omega-bar_l) / 2.
     """
 
     c_i: object
@@ -239,8 +225,8 @@ class DeformationSplit:
     c_iii_pp: tuple    # 3x3, [fiber pair dual, omega component] / sqrt(2)
     c_iii_mp: tuple    # 3x3, [fiber pair dual, opposite-chirality component]
     c_iv: tuple        # 4, coefficient of e^i ^ e^567
-    beta_plus: tuple   # 3 base 2-forms, omega-chirality parts
-    beta_minus: tuple  # 3 base 2-forms, opposite-chirality parts
+    r_plus: tuple      # 3x3, <b_k, omega_l>
+    r_minus: tuple     # 3x3, <b_k, omega-bar_l>
 
     def block_norms_sq(self) -> dict:
         def fro(m):
@@ -254,23 +240,16 @@ class DeformationSplit:
         }
 
     def reassemble(self) -> ConstForm:
-        xi = ConstForm.basis(7, (1, 2, 3, 4), self.c_i) if self.c_i != 0 \
-            else ConstForm.zero(7, 4)
-        for f in range(3):
-            for i in range(4):
-                c = self.c_ii[f][i]
-                if c != 0:
-                    base3 = interior(_e4(i + 1), ConstForm.basis(4, (1, 2, 3, 4)))
-                    xi = xi + wedge(_lift(base3).scale(c), ConstForm.basis(7, (5 + f,)))
+        half = Fraction(1, 2)
+        beta = [[0] * 6 for _ in range(3)]
         for k in range(3):
-            b = self.beta_plus[k] + self.beta_minus[k]
-            if not b.is_zero():
-                xi = xi + wedge(_lift(b), _fiber_pair_form(k))
-        for i in range(4):
-            if self.c_iv[i] != 0:
-                xi = xi + wedge(ConstForm.basis(7, (i + 1,), self.c_iv[i]),
-                                ConstForm.basis(7, (5, 6, 7)))
-        return xi
+            for r, triple in zip((self.r_plus, self.r_minus), _CHIRAL_COLS):
+                for l in range(3):
+                    for col, w in triple[l]:
+                        beta[k][col] += r[k][l] * half * w
+        blocks = ([[self.c_i]], self.c_ii, beta, [self.c_iv])
+        return ConstForm(7, 4, {idx: sign * blocks[b][row][col]
+                                for idx, (b, row, col, sign) in _SPLIT.items()})
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,22 +262,7 @@ class DeformationSplit:
         }
 
 
-def _e4(i: int):
-    return [1 if j == i else 0 for j in range(1, 5)]
-
-
-def _lift(a: ConstForm) -> ConstForm:
-    """Reinterpret a base form as an ambient form (base legs only)."""
-    return ConstForm(7, a.degree, dict(a.coeffs))
-
-
-def _fiber_pair_form(k: int) -> ConstForm:
-    # dual of fiber axis k under eps^ijk on {5,6,7}
-    pairs = {0: (6, 7), 1: (7, 5), 2: (5, 6)}
-    return ConstForm.basis(7, pairs[k])
-
-
-def decompose_deformation(xi: ConstForm, eta: Metric | None = None) -> DeformationSplit:
+def decompose_deformation(xi: ConstForm) -> DeformationSplit:
     """Split a 4-form on R^4 (+) R^3 by its number of fiber legs.
 
     0 legs -> I, 1 -> II, 2 -> III (resolved into the two chiralities of the
@@ -307,53 +271,21 @@ def decompose_deformation(xi: ConstForm, eta: Metric | None = None) -> Deformati
     """
     if xi.dim != 7 or xi.degree != 4:
         raise ValueError("expected a 4-form on R^7")
-    eta = eta if eta is not None else _FLAT_ETA
-    plus, minus = chirality_basis(eta, 1), chirality_basis(eta, -1)
-    # both bases are g-orthogonal with |w|^2 = 2: each part is <b, w>_g w / 2
-    g = None if eta.mat == _FLAT_ETA.mat else eta
-    c_i = xi[(1, 2, 3, 4)]
-    c_ii = [[0] * 4 for _ in range(3)]
-    c_iv = [0] * 4
-    beta = [dict() for _ in range(3)]  # base 2-form attached to each fiber pair dual
+    blocks = ([[0]], [[0] * 4 for _ in range(3)], [[0] * 6 for _ in range(3)], [[0] * 4])
     for idx, c in xi.coeffs.items():
-        fiber = tuple(i for i in idx if i >= 5)
-        base = tuple(i for i in idx if i <= 4)
-        if len(fiber) == 1:
-            miss = [i for i in range(1, 5) if i not in base][0]
-            # coefficient against (e_miss -| e^1234) ^ e^fiber
-            sign = (-1) ** (miss - 1)
-            c_ii[fiber[0] - 5][miss - 1] = sign * c
-        elif len(fiber) == 2:
-            i, j = fiber[0] - 4, fiber[1] - 4
-            k = EPSILON3[(i, j)]
-            sgn = 1 if k > 0 else -1
-            beta[abs(k) - 1][base] = beta[abs(k) - 1].get(base, 0) + sgn * c
-        elif len(fiber) == 3:
-            c_iv[base[0] - 1] = c
-    c_iii_pp = [[0.0] * 3 for _ in range(3)]
-    c_iii_mp = [[0.0] * 3 for _ in range(3)]
-    beta_plus, beta_minus = [], []
+        b, row, col, sign = _SPLIT[idx]
+        blocks[b][row][col] = sign * c
+    beta = blocks[2]
+    # omega and omega-bar are orthogonal with |w|^2 = 2: each part is <b, w> w / 2
+    r_plus, r_minus = (tuple(tuple(sum(w * beta[k][col] for col, w in triple[l])
+                                   for l in range(3)) for k in range(3))
+                       for triple in _CHIRAL_COLS)
     sqrt2 = float(np.sqrt(2.0))
-    half = Fraction(1, 2)
-    for k in range(3):
-        b = ConstForm(4, 2, beta[k])
-        bp = ConstForm.zero(4, 2)
-        bm = ConstForm.zero(4, 2)
-        for l in range(3):
-            rp = form_inner(b, plus[l], g)
-            rm = form_inner(b, minus[l], g)
-            bp = bp + plus[l].scale(rp * half)
-            bm = bm + minus[l].scale(rm * half)
-            c_iii_pp[k][l] = float(rp) / sqrt2
-            c_iii_mp[k][l] = float(rm) / sqrt2
-        beta_plus.append(bp)
-        beta_minus.append(bm)
     return DeformationSplit(
-        c_i=c_i, c_ii=tuple(tuple(r) for r in c_ii),
-        c_iii_pp=tuple(tuple(r) for r in c_iii_pp),
-        c_iii_mp=tuple(tuple(r) for r in c_iii_mp),
-        c_iv=tuple(c_iv),
-        beta_plus=tuple(beta_plus), beta_minus=tuple(beta_minus),
+        c_i=blocks[0][0][0], c_ii=tuple(tuple(r) for r in blocks[1]),
+        c_iii_pp=tuple(tuple(float(x) / sqrt2 for x in r) for r in r_plus),
+        c_iii_mp=tuple(tuple(float(x) / sqrt2 for x in r) for r in r_minus),
+        c_iv=tuple(blocks[3][0]), r_plus=r_plus, r_minus=r_minus,
     )
 
 

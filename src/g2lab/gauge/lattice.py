@@ -548,8 +548,8 @@ def write_snapshot(U: LatticeGaugeField, path: str) -> None:
 
 def read_snapshot(path: str) -> LatticeGaugeField:
     """Read a write_snapshot file.  The header is checked, and the file
-    length against it, before the links are allocated; any mismatch raises
-    ValueError."""
+    length against it, before the links are allocated; any mismatch, or a
+    NaN or infinite link entry, raises ValueError."""
     size = os.path.getsize(path)
     with open(path, "rb") as fh:
         def unpack(fmt):
@@ -579,5 +579,7 @@ def read_snapshot(path: str) -> LatticeGaugeField:
             raise ValueError(f"snapshot has {size} bytes, its header "
                              f"{list(dims)} {group} needs {want}")
         raw = np.frombuffer(fh.read(16 * count), dtype="<c16")
+    if not np.isfinite(raw).all():
+        raise ValueError("snapshot has non-finite link entries")
     links = raw.reshape(ndim, *dims, r, r).astype(complex)
     return LatticeGaugeField(dims, group, links, spacing)

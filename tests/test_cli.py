@@ -17,14 +17,22 @@ def load_schema(name):
         return json.load(fh)
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def run_cli(argv, capsys):
     code = cli.run(argv)
     captured = capsys.readouterr()
-    out = json.loads(captured.out) if captured.out.startswith("{") else None
+    out = strict_json(captured.out) if captured.out.startswith("{") else None
     err = None
     if captured.err:
         # argparse may print usage text before the error JSON line
-        err = json.loads(captured.err.strip().splitlines()[-1])
+        err = strict_json(captured.err.strip().splitlines()[-1])
     return code, out, err
 
 
@@ -71,6 +79,29 @@ def test_deform_splits_transverse_form(tmp_path, capsys):
     assert code == 0
     jsonschema.validate(out, load_schema("deform"))
     assert out["split"]["c_IV"] == [-2.0, 0.0, 0.0, 0.0]
+
+
+# A xi with terms in all five blocks and one exact "p/q" coefficient, and the
+# deform stdout recorded for it from the form-algebra split.
+PINNED_XI = {"dim": 7, "degree": 4, "terms": [
+    {"idx": [1, 2, 3, 4], "c": 0.5}, {"idx": [1, 2, 3, 6], "c": -1.25},
+    {"idx": [1, 2, 5, 6], "c": "2/3"}, {"idx": [3, 4, 5, 6], "c": 0.75},
+    {"idx": [2, 5, 6, 7], "c": -3.0}]}
+PINNED_DEFORM = (
+    '{"command":"deform","split":{"block_norms_sq":{"I":0.25,"II":1.5625,'
+    '"III_mp":1.0034722222222217,"III_pp":0.0034722222222222246,"IV":9.0},'
+    '"c_I":0.5,"c_II":[[0.0,0.0,0.0,0.0],[0.0,0.0,0.0,1.25],'
+    '[0.0,0.0,0.0,0.0]],"c_III_mp":[[0.0,0.0,0.0],[0.0,0.0,0.0],'
+    '[1.001734606680942,0.0,0.0]],"c_III_pp":[[0.0,0.0,0.0],[0.0,0.0,0.0],'
+    '[-0.05892556509887898,0.0,0.0]],"c_IV":[0.0,-3.0,0.0,0.0]}}\n')
+
+
+def test_deform_stdout_bytes_are_pinned(tmp_path, capsys):
+    path = str(tmp_path / "pinned.json")
+    with open(path, "w") as fh:
+        json.dump(PINNED_XI, fh)
+    assert cli.run(["deform", "--xi", path]) == 0
+    assert capsys.readouterr().out == PINNED_DEFORM
 
 
 def test_deform_rejects_wrong_degree(tmp_path, capsys):
@@ -209,3 +240,63 @@ def test_report_stdout_json(capsys):
     assert code == 0
     jsonschema.validate(out, load_schema("report"))
     assert out["identities"]["all_pass"]
+
+
+XI_TEXT = '{"dim": 7, "degree": 4, "terms": [{"idx": [1, 5, 6, 7], "c": %s}]}'
+SPEC_TEXT = ('{"eta": [["1", "0", "0", "0"], ["0", "1", "0", "0"], '
+             '["0", "0", "1", "0"], ["0", "0", "0", "1"]], '
+             '"l_basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], '
+             '"alpha": [[%s, "0", "0", "0"], ["0", "0", "0", "0"], '
+             '["0", "0", "0", "0"]]}')
+FLOW = ["flow", "--lattice", "4x4x4x4", "--group", "u1"]
+
+# each builds the argv of one hostile input from a helper `h`
+HOSTILE = {
+    "form-zero-denominator": lambda h: ["deform", "--xi", h.text(XI_TEXT % '"1/0"')],
+    "form-coefficient-NaN": lambda h: ["deform", "--xi", h.text(XI_TEXT % "NaN")],
+    "form-coefficient-Infinity": lambda h: ["deform", "--xi", h.text(XI_TEXT % "Infinity")],
+    "form-coefficient-1e400": lambda h: ["deform", "--xi", h.text(XI_TEXT % "1e400")],
+    "form-coefficient-boolean": lambda h: ["deform", "--xi", h.text(XI_TEXT % "true")],
+    "form-is-a-directory": lambda h: ["deform", "--xi", str(h.root)],
+    "form-nested-too-deep": lambda h: ["deform", "--xi", h.text("[" * 10**5 + "]" * 10**5)],
+    "spec-zero-denominator": lambda h: ["fibration", "--spec", h.text(SPEC_TEXT % '"1/0"')],
+    "spec-alpha-NaN": lambda h: ["fibration", "--spec", h.text(SPEC_TEXT % "NaN")],
+    "spec-coefficient-boolean": lambda h: ["fibration", "--spec", h.text(SPEC_TEXT % "false")],
+    "flow-noise-nan": lambda h: FLOW + ["--noise", "nan", "--out", h.out],
+    "flow-noise-inf": lambda h: FLOW + ["--noise", "inf", "--out", h.out],
+    "flow-noise-negative": lambda h: FLOW + ["--noise", "-0.1", "--out", h.out],
+    "flow-tol-zero": lambda h: FLOW + ["--tol", "0", "--out", h.out],
+    "flow-steps-negative": lambda h: FLOW + ["--steps", "-3", "--out", h.out],
+    "cs-probe-amplitude-nan": lambda h: ["cs", "--field", h.seven, "--probe-amplitude", "nan"],
+    "cs-probe-offsets-negative": lambda h: ["cs", "--field", h.seven, "--probe-offsets", "-1"],
+    "residual-nan-link": lambda h: ["residual", "--in", h.nan_link()],
+    "cs-nan-link": lambda h: ["cs", "--field", h.nan_link()],
+    "obstruct-nan-link": lambda h: ["obstruct", "--field", h.nan_link(),
+                                    "--xi", h.text(XI_TEXT % "-2.0")],
+}
+
+
+class HostileFiles:
+    def __init__(self, pipeline, tmp_path):
+        self.root, self.seven = tmp_path, pipeline["seven"]
+        self.out = str(tmp_path / "never.lat")
+
+    def text(self, text, name="input.json"):
+        path = self.root / name
+        path.write_text(text)
+        return str(path)
+
+    def nan_link(self):
+        with open(self.seven, "rb") as fh:
+            data = fh.read()[:-16] + struct.pack("<dd", float("nan"), 0.0)
+        path = self.root / "nan-link.lat"
+        path.write_bytes(data)
+        return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_is_a_validation_error(pipeline, tmp_path, case, capsys):
+    code, out, err = run_cli(HOSTILE[case](HostileFiles(pipeline, tmp_path)), capsys)
+    assert code == 1 and out is None
+    jsonschema.validate(err, load_schema("error"))
+    assert err["error"]["code"] == "validation"

@@ -8,13 +8,15 @@ from hypothesis import given, strategies as st
 
 from g2lab.exterior import ConstForm, Metric, interior, lex_basis, wedge
 from g2lab.fibration import (
-    OMEGA_BAR_BASE, OMEGA_BASE, FibrationSpec, build_fibration,
-    chirality_basis, decompose_deformation, poincare_pairing,
+    FibrationSpec, build_fibration, decompose_deformation, poincare_pairing,
     pullback_along_f, xi_from_perturbation,
 )
 from g2lab.g2core import standard_phi, standard_structure
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+# floats spread over 16 decades
+wide_floats = st.builds(lambda s, m, e: s * m * 10.0 ** e, st.sampled_from((-1, 1)),
+                        st.floats(min_value=1, max_value=10), st.integers(-8, 7))
 
 
 def fiber_generators(fib):
@@ -68,48 +70,6 @@ def test_only_exact_standard_spec_shares_the_standard_structure():
     assert all(type(c) is float for c in floats.g2.phi.coeffs.values())
 
 
-# Both chirality bases of a tilted base metric, recorded before sd_basis and
-# _asd_basis were merged into chirality_basis (numpy 2.4, OpenBLAS, x86-64).
-TILTED_ETA = Metric(4, [[2.0, 0.3, 0.0, 0.1], [0.3, 1.5, 0.2, 0.0],
-                        [0.0, 0.2, 1.0, 0.05], [0.1, 0.0, 0.05, 1.2]])
-TILTED_BASES = {
-    1: [
-        {(1, 2): 1.701190892551154, (1, 3): 0.1369485162893838,
-         (1, 4): 0.016768022801321173, (2, 3): -0.009883046871164501,
-         (2, 4): -0.1756701785698374, (3, 4): -1.0937090472133577},
-        {(1, 2): 0.1167376858855193, (1, 3): 1.406320528451018,
-         (1, 4): 0.13433106611772241, (2, 3): 0.16387050756273047,
-         (2, 4): 1.3246541878779363, (3, 4): 0.035632524575323794},
-        {(1, 2): -0.048185680394719495, (1, 3): -0.05922562910926536,
-         (1, 4): 1.54002402516552, (2, 3): -1.1971001554321492,
-         (2, 4): 0.1201302247508364, (3, 4): 0.005553668700783046},
-    ],
-    -1: [
-        {(1, 2): 1.6879083304642517, (1, 3): 0.03023114019500496,
-         (1, 4): -0.021933070563246622, (2, 3): 0.009365252032991449,
-         (2, 4): 0.103121361347471, (3, 4): 1.090129523576437},
-        {(1, 2): 0.24628531387923905, (1, 3): 1.406976765430074,
-         (1, 4): -0.08167102081865074, (2, 3): 0.09345300941158823,
-         (2, 4): -1.32752575668018, (3, 4): -0.09521344593552805},
-        {(1, 2): 0.01757874047784666, (1, 3): 0.13965120730747835,
-         (1, 4): 1.5436478823793027, (2, 3): 1.2046488397397295,
-         (2, 4): 0.1644425437183454, (3, 4): 0.007212595933020403},
-    ],
-}
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-def test_chirality_basis_is_bit_identical_on_tilted_metric(sign):
-    got = [{k: float(c) for k, c in f.coeffs.items()}
-           for f in chirality_basis(TILTED_ETA, sign)]
-    assert got == TILTED_BASES[sign]
-
-
-def test_chirality_basis_of_flat_metric_is_the_omega_triples():
-    assert chirality_basis(Metric.identity(4), 1) is OMEGA_BASE
-    assert chirality_basis(Metric.identity(4), -1) is OMEGA_BAR_BASE
-
-
 def test_nonflat_eta_induces_inverse_metric_on_base():
     eta = Metric(4, ((Fraction(4), 0, 0, 0), (0, Fraction(1), 0, 0),
                      (0, 0, Fraction(1), 0), (0, 0, 0, Fraction(4))))
@@ -157,6 +117,18 @@ def test_float_split_matches_exact_split(terms):
         assert np.abs(np.subtract(approx[key], exact[key])).max() <= tol
     back = split.reassemble() - xi.to_double()
     assert all(abs(c) <= tol for c in back.coeffs.values())
+
+
+@given(st.one_of(*(st.dictionaries(st.sampled_from(lex_basis(7, 4)), c,
+                                   min_size=1, max_size=12)
+                   for c in (rationals, wide_floats))))
+def test_block_norms_sum_to_the_norm_of_xi(coeffs):
+    """Parseval: the blocks are orthonormal coordinates of xi, which pins the
+    1/sqrt(2) of block III and the orthogonality of the five blocks."""
+    xi = ConstForm(7, 4, coeffs)
+    want = sum(float(c) ** 2 for c in xi.coeffs.values())
+    got = sum(decompose_deformation(xi).block_norms_sq().values())
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_split_block_dimensions():
