@@ -52,6 +52,13 @@ class NumericalFailure(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ValidationFailure with argparse's reason."""
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationFailure(message)
+
+
 def _json_line(obj: dict) -> str:
     """RFC 8259 JSON: a NaN or infinity is a numerical failure, not a token."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
@@ -99,7 +106,10 @@ def _load_spec(path: str | None) -> FibrationSpec:
     if path is None:
         return FibrationSpec.standard()
     try:
-        return FibrationSpec.from_json_dict(_load_json(path))
+        spec = FibrationSpec.from_json_dict(_load_json(path))
+        # every exact entry must fit a double: the outputs are doubles
+        [float(x) for m in (spec.eta.mat, spec.l_basis, spec.alpha) for r in m for x in r]
+        return spec
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationFailure(f"invalid fibration spec: {exc}") from exc
 
@@ -109,6 +119,7 @@ def _load_xi(path: str) -> ConstForm:
     d = _load_json(path)
     try:
         xi = ConstForm.from_json_dict(d)
+        xi.to_double()  # every exact coefficient must fit a double
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationFailure(f"invalid form JSON: {exc}") from exc
     if (xi.dim, xi.degree) != (7, 4):
@@ -481,11 +492,11 @@ def _print_report_table(report: dict) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    seeded = argparse.ArgumentParser(add_help=False)
+    seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=int, default=42,
                         help="seed for the documented splitmix-style PRNG")
 
-    p = argparse.ArgumentParser(prog="g2lab", description=__doc__)
+    p = _Parser(prog="g2lab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("identities", help="run the exact identity suite")
@@ -549,16 +560,11 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code not in (0, None):
-            _emit_error("validation", "invalid arguments")
-            return EXIT_VALIDATION
-        return 0
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit:  # --help printed its text
+        return EXIT_OK
     except ValidationFailure as exc:
         _emit_error("validation", str(exc))
         return EXIT_VALIDATION

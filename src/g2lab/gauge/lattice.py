@@ -8,6 +8,7 @@ topological charge selects the sector.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -67,8 +68,7 @@ class LatticeGaugeField:
 
     def unitarity_defect(self) -> float:
         u = self.links
-        eye = np.eye(self.rank)
-        d = np.abs(u @ np.conj(np.swapaxes(u, -1, -2)) - eye).max()
+        d = np.abs(_mul(u, _dag(u)) - np.eye(self.rank)).max()
         if self.group == "su2":
             det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
             d = max(float(d), float(np.abs(det - 1.0).max()))
@@ -83,19 +83,31 @@ def identity_field(dims, group: str) -> LatticeGaugeField:
 
 
 def _shift(a: np.ndarray, axis: int, n: int) -> np.ndarray:
-    # site array axis 0 is direction; site axes start at 1
-    return np.roll(a, -n, axis=1 + axis)
+    """The site array (*dims, r, r) ``a`` read at x + n e_axis."""
+    return np.roll(a, -n, axis=axis)
 
 
 def _dag(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def _mul(*factors: np.ndarray) -> np.ndarray:
+    """factors[0] @ factors[1] @ ... over broadcast sites.  Batched matmul is
+    slow on tiny matrices, so rank 1 multiplies elementwise and rank 2 writes
+    out the four entries (Creutz, Phys. Rev. D 21, 2308 (1980))."""
+    if factors[0].shape[-1] == 1:
+        return functools.reduce(np.multiply, factors)
+    a = [[factors[0][..., i, j] for j in (0, 1)] for i in (0, 1)]
+    for b in factors[1:]:
+        a = [[a[i][0] * b[..., 0, j] + a[i][1] * b[..., 1, j] for j in (0, 1)]
+             for i in (0, 1)]
+    return np.stack(a[0] + a[1], axis=-1).reshape(*a[0][0].shape, 2, 2)
+
+
 def plaquette_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
     """P_{mu nu}(x) = U_mu(x) U_nu(x+mu) U_mu(x+nu)^+ U_nu(x)^+, all sites."""
     u = U.links
-    return (u[mu] @ _shift(u[nu:nu + 1], mu, 1)[0]
-            @ _dag(_shift(u[mu:mu + 1], nu, 1)[0]) @ _dag(u[nu]))
+    return _mul(u[mu], _shift(u[nu], mu, 1), _dag(_shift(u[mu], nu, 1)), _dag(u[nu]))
 
 
 def plaquette(U: LatticeGaugeField, site, mu: int, nu: int) -> np.ndarray:
@@ -111,8 +123,8 @@ def plaquette(U: LatticeGaugeField, site, mu: int, nu: int) -> np.ndarray:
 def _project_algebra(m: np.ndarray, rank: int) -> np.ndarray:
     g = 0.5 * (m - _dag(m))
     if rank > 1:
-        tr = np.trace(g, axis1=-2, axis2=-1) / rank
-        g = g - tr[..., None, None] * np.eye(rank)
+        t = 0.5 * (g[..., 0, 0] - g[..., 1, 1])
+        g[..., 0, 0], g[..., 1, 1] = t, -t
     return g
 
 
@@ -122,21 +134,17 @@ def clover_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
     Four plaquette leaves around the site, F^ = (C - C^+)/8 minus the trace
     part; approximates a^2 F_{mu nu} to O(a^4) with exact antisymmetry.
     """
-    u = U.links
-    um, un = u[mu], u[nu]
-    um_mnu = _shift(u[mu:mu + 1], nu, -1)[0]          # U_mu(x - nu)
-    un_mnu = _shift(u[nu:nu + 1], nu, -1)[0]          # U_nu(x - nu)
-    un_mmu = _shift(u[nu:nu + 1], mu, -1)[0]          # U_nu(x - mu)
-    um_mmu = _shift(u[mu:mu + 1], mu, -1)[0]          # U_mu(x - mu)
-    # leaf 1: forward-forward
-    p1 = um @ _shift(u[nu:nu + 1], mu, 1)[0] @ _dag(_shift(u[mu:mu + 1], nu, 1)[0]) @ _dag(un)
+    um, un = U.links[mu], U.links[nu]
+    um_mnu = _shift(um, nu, -1)          # U_mu(x - nu)
+    un_mnu = _shift(un, nu, -1)          # U_nu(x - nu)
+    um_mmu = _shift(um, mu, -1)          # U_mu(x - mu)
+    p1 = plaquette_field(U, mu, nu)      # leaf 1: forward-forward
     # leaf 2: nu, -mu
-    p2 = un @ _dag(_shift(um_mmu[None], nu, 1)[0]) @ _dag(un_mmu) @ um_mmu
+    p2 = _mul(un, _dag(_shift(um_mmu, nu, 1)), _dag(_shift(un, mu, -1)), um_mmu)
     # leaf 3: -mu, -nu
-    p3 = (_dag(um_mmu) @ _dag(_shift(un_mnu[None], mu, -1)[0])
-          @ _shift(um_mnu[None], mu, -1)[0] @ un_mnu)
+    p3 = _mul(_dag(um_mmu), _dag(_shift(un_mnu, mu, -1)), _shift(um_mnu, mu, -1), un_mnu)
     # leaf 4: -nu, mu
-    p4 = _dag(un_mnu) @ um_mnu @ _shift(un_mnu[None], mu, 1)[0] @ _dag(um)
+    p4 = _mul(_dag(un_mnu), um_mnu, _shift(un_mnu, mu, 1), _dag(um))
     # the factors are powers of 2, so this is (C - C^+)/8 to the bit
     return _project_algebra(p1 + p2 + p3 + p4, U.rank) / 4.0
 
@@ -161,7 +169,7 @@ def _clover_stack(U: LatticeGaugeField, planes) -> np.ndarray:
 def _charge(U: LatticeGaugeField, f) -> float:
     """(1/8 pi^2) sum tr(F^F) from the six base planes ``f`` (_PLANES4)."""
     f01, f02, f03, f12, f13, f23 = f
-    dens = f01 @ f23 - f02 @ f13 + f03 @ f12
+    dens = _mul(f01, f23) - _mul(f02, f13) + _mul(f03, f12)
     total = float(np.real(np.trace(dens, axis1=-2, axis2=-1)).sum())
     if U.ndim > 4:
         # lifted fields repeat each base slice across the fiber volume
@@ -264,7 +272,7 @@ def add_link_noise(U: LatticeGaugeField, amplitude: float, seed: int) -> Lattice
         flat[:, 0, 0] *= np.exp(1j * angles)
     else:
         coef = np.array(rng.gausses(3 * flat.shape[0])).reshape(-1, 3) * amplitude
-        flat[:] = _expm_ah(su2(coef[:, ::-1])) @ flat
+        flat[:] = _mul(_expm_ah(su2(coef[:, ::-1])), flat)
     return out
 
 
@@ -279,8 +287,7 @@ def random_gauge_transform(U: LatticeGaugeField, seed: int) -> LatticeGaugeField
         g = _expm_ah(su2(coef[:, ::-1])).reshape(*U.dims, 2, 2)
     out = U.copy()
     for mu in range(U.ndim):
-        g_up = np.roll(g, -1, axis=mu)
-        out.links[mu] = g @ out.links[mu] @ _dag(g_up)
+        out.links[mu] = _mul(g, out.links[mu], _dag(_shift(g, mu, 1)))
     return out
 
 
@@ -304,26 +311,24 @@ def _expm_ah(X: np.ndarray) -> np.ndarray:
     """Exponential of anti-Hermitian traceless 2x2 (or plain exp for 1x1)."""
     if X.shape[-1] == 1:
         return np.exp(X)
-    a = np.imag(X[..., 0, 0])
-    b = np.real(X[..., 0, 1])
-    c = np.imag(X[..., 0, 1])
+    a, b, c = np.imag(X[..., 0, 0]), np.real(X[..., 0, 1]), np.imag(X[..., 0, 1])
     th = np.sqrt(a * a + b * b + c * c)
     sinc = np.where(th > 1e-30, np.sin(np.maximum(th, 1e-30)) / np.maximum(th, 1e-30), 1.0)
-    eye = np.eye(2)
-    return np.cos(th)[..., None, None] * eye + sinc[..., None, None] * X
+    return np.cos(th)[..., None, None] * np.eye(2) + sinc[..., None, None] * X
 
 
 def reunitarize(U: LatticeGaugeField) -> None:
-    """Project links back onto the group (polar projection, det fixed)."""
+    """Project links back onto the group, in place; for su2 the nearest SU(2)
+    matrix: the normalised quaternion part [[a, b], [-conj b, conj a]]."""
+    u = U.links
     if U.group == "u1":
-        z = U.links[..., 0, 0]
-        U.links[..., 0, 0] = z / np.abs(z)
+        u[..., 0, 0] /= np.abs(u[..., 0, 0])
         return
-    w, s, vh = np.linalg.svd(U.links)
-    u = w @ vh
-    det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
-    u = u * (det ** -0.5)[..., None, None]
-    U.links = u
+    a = 0.5 * (u[..., 0, 0] + np.conj(u[..., 1, 1]))
+    b = 0.5 * (u[..., 0, 1] - np.conj(u[..., 1, 0]))
+    n = np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
+    u[..., 0, 0], u[..., 0, 1] = a / n, b / n
+    u[..., 1, 0], u[..., 1, 1] = -np.conj(u[..., 0, 1]), np.conj(u[..., 0, 0])
 
 
 # plane -> (its component in the ASD part of _sd_asd, its sign there); the
@@ -355,27 +360,19 @@ def asd_force(U: LatticeGaugeField) -> np.ndarray:
     u = U.links
     out = np.zeros_like(u)
     for (mu, nu), (k, s) in _PLANE_SIGNS.items():
-        d = D[k]
-        p = P[(mu, nu)]
-        dd = _dag(d)
+        p, dd = P[(mu, nu)], _dag(D[k])
         # U_mu(x): leading factor of P(x), daggered third factor of P(x-nu)
-        out[mu] += s * (p @ dd)
-        un_dn = _shift(u[nu][None], nu, -1)[0]
-        dd_dn = _shift(dd[None], nu, -1)[0]
-        p_dn = _shift(p[None], nu, -1)[0]
-        out[mu] -= s * (_dag(un_dn) @ dd_dn @ p_dn @ un_dn)
+        out[mu] += s * _mul(p, dd)
+        un_dn = _shift(u[nu], nu, -1)
+        out[mu] -= s * _mul(_dag(un_dn), _shift(dd, nu, -1), _shift(p, nu, -1), un_dn)
         # U_nu(x): second factor of P(x-mu), daggered last factor of P(x)
-        um_bk = _shift(u[mu][None], mu, -1)[0]
-        um_bk_up = _shift(um_bk[None], nu, 1)[0]
-        un_bk = _shift(u[nu][None], mu, -1)[0]
-        dd_bk = _shift(dd[None], mu, -1)[0]
-        out[nu] += s * (u[nu] @ _dag(um_bk_up) @ _dag(un_bk) @ dd_bk @ um_bk)
-        out[nu] -= s * (dd @ p)
+        um_bk = _shift(u[mu], mu, -1)
+        out[nu] += s * _mul(u[nu], _dag(_shift(um_bk, nu, 1)), _dag(_shift(u[nu], mu, -1)),
+                            _shift(dd, mu, -1), um_bk)
+        out[nu] -= s * _mul(dd, p)
     # sign: Re tr(X M) = -<X, Pi(M)> for anti-Hermitian X, so the descent
     # update U <- exp(-tau G) U needs G = -Pi(M)
-    for mu in range(U.ndim):
-        out[mu] = -_project_algebra(out[mu], U.rank)
-    return out
+    return -_project_algebra(out, U.rank)
 
 
 def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
@@ -404,20 +401,16 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
         if fmax < 1e-14:
             return {"field": work, "history": history, "converged": False,
                     "steps": step - 1, "plateau": True}
-        accepted = False
         trial_tau = tau
         for _ in range(30):
-            trial = work.copy()
-            scale = trial_tau / fmax
-            for mu in range(4):
-                trial.links[mu] = _expm_ah(-scale * force[mu]) @ trial.links[mu]
+            rot = _expm_ah(-trial_tau / fmax * force)
+            trial = LatticeGaugeField(work.dims, work.group, _mul(rot, work.links), work.spacing)
             reunitarize(trial)
             trial_en = plaquette_chirality_energies(trial)
             if trial_en["asd_sq"] <= en["asd_sq"] * (1.0 + 1e-12):
-                accepted = True
                 break
             trial_tau *= 0.5
-        if not accepted:
+        else:
             if en["asd_sq"] < 1e-20 or fmax < 1e-9 * max(en["asd_sq"], 1.0):
                 return {"field": work, "history": history, "converged": False,
                         "steps": step - 1, "plateau": True}

@@ -257,11 +257,13 @@ HOSTILE = {
     "form-coefficient-Infinity": lambda h: ["deform", "--xi", h.text(XI_TEXT % "Infinity")],
     "form-coefficient-1e400": lambda h: ["deform", "--xi", h.text(XI_TEXT % "1e400")],
     "form-coefficient-boolean": lambda h: ["deform", "--xi", h.text(XI_TEXT % "true")],
+    "form-coefficient-string-1e400": lambda h: ["deform", "--xi", h.text(XI_TEXT % '"1e400"')],
     "form-is-a-directory": lambda h: ["deform", "--xi", str(h.root)],
     "form-nested-too-deep": lambda h: ["deform", "--xi", h.text("[" * 10**5 + "]" * 10**5)],
     "spec-zero-denominator": lambda h: ["fibration", "--spec", h.text(SPEC_TEXT % '"1/0"')],
     "spec-alpha-NaN": lambda h: ["fibration", "--spec", h.text(SPEC_TEXT % "NaN")],
     "spec-coefficient-boolean": lambda h: ["fibration", "--spec", h.text(SPEC_TEXT % "false")],
+    "spec-coefficient-string-1e400": lambda h: ["fibration", "--spec", h.text(SPEC_TEXT % '"1e400"')],
     "flow-noise-nan": lambda h: FLOW + ["--noise", "nan", "--out", h.out],
     "flow-noise-inf": lambda h: FLOW + ["--noise", "inf", "--out", h.out],
     "flow-noise-negative": lambda h: FLOW + ["--noise", "-0.1", "--out", h.out],
@@ -273,6 +275,8 @@ HOSTILE = {
     "cs-nan-link": lambda h: ["cs", "--field", h.nan_link()],
     "obstruct-nan-link": lambda h: ["obstruct", "--field", h.nan_link(),
                                     "--xi", h.text(XI_TEXT % "-2.0")],
+    "obstruct-form-coefficient-string-1e400": lambda h: [
+        "obstruct", "--field", h.seven, "--xi", h.text(XI_TEXT % '"1e400"')],
 }
 
 
@@ -300,3 +304,22 @@ def test_hostile_input_is_a_validation_error(pipeline, tmp_path, case, capsys):
     assert code == 1 and out is None
     jsonschema.validate(err, load_schema("error"))
     assert err["error"]["code"] == "validation"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (FLOW + ["--noise", "nan", "--out", "never.lat"],
+     "argument --noise: expected a finite number >= 0, got 'nan'"),
+    (["flow", "--lattice", "4x4x4x4"], "the following arguments are required: --out"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+])
+def test_bad_arguments_name_the_reason(argv, reason, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out is None
+    jsonschema.validate(err, load_schema("error"))
+    assert err["error"]["code"] == "validation"
+    assert err["error"]["message"].startswith(reason)
+
+
+def test_help_exits_zero(capsys):
+    assert cli.run(["flow", "--help"]) == 0
+    assert "--noise" in capsys.readouterr().out

@@ -10,6 +10,8 @@ from g2lab.gauge.lattice import (
     plaquette, plaquette_chirality_energies, random_gauge_transform,
     read_snapshot, residual_7d, reunitarize, toron_su2, write_snapshot,
 )
+from g2lab.gauge.lattice import _mul
+from g2lab.rng import SplitMix64
 
 SD_UNIT = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 HALF_FLUX = [[0, 0.5, 0.5, 0], [-0.5, 0, 0, -0.5],
@@ -147,3 +149,114 @@ def test_snapshot_rejects_garbage(tmp_path):
     p.write_bytes(b"NOTAFILE" + b"\0" * 64)
     with pytest.raises(ValueError):
         read_snapshot(str(p))
+
+
+def _random_links(rng, shape, rank):
+    return rng.normal(size=shape + (rank, rank)) + 1j * rng.normal(size=shape + (rank, rank))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("shapes", [[(7,), (7,)], [(3, 1, 4), (5, 1), (1,)],
+                                    [(2, 3), (3,), (2, 1), (2, 3)]])
+def test_mul_is_matmul_to_a_few_ulps(rank, shapes):
+    rng = np.random.default_rng(rank)
+    factors = [_random_links(rng, s, rank) for s in shapes]
+    got, want, bound = _mul(*factors), factors[0], np.abs(factors[0])
+    for f in factors[1:]:
+        want, bound = want @ f, bound @ np.abs(f)
+    assert got.shape == want.shape
+    # the rounding bound of a length-`rank` dot product, per product
+    assert np.all(np.abs(got - want) <= 4 * len(factors) * np.finfo(float).eps * bound)
+
+
+def _su2_links(rng, n):
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    a, b = q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3]
+    return np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(n, 2, 2)
+
+
+def _svd_projection(u):
+    """Polar projection onto U(2), then the determinant divided out."""
+    w, _, vh = np.linalg.svd(u)
+    p = w @ vh
+    det = p[..., 0, 0] * p[..., 1, 1] - p[..., 0, 1] * p[..., 1, 0]
+    return p * (det ** -0.5)[..., None, None]
+
+
+def _as_field(links):
+    return LatticeGaugeField((len(links),), "su2", links[None].copy())
+
+
+def test_reunitarize_matches_svd_projection_near_su2():
+    # links after a first-order step (1 + 1e-3 X) U, X in su(2): what cooling
+    # hands to reunitarize, off the group by about 1e-6
+    rng = np.random.default_rng(3)
+    U = _su2_links(rng, 5000)
+    X = np.zeros_like(U)
+    g = 1e-3 * rng.normal(size=(5000, 3))
+    X[:, 0, 0], X[:, 1, 1] = 1j * g[:, 0], -1j * g[:, 0]
+    X[:, 0, 1], X[:, 1, 0] = g[:, 1] + 1j * g[:, 2], -g[:, 1] + 1j * g[:, 2]
+    V = _as_field(U + X @ U)
+    assert V.unitarity_defect() > 1e-8
+    reunitarize(V)
+    assert np.abs(V.links[0] - _svd_projection(U + X @ U)).max() < 1e-14
+    assert V.unitarity_defect() < 1e-15
+
+
+def test_reunitarize_is_the_nearest_su2_matrix():
+    # off the quaternion directions the two projections differ at second
+    # order; the closed form is the one nearest the input
+    rng = np.random.default_rng(4)
+    M = _su2_links(rng, 5000) + 1e-3 * _random_links(rng, (5000,), 2)
+    V = _as_field(M)
+    reunitarize(V)
+    assert V.unitarity_defect() < 1e-15
+    near = np.linalg.norm(V.links[0] - M, axis=(-2, -1))
+    svd = np.linalg.norm(_svd_projection(M) - M, axis=(-2, -1))
+    assert np.all(near <= svd * (1 + 1e-12))
+
+
+def test_reunitarize_keeps_su2_links():
+    U = _su2_links(np.random.default_rng(5), 5000)
+    V = _as_field(U)
+    reunitarize(V)
+    assert np.abs(V.links[0] - U).max() < 1e-15
+
+
+def _state_before(output):
+    """The generator state whose next_u64() returns ``output``: the mix
+    run backwards, then one step of the sequence undone."""
+    from g2lab.rng import _GAMMA, _M1, _M2, _MASK
+    z = output
+    for k, m in ((31, None), (27, _M2), (30, _M1)):
+        if m is not None:
+            z = (z * pow(m, -1, 1 << 64)) & _MASK
+        y = z
+        for _ in range(64 // k):
+            y = z ^ (y >> k)
+        z = y
+    return (z - _GAMMA) & _MASK
+
+
+def test_state_before_inverts_the_mix():
+    for out in (0, 1, 12345, (1 << 64) - 1):
+        assert SplitMix64(_state_before(out)).next_u64() == out
+
+
+# seeds whose first draw is 0 (u1 clamped to 2^-64) and 1.0 (a signed zero)
+PRNG_SEEDS = list(range(18)) + [_state_before(0), _state_before((1 << 64) - 1)]
+
+
+@pytest.mark.parametrize("seed", PRNG_SEEDS)
+def test_batch_draws_are_bit_identical_to_single_draws(seed):
+    def bits(xs):
+        return np.asarray(xs, dtype=float).view(np.uint64).tolist()
+
+    for n in (1, 2, 10 ** 5):
+        batch, single = SplitMix64(seed), SplitMix64(seed)
+        assert bits(batch.gausses(n)) == bits([single.gauss() for _ in range(n)])
+        assert batch.state == single.state
+        assert bits(batch.uniforms(n)) == bits([single.uniform() for _ in range(n)])
+        assert batch.state == single.state
+    assert SplitMix64(seed).gausses(0) == [] and len(SplitMix64(seed).uniforms(0)) == 0
