@@ -137,8 +137,11 @@ def mat_identity(n: int, exact: bool = True):
 
 
 def mat_det(m) -> object:
-    """Determinant by fraction-free-ish Gaussian elimination (exact or float)."""
+    """Determinant by fraction-free-ish Gaussian elimination (exact or float);
+    written out for 2x2, the minors of the 5-form Hodge stars."""
     n = len(m)
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     a = [list(row) for row in m]
     det = a[0][0] - a[0][0] + 1  # one, in the scalar type of the matrix
     for col in range(n):
@@ -424,34 +427,34 @@ def hodge(a: ConstForm, g: Metric | None = None, o: Orientation = Orientation(1)
     """Hodge star for an arbitrary SPD metric and explicit orientation.
 
     Defined by b ^ (star a) = <b, a>_g dVol for every b, with
-    dVol = sign * sqrt(det g) e^{1...n}.
+    dVol = sign * sqrt(det g) e^{1...n}.  Jacobi's identity
+    det(g^-1)[J, I] = (-1)^(sum I + sum J) det g[J^c, I^c] / det g turns the
+    raised coefficients into complementary minors of g itself:
+    (star a)_K = sign * det(g)^(-1/2) * sum_I sign(I, I^c) a_I det g[I^c, K].
     """
     n = a.dim
     if g is not None and g.dim != n:
         raise DimensionMismatch("metric dim")
     exact = (g is None or g.is_exact()) and all(is_exact(c) for c in a.coeffs.values())
-    if g is None:
-        ginv = None
-        vol = Fraction(1) if exact else 1.0
-    else:
-        ginv = g.inverse_matrix()
-        detg = g.det()
-        vol = sqrt_exact(Fraction(detg)) if exact else math.sqrt(float(detg))
     out: dict = {}
-    # raised coefficients a^J = sum_I det(ginv[J, I]) a_I, then pair with the
-    # complement: (star a)_K = vol * sign(J, K) * a^J, K = complement(J).
-    for jdx in increasing_tuples(n, a.degree):
-        if ginv is None:
-            raised = a.coeffs.get(jdx, 0)
-        else:
-            raised = 0
-            for idx, c in a.coeffs.items():
-                raised = raised + c * mat_minor_det(ginv, jdx, idx)
-        if raised == 0:
-            continue
-        kdx = complement(jdx, n)
-        sign = perm_sign(jdx, kdx)
-        out[kdx] = out.get(kdx, 0) + o.sign * sign * vol * raised
+    if g is None:
+        one = Fraction(1) if exact else 1.0
+        for idx, c in a.coeffs.items():
+            kdx = complement(idx, n)
+            out[kdx] = o.sign * perm_sign(idx, kdx) * one * c
+        return ConstForm(n, n - a.degree, out)
+    detg = g.det()
+    scale = o.sign / sqrt_exact(Fraction(detg)) if exact else o.sign / math.sqrt(float(detg))
+    terms = []
+    for idx, c in a.coeffs.items():
+        rest = complement(idx, n)
+        terms.append((rest, perm_sign(idx, rest) * c))
+    for kdx in increasing_tuples(n, n - a.degree):
+        total = 0
+        for rest, c in terms:
+            total = total + c * mat_minor_det(g.mat, rest, kdx)
+        if total != 0:
+            out[kdx] = scale * total
     return ConstForm(n, n - a.degree, out)
 
 

@@ -193,7 +193,12 @@ def eigen_split(phi: ConstForm) -> G2Structure:
     g, orient, vol = metric_from_phi(phi)
     T = _t_matrix(phi, g, orient)
     Tf = np.array([[float(x) for x in row] for row in T])
-    evals = np.linalg.eigvalsh(0.5 * (Tf + Tf.T))
+    # T is self-adjoint for g's inner product on Lambda^2, not for the
+    # coordinate one: its spectrum is real, but Tf is not symmetric.
+    evals = np.linalg.eigvals(Tf)
+    if np.abs(evals.imag).max() > 1e-8 * max(np.abs(evals).max(), 1.0):
+        raise EigenvalueClustering("T has complex eigenvalues")
+    evals = evals.real
     lo, hi = evals.min(), evals.max()
     if hi - lo < 1e-8:
         raise EigenvalueClustering("eigenvalue clusters are not separated")
@@ -232,16 +237,24 @@ def eigen_split(phi: ConstForm) -> G2Structure:
 
 
 def _exact_spectrum_ok(T, l7, l14) -> bool:
-    n = 21
-    # (T - l7)(T - l14) == 0 certifies the spectrum exactly
-    for i in range(n):
-        for j in range(n):
-            acc = sum(T[i][k] * T[k][j] for k in range(n))
-            acc -= (l7 + l14) * T[i][j]
-            if i == j:
-                acc += l7 * l14
-            if acc != 0:
-                return False
+    """(T - l7)(T - l14) == 0 certifies the spectrum exactly.  Checked in
+    Python ints, both factors scaled by the lcm d of every denominator."""
+    d = math.lcm(l7.denominator, l14.denominator,
+                 *(Fraction(x).denominator for row in T for x in row))
+
+    def scaled(lam):
+        return [[int(d * (x - lam if i == j else x)) for j, x in enumerate(row)]
+                for i, row in enumerate(T)]
+
+    left, right = scaled(l7), scaled(l14)
+    for row in left:
+        acc = [0] * len(T)
+        for a, r in zip(row, right):
+            if a:
+                for j, b in enumerate(r):
+                    acc[j] += a * b
+        if any(acc):
+            return False
     return True
 
 

@@ -1,6 +1,7 @@
 """Properties of the sparse constant-coefficient exterior algebra."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,48 @@ def test_hodge_nontrivial_metric():
     e1 = ConstForm.basis(2, (1,))
     # *e1 = sqrt(det g) g^{11} e2 = 2 * (1/4) e2
     assert (hodge(e1, g) - ConstForm.basis(2, (2,), Fraction(1, 2))).is_zero()
+
+
+def _spd_metric(dim, seed):
+    """Exact non-identity SPD metric A^T A, A upper triangular, so that
+    sqrt(det g) = |det A| is rational."""
+    rnd = random.Random(seed)
+    A = [[Fraction(rnd.choice((1, 2, 3)), rnd.choice((1, 2))) if i == j
+          else Fraction(rnd.randint(-2, 2), rnd.choice((1, 2, 3))) if i < j else 0
+          for j in range(dim)] for i in range(dim)]
+    return Metric(dim, [[sum(A[k][i] * A[k][j] for k in range(dim))
+                         for j in range(dim)] for i in range(dim)])
+
+
+def _random_form(dim, degree, rnd):
+    basis = lex_basis(dim, degree)
+    return ConstForm(dim, degree, {
+        idx: Fraction(rnd.randint(-4, 4), rnd.randint(1, 5))
+        for idx in rnd.sample(basis, min(len(basis), 3))})
+
+
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_hodge_with_a_metric(dim):
+    """b ^ star a = <b, a>_g dVol for every basis form b, star star =
+    (-1)^(k(n-k)), and the float star tracks the exact one; form_inner
+    raises through minors of g^-1, so it checks the star independently."""
+    g = _spd_metric(dim, dim)
+    gf = Metric(dim, [[float(x) for x in row] for row in g.mat])
+    rnd = random.Random(100 + dim)
+    for o in (Orientation(1), Orientation(-1)):
+        vol = volume_form(g, dim, o)
+        for k in range(dim + 1):
+            a = _random_form(dim, k, rnd)
+            star = hodge(a, g, o)
+            assert all(isinstance(c, Fraction) for c in star.coeffs.values())
+            for idx in lex_basis(dim, k):
+                b = ConstForm.basis(dim, idx)
+                assert wedge(b, star) == vol.scale(form_inner(b, a, g))
+            assert hodge(star, g, o) == a.scale((-1) ** (k * (dim - k)))
+            approx = hodge(a.to_double(), gf, o)
+            scale = max([1.0] + [abs(float(c)) for c in star.coeffs.values()])
+            for idx in lex_basis(dim, dim - k):
+                assert abs(approx[idx] - float(star[idx])) <= 1e-13 * scale
 
 
 def test_metric_rejects_indefinite():

@@ -1,17 +1,20 @@
 """Torus fibrations, the 4-form deformation split, and the pairing oracle."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from g2lab.exterior import ConstForm, Metric, interior, lex_basis, wedge
+from g2lab.exterior import (ConstForm, Metric, interior, lex_basis, mat_det,
+                            mat_inverse, pullback_linear, wedge)
 from g2lab.fibration import (
     FibrationSpec, build_fibration, decompose_deformation, poincare_pairing,
     pullback_along_f, xi_from_perturbation,
 )
-from g2lab.g2core import standard_phi, standard_structure
+from g2lab.g2core import (_exact_spectrum_ok, _t_matrix, standard_phi,
+                          standard_star_phi, standard_structure)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 # floats spread over 16 decades
@@ -81,6 +84,56 @@ def test_nonflat_eta_induces_inverse_metric_on_base():
     for i in range(7):
         for j in range(7):
             assert g[i][j] == (want[i] if i == j else 0)
+
+
+def _twisted_spec(seed, l_basis=None):
+    """Exact flat-base spec with three seeded rational twist entries."""
+    rnd = random.Random(seed)
+    alpha = [[Fraction(0)] * 4 for _ in range(3)]
+    for pos in rnd.sample(range(12), 3):
+        alpha[pos // 4][pos % 4] = Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 9),
+                                            rnd.randint(1, 7))
+    return FibrationSpec(Metric.identity(4),
+                         l_basis or FibrationSpec.standard().l_basis, alpha)
+
+
+SWAPPED_FIBER = ((0, 1, 0), (1, 0, 0), (0, 0, Fraction(2)))  # det -2
+
+
+@pytest.mark.parametrize("spec", [
+    _twisted_spec(1), _twisted_spec(2), _twisted_spec(3),
+    _twisted_spec(4, SWAPPED_FIBER)], ids=["s1", "s2", "s3", "det<0"])
+def test_twisted_structure_is_the_pulled_back_standard_one(spec):
+    """Naturality: with A = G^-1, phi = A^* phi0 carries g = A^T A and
+    star phi = A^* star phi0, and T keeps the exact spectrum -2 / +1."""
+    fib = build_fibration(spec)
+    A = mat_inverse([list(r) for r in fib.ltilde])
+    s = fib.g2
+    assert all(s.metric.mat[i][j] == sum(A[k][i] * A[k][j] for k in range(7))
+               for i in range(7) for j in range(7))
+    assert s.star_phi == pullback_linear(A, standard_star_phi())
+    assert s.orientation.sign == (1 if mat_det(A) > 0 else -1)
+    assert type(s.lambda7) is Fraction and type(s.lambda14) is Fraction
+    assert (s.lambda7, s.lambda14) == (-2, 1)
+    p7 = np.array(s.p7, dtype=object)
+    assert (p7.dot(p7) == p7).all()
+    assert all(s.p7[i][j] + s.p14[i][j] == (i == j)
+               for i in range(21) for j in range(21))
+    T = _t_matrix(s.phi, s.metric, s.orientation)
+    assert not _exact_spectrum_ok(T, Fraction(-2), Fraction(3, 2))
+
+
+def test_float_twisted_structure_has_the_model_spectrum():
+    """A non-orthonormal float phi: T is self-adjoint for g, not for the
+    coordinate inner product, and still has eigenvalues -2 and +1."""
+    eta = Metric(4, ((Fraction(4), 0, 0, 0), (0, Fraction(1), 0, 0),
+                     (0, 0, Fraction(1), 0), (0, 0, 0, Fraction(4))))
+    s = build_fibration(FibrationSpec(eta, FibrationSpec.standard().l_basis,
+                                      _twisted_spec(5).alpha)).g2
+    assert type(s.lambda7) is float
+    assert abs(s.lambda7 + 2) < 1e-12 and abs(s.lambda14 - 1) < 1e-12
+    p7 = s.p7_array()
+    assert np.abs(p7 @ p7 - p7).max() < 1e-12
 
 
 def test_pullback_along_f_kills_nothing_on_base(standard_fibration):
