@@ -8,6 +8,7 @@ instantons the absolute Yang-Mills minimizers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,10 +109,11 @@ def metric_from_phi(phi: ConstForm):
     # Sign convention: the top coefficient is read against -e^{1..7}; this is
     # the choice that realizes orientation +1 for the standard 3-form, so the
     # coassociative 4-form reproduces the model expression on the nose.
-    B = [[-(wedge(wedge(contr[i], contr[j]), phi)[top]) * one_sixth for j in range(7)]
-         for i in range(7)]
+    B = [[None] * 7 for _ in range(7)]
+    for i, j in itertools.combinations_with_replacement(range(7), 2):
+        B[i][j] = B[j][i] = -(wedge(wedge(contr[i], contr[j]), phi)[top]) * one_sixth
     Bf = np.array([[float(x) for x in row] for row in B])
-    evals = np.linalg.eigvalsh(0.5 * (Bf + Bf.T))
+    evals = np.linalg.eigvalsh(Bf)
     tr = abs(np.trace(Bf))
     if tr == 0 or min(abs(evals)) < 1e-10 * max(tr, 1.0):
         raise UnstableForm("bilinear form is numerically degenerate")

@@ -82,8 +82,8 @@ def identity_field(dims, group: str) -> LatticeGaugeField:
     return LatticeGaugeField(tuple(dims), group, links)
 
 
-def _shift(a: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """The site array (*dims, r, r) ``a`` read at x + n e_axis."""
+def _shift(a: np.ndarray, axis, n: int) -> np.ndarray:
+    """The site array (*dims, r, r) ``a`` read at x + n e_axis (each axis of a tuple)."""
     return np.roll(a, -n, axis=axis)
 
 
@@ -104,10 +104,16 @@ def _mul(*factors: np.ndarray) -> np.ndarray:
     return np.stack(a[0] + a[1], axis=-1).reshape(*a[0][0].shape, 2, 2)
 
 
+def _plane_links(U: LatticeGaugeField, mu: int, nu: int) -> tuple:
+    """The four factors a, b, c, d of P_{mu nu}(x) = a b c d: U_mu(x),
+    U_nu(x+mu), U_mu(x+nu)^+ and U_nu(x)^+ at every site."""
+    u = U.links
+    return u[mu], _shift(u[nu], mu, 1), _dag(_shift(u[mu], nu, 1)), _dag(u[nu])
+
+
 def plaquette_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
     """P_{mu nu}(x) = U_mu(x) U_nu(x+mu) U_mu(x+nu)^+ U_nu(x)^+, all sites."""
-    u = U.links
-    return _mul(u[mu], _shift(u[nu], mu, 1), _dag(_shift(u[mu], nu, 1)), _dag(u[nu]))
+    return _mul(*_plane_links(U, mu, nu))
 
 
 def plaquette(U: LatticeGaugeField, site, mu: int, nu: int) -> np.ndarray:
@@ -134,19 +140,13 @@ def clover_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
     Four plaquette leaves around the site, F^ = (C - C^+)/8 minus the trace
     part; approximates a^2 F_{mu nu} to O(a^4) with exact antisymmetry.
     """
-    um, un = U.links[mu], U.links[nu]
-    um_mnu = _shift(um, nu, -1)          # U_mu(x - nu)
-    un_mnu = _shift(un, nu, -1)          # U_nu(x - nu)
-    um_mmu = _shift(um, mu, -1)          # U_mu(x - mu)
-    p1 = plaquette_field(U, mu, nu)      # leaf 1: forward-forward
-    # leaf 2: nu, -mu
-    p2 = _mul(un, _dag(_shift(um_mmu, nu, 1)), _dag(_shift(un, mu, -1)), um_mmu)
-    # leaf 3: -mu, -nu
-    p3 = _mul(_dag(um_mmu), _dag(_shift(un_mnu, mu, -1)), _shift(um_mnu, mu, -1), un_mnu)
-    # leaf 4: -nu, mu
-    p4 = _mul(_dag(un_mnu), um_mnu, _shift(un_mnu, mu, 1), _dag(um))
+    a, b, c, d = _plane_links(U, mu, nu)
+    # the leaves are the cyclic words abcd, bcda, cdab, dabc: the plaquettes
+    # at x, x - mu, x - mu - nu and x - nu, each read from its corner at x
+    C = (_mul(a, b, c, d) + _shift(_mul(b, c, d, a), mu, -1)
+         + _shift(_mul(c, d, a, b), (mu, nu), -1) + _shift(_mul(d, a, b, c), nu, -1))
     # the factors are powers of 2, so this is (C - C^+)/8 to the bit
-    return _project_algebra(p1 + p2 + p3 + p4, U.rank) / 4.0
+    return _project_algebra(C, U.rank) / 4.0
 
 
 # (mu, nu) planes in lexicographic order: the six of the first four
@@ -360,15 +360,13 @@ def asd_force(U: LatticeGaugeField) -> np.ndarray:
     u = U.links
     out = np.zeros_like(u)
     for (mu, nu), (k, s) in _PLANE_SIGNS.items():
+        a, b, c, d = _plane_links(U, mu, nu)
         p, dd = P[(mu, nu)], _dag(D[k])
         # U_mu(x): leading factor of P(x), daggered third factor of P(x-nu)
         out[mu] += s * _mul(p, dd)
-        un_dn = _shift(u[nu], nu, -1)
-        out[mu] -= s * _mul(_dag(un_dn), _shift(dd, nu, -1), _shift(p, nu, -1), un_dn)
+        out[mu] -= s * _shift(_mul(d, dd, p, u[nu]), nu, -1)
         # U_nu(x): second factor of P(x-mu), daggered last factor of P(x)
-        um_bk = _shift(u[mu], mu, -1)
-        out[nu] += s * _mul(u[nu], _dag(_shift(um_bk, nu, 1)), _dag(_shift(u[nu], mu, -1)),
-                            _shift(dd, mu, -1), um_bk)
+        out[nu] += s * _shift(_mul(b, c, d, dd, a), mu, -1)
         out[nu] -= s * _mul(dd, p)
     # sign: Re tr(X M) = -<X, Pi(M)> for anti-Hermitian X, so the descent
     # update U <- exp(-tau G) U needs G = -Pi(M)
@@ -392,15 +390,13 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
     tau = step_size = 0.1
     en = plaquette_chirality_energies(work)
     history = [(0, en["asd_fraction"], clover_charge(work))]
-    if en["asd_fraction"] < tol:
-        return {"field": work, "history": history, "converged": True,
-                "steps": 0, "plateau": False}
-    for step in range(1, max_steps + 1):
+    steps, plateau = 0, False
+    while steps < max_steps and not en["asd_fraction"] < tol:
         force = asd_force(work)
         fmax = float(np.abs(force).max())
         if fmax < 1e-14:
-            return {"field": work, "history": history, "converged": False,
-                    "steps": step - 1, "plateau": True}
+            plateau = True
+            break
         trial_tau = tau
         for _ in range(30):
             rot = _expm_ah(-trial_tau / fmax * force)
@@ -412,17 +408,15 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
             trial_tau *= 0.5
         else:
             if en["asd_sq"] < 1e-20 or fmax < 1e-9 * max(en["asd_sq"], 1.0):
-                return {"field": work, "history": history, "converged": False,
-                        "steps": step - 1, "plateau": True}
+                plateau = True
+                break
             raise CoolingDivergence(
-                f"no acceptable step at iteration {step}", history)
+                f"no acceptable step at iteration {steps + 1}", history)
         work, en, tau = trial, trial_en, min(trial_tau * 1.5, step_size)
-        history.append((step, en["asd_fraction"], clover_charge(work)))
-        if en["asd_fraction"] < tol:
-            return {"field": work, "history": history, "converged": True,
-                    "steps": step, "plateau": False}
-    return {"field": work, "history": history, "converged": False,
-            "steps": max_steps, "plateau": False}
+        steps += 1
+        history.append((steps, en["asd_fraction"], clover_charge(work)))
+    return {"field": work, "history": history, "converged": en["asd_fraction"] < tol,
+            "steps": steps, "plateau": plateau}
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +535,8 @@ def write_snapshot(U: LatticeGaugeField, path: str) -> None:
 
 def read_snapshot(path: str) -> LatticeGaugeField:
     """Read a write_snapshot file.  The header is checked, and the file
-    length against it, before the links are allocated; any mismatch, or a
-    NaN or infinite link entry, raises ValueError."""
+    length against it, before the links are allocated; any mismatch, a bad
+    spacing, or a NaN or infinite link entry, raises ValueError."""
     size = os.path.getsize(path)
     with open(path, "rb") as fh:
         def unpack(fmt):
@@ -562,6 +556,8 @@ def read_snapshot(path: str) -> LatticeGaugeField:
         code, spacing = unpack("<Id")
         if code not in _GROUP_NAME:
             raise ValueError(f"unknown group code {code}")
+        if not 0.0 < spacing < math.inf:
+            raise ValueError(f"snapshot spacing {spacing} must be finite and > 0")
         if min(dims) < 1:
             raise ValueError(f"snapshot extents {list(dims)} must be >= 1")
         group = _GROUP_NAME[code]

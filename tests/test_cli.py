@@ -179,21 +179,28 @@ def test_residual_rejects_4d_snapshot(pipeline, capsys):
     assert err["error"]["code"] == "validation"
 
 
-def _header(ndim, dims, code):
+def _header(ndim, dims, code, spacing=0.25):
     return (b"G2LAT001" + struct.pack("<II", 1, ndim)
-            + struct.pack(f"<{ndim}I", *dims) + struct.pack("<Id", code, 0.25))
+            + struct.pack(f"<{ndim}I", *dims) + struct.pack("<Id", code, spacing))
+
+
+BAD_SPACINGS = {"nan-spacing": float("nan"), "inf-spacing": float("inf"),
+                "zero-spacing": 0.0, "negative-spacing": -3.0}
 
 
 @pytest.mark.parametrize("case", ["unknown-group", "huge-header",
-                                  "short-file"])
+                                  "short-file", *BAD_SPACINGS])
 def test_residual_rejects_bad_snapshot_header(pipeline, case, capsys):
     with open(pipeline["seven"], "rb") as fh:
         good = fh.read()
-    header = len(_header(7, (4, 4, 4, 4, 3, 3, 3), 1))
+    dims = (4, 4, 4, 4, 3, 3, 3)
+    header = len(_header(7, dims, 1))
     if case == "unknown-group":
-        data = _header(7, (4, 4, 4, 4, 3, 3, 3), 9) + good[header:]
+        data = _header(7, dims, 9) + good[header:]
     elif case == "huge-header":
         data = _header(7, (100000,) * 7, 1) + good[header:]
+    elif case in BAD_SPACINGS:
+        data = _header(7, dims, 1, BAD_SPACINGS[case]) + good[header:]
     else:
         data = good[:-16]
     path = str(pipeline["root"] / f"{case}.lat")
@@ -277,17 +284,26 @@ HOSTILE = {
                                     "--xi", h.text(XI_TEXT % "-2.0")],
     "obstruct-form-coefficient-string-1e400": lambda h: [
         "obstruct", "--field", h.seven, "--xi", h.text(XI_TEXT % '"1e400"')],
+    "lift-nan-spacing": lambda h: ["lift", "--in", h.nan_spacing(), "--out", h.out],
 }
 
 
 class HostileFiles:
     def __init__(self, pipeline, tmp_path):
-        self.root, self.seven = tmp_path, pipeline["seven"]
+        self.root, self.four, self.seven = tmp_path, pipeline["four"], pipeline["seven"]
         self.out = str(tmp_path / "never.lat")
 
     def text(self, text, name="input.json"):
         path = self.root / name
         path.write_text(text)
+        return str(path)
+
+    def nan_spacing(self):
+        with open(self.four, "rb") as fh:
+            data = fh.read()
+        header = _header(4, (4, 4, 4, 4), 1, float("nan"))
+        path = self.root / "nan-spacing.lat"
+        path.write_bytes(header + data[len(header):])
         return str(path)
 
     def nan_link(self):
@@ -300,8 +316,9 @@ class HostileFiles:
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
 def test_hostile_input_is_a_validation_error(pipeline, tmp_path, case, capsys):
-    code, out, err = run_cli(HOSTILE[case](HostileFiles(pipeline, tmp_path)), capsys)
-    assert code == 1 and out is None
+    files = HostileFiles(pipeline, tmp_path)
+    code, out, err = run_cli(HOSTILE[case](files), capsys)
+    assert code == 1 and out is None and not os.path.exists(files.out)
     jsonschema.validate(err, load_schema("error"))
     assert err["error"]["code"] == "validation"
 

@@ -1,5 +1,7 @@
 """Lattice gauge fields: clover observables, cooling, lifting, snapshots."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,13 @@ from g2lab.gauge.lattice import (
     CoolingDivergence, LatticeGaugeField, add_link_noise, asd_force,
     asd_residual_4d, chirality_energies, clover_charge, clover_field,
     constant_flux_field, cool_to_sd, identity_field, lift_lattice_7d,
-    plaquette, plaquette_chirality_energies, random_gauge_transform,
+    plaquette, plaquette_chirality_energies, plaquette_field, random_gauge_transform,
     read_snapshot, residual_7d, reunitarize, toron_su2, write_snapshot,
 )
-from g2lab.gauge.lattice import _mul
+from g2lab.chernsimons import rho_lattice
+from g2lab.gauge.lattice import (
+    _PLANE_SIGNS, _PLANES4, _dag, _mul, _project_algebra, _sd_asd, _shift,
+)
 from g2lab.rng import SplitMix64
 
 SD_UNIT = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
@@ -34,16 +39,36 @@ def test_u1_discretized_charge_within_5pct():
     assert abs(q + 1.0) < 0.05
 
 
-def test_gauge_invariance_of_observables():
-    U = constant_flux_field((6, 6, 6, 6), SD_UNIT, "u1")
+@pytest.mark.parametrize("group", ["u1", "su2"])
+def test_clover_charge_converges_at_fourth_order(group):
+    # the plaquette angle of the unit SD flux is 2 pi / N^2, and the clover
+    # reads sin of it, so the charge error falls as N^-4
+    sizes, q_exact = [6, 8, 12], {"u1": -1.0, "su2": -2.0}[group]
+    err = [abs(clover_charge(constant_flux_field((n,) * 4, SD_UNIT, group)) - q_exact)
+           for n in sizes]
+    order = -np.polyfit(np.log(sizes), np.log(err), 1)[0]
+    assert order == pytest.approx(4.0, abs=0.1)
+
+
+@pytest.mark.parametrize("group", ["u1", "su2"])
+def test_gauge_invariance_of_observables(group, standard_fibration, cs_context):
+    U = add_link_noise(constant_flux_field((6, 6, 6, 6), SD_UNIT, group), 0.1, seed=11)
     q0 = clover_charge(U)
     en0 = chirality_energies(U)
+    # a lift with noise on every link, so rho is not zero by symmetry
+    U7 = add_link_noise(lift_lattice_7d(U, (2, 2, 2)), 0.1, seed=12)
+    s, v = standard_fibration.adapted_g2(), (0.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0)
+    res0, rho0 = residual_7d(U7, s), rho_lattice(cs_context, U7, v)
+    assert abs(rho0) > 1e-6
     for seed in range(3):
         V = random_gauge_transform(U, seed=seed + 1)
         assert abs(clover_charge(V) - q0) < 1e-10
         en = chirality_energies(V)
         assert abs(en["asd_sq"] - en0["asd_sq"]) < 1e-8
         assert abs(en["total"] - en0["total"]) < 1e-8
+        V7 = random_gauge_transform(U7, seed=seed + 1)
+        assert residual_7d(V7, s) == pytest.approx(res0, rel=1e-12)
+        assert rho_lattice(cs_context, V7, v) == pytest.approx(rho0, rel=1e-10)
 
 
 def test_clover_field_is_antihermitian_traceless():
@@ -149,6 +174,60 @@ def test_snapshot_rejects_garbage(tmp_path):
     p.write_bytes(b"NOTAFILE" + b"\0" * 64)
     with pytest.raises(ValueError):
         read_snapshot(str(p))
+
+
+# Reference spellings of the plaquette, the clover leaves and the force terms
+# with every link shifted by hand; the library must match them bit for bit.
+def _reference_plaquette(u, mu, nu):
+    return _mul(u[mu], _shift(u[nu], mu, 1), _dag(_shift(u[mu], nu, 1)), _dag(u[nu]))
+
+
+def _reference_clover(U, mu, nu):
+    um, un = U.links[mu], U.links[nu]
+    um_mnu = _shift(um, nu, -1)          # U_mu(x - nu)
+    un_mnu = _shift(un, nu, -1)          # U_nu(x - nu)
+    um_mmu = _shift(um, mu, -1)          # U_mu(x - mu)
+    p1 = _reference_plaquette(U.links, mu, nu)
+    p2 = _mul(un, _dag(_shift(um_mmu, nu, 1)), _dag(_shift(un, mu, -1)), um_mmu)
+    p3 = _mul(_dag(um_mmu), _dag(_shift(un_mnu, mu, -1)), _shift(um_mnu, mu, -1), un_mnu)
+    p4 = _mul(_dag(un_mnu), um_mnu, _shift(un_mnu, mu, 1), _dag(um))
+    return _project_algebra(p1 + p2 + p3 + p4, U.rank) / 4.0
+
+
+def _reference_asd_force(U):
+    P = {p: _reference_plaquette(U.links, *p) for p in _PLANES4}
+    D = _sd_asd([_project_algebra(P[p], U.rank) for p in _PLANES4])[1]
+    u = U.links
+    out = np.zeros_like(u)
+    for (mu, nu), (k, s) in _PLANE_SIGNS.items():
+        p, dd = P[(mu, nu)], _dag(D[k])
+        out[mu] += s * _mul(p, dd)
+        un_dn = _shift(u[nu], nu, -1)
+        out[mu] -= s * _mul(_dag(un_dn), _shift(dd, nu, -1), _shift(p, nu, -1), un_dn)
+        um_bk = _shift(u[mu], mu, -1)
+        out[nu] += s * _mul(u[nu], _dag(_shift(um_bk, nu, 1)), _dag(_shift(u[nu], mu, -1)),
+                            _shift(dd, mu, -1), um_bk)
+        out[nu] -= s * _mul(dd, p)
+    return -_project_algebra(out, U.rank)
+
+
+def _noisy_field(dims, group):
+    if len(dims) == 4:
+        return add_link_noise(constant_flux_field(dims, HALF_FLUX, group), 0.3, seed=8)
+    base = constant_flux_field(dims[:4], HALF_FLUX, group)
+    return add_link_noise(lift_lattice_7d(base, dims[4:]), 0.3, seed=9)
+
+
+@pytest.mark.parametrize("group", ["u1", "su2"])
+@pytest.mark.parametrize("dims", [(4, 4, 4, 4), (3, 4, 5, 2), (4, 4, 4, 4, 2, 3, 2)],
+                         ids=["4x4x4x4", "3x4x5x2", "7d-lift"])
+def test_loop_words_are_bit_identical_to_the_explicit_leaves(group, dims):
+    U = _noisy_field(dims, group)
+    for mu, nu in itertools.permutations(range(U.ndim), 2):
+        want = _reference_plaquette(U.links, mu, nu)
+        assert plaquette_field(U, mu, nu).tobytes() == want.tobytes()
+        assert clover_field(U, mu, nu).tobytes() == _reference_clover(U, mu, nu).tobytes()
+    assert asd_force(U).tobytes() == _reference_asd_force(U).tobytes()
 
 
 def _random_links(rng, shape, rank):
