@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from g2lab.g2core import standard_structure
 from g2lab.gauge.lattice import (
-    add_link_noise, asd_residual_4d, clover_charge, constant_flux_field,
-    cool_to_sd, lift_lattice_7d, plaquette_chirality_energies, residual_7d,
+    add_link_noise, asd_residual_4d, constant_flux_field, cool_to_sd,
+    lift_lattice_7d, residual_7d,
 )
 
 HALF_FLUX = [[0, 0.5, 0.5, 0], [-0.5, 0, 0, -0.5],
@@ -60,12 +60,12 @@ def main(argv=None):
             fh.write(f"{step},{frac!r},{charge!r}\n")
 
     field = out["field"]
-    en = plaquette_chirality_energies(field)
+    _, asd_fraction, charge = out["history"][-1]
     # lattice work runs in adapted coordinates, where phi is standard
     res = residual_7d(lift_lattice_7d(field, cfg.t_dims), standard_structure())
     print(f"converged      {out['converged']} in {out['steps']} steps")
-    print(f"asd_fraction   {en['asd_fraction']:.3e}")
-    print(f"clover charge  {clover_charge(field):+.4f}")
+    print(f"asd_fraction   {asd_fraction:.3e}")
+    print(f"clover charge  {charge:+.4f}")
     print(f"asd residual   {asd_residual_4d(field):.3e}")
     print(f"7D f7_norm     {res['f7_norm']:.3e}")
     print(f"history csv    {cfg.out}")

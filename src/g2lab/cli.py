@@ -28,9 +28,9 @@ from .g2core import (eigen_split, l_star_phi, standard_phi, standard_star_phi,
                      standard_structure)
 from .gauge.fibered import q_map
 from .gauge.lattice import (
-    CoolingDivergence, add_link_noise, clover_charge, chirality_energies,
-    constant_flux_field, cool_to_sd, identity_field, lift_lattice_7d,
-    plaquette_chirality_energies, read_snapshot, residual_7d, write_snapshot,
+    CoolingDivergence, add_link_noise, chirality_energies, constant_flux_field,
+    cool_to_sd, identity_field, lift_lattice_7d, read_snapshot, residual_7d,
+    write_snapshot,
 )
 from .gauge.fourier import (
     constant_curvature_u1, instanton_residual_field, lift_to_7d,
@@ -212,29 +212,19 @@ def identity_suite(mode: str) -> list:
 
     # the 4-form split round-trips and its blocks count 1+12+9+9+4 = 35
     res = 0.0
-    active = [set(), set(), set(), set(), set()]
+    active = [set() for _ in range(5)]
     for idx in lex_basis(7, 4):
         xi = ConstForm.basis(7, idx, one)
         sp = decompose_deformation(xi)
         res = max(res, _max_abs(sp.reassemble() - xi))
-        if sp.c_i != 0:
-            active[0].add(0)
-        for a in range(3):
-            for b in range(4):
-                if sp.c_ii[a][b] != 0:
-                    active[1].add((a, b))
-            for b in range(3):
-                if sp.c_iii_pp[a][b] != 0:
-                    active[2].add((a, b))
-                if sp.c_iii_mp[a][b] != 0:
-                    active[3].add((a, b))
-        for b in range(4):
-            if sp.c_iv[b] != 0:
-                active[4].add(b)
+        # the (row, column) entries each block ever uses
+        blocks = ([[sp.c_i]], sp.c_ii, sp.c_iii_pp, sp.c_iii_mp, [sp.c_iv])
+        for seen, block in zip(active, blocks):
+            seen.update((a, b) for a, row in enumerate(block)
+                        for b, c in enumerate(row) if c != 0)
     add("deformation-split-roundtrip", res)
-    counts = tuple(len(a) for a in active)
     add("deformation-split-dimensions",
-        0.0 if counts == (1, 12, 9, 9, 4) else 1.0)
+        0.0 if tuple(map(len, active)) == (1, 12, 9, 9, 4) else 1.0)
     return items
 
 
@@ -315,10 +305,9 @@ def cmd_flow(args) -> int:
     except CoolingDivergence as exc:
         _write_history_csv(args.out + ".csv", exc.history)
         raise NumericalFailure(str(exc)) from exc
-    field = result["field"]
-    write_snapshot(field, args.out)
+    write_snapshot(result["field"], args.out)
     _write_history_csv(args.out + ".csv", result["history"])
-    en = plaquette_chirality_energies(field)
+    _, asd_fraction, charge = result["history"][-1]
     _emit({
         "command": "flow", "seed": args.seed,
         "lattice": list(dims), "group": args.group, "start": args.start,
@@ -326,8 +315,8 @@ def cmd_flow(args) -> int:
         "converged": bool(result["converged"]),
         "plateau": bool(result["plateau"]),
         "steps": int(result["steps"]),
-        "final_asd_fraction": float(en["asd_fraction"]),
-        "final_charge": float(clover_charge(field)),
+        "final_asd_fraction": float(asd_fraction),
+        "final_charge": float(charge),
         "out": args.out, "history_csv": args.out + ".csv",
     })
     if not result["converged"]:
@@ -457,7 +446,7 @@ def cmd_report(args) -> int:
             "converged": bool(flow["converged"]),
             "steps": int(flow["steps"]),
             "final_asd_fraction": float(en["asd_fraction"]),
-            "final_charge": float(clover_charge(flow["field"])),
+            "final_charge": float(flow["history"][-1][2]),
         },
     }
     text = _json_line(report)

@@ -48,6 +48,8 @@ class LatticeGaugeField:
         want = (len(self.dims), *self.dims, r, r)
         if self.links.shape != want:
             raise ValueError(f"links shape {self.links.shape} != {want}")
+        if not 0.0 <= self.spacing < math.inf:
+            raise ValueError(f"spacing {self.spacing} must be finite and >= 0")
         if self.spacing == 0.0:
             object.__setattr__(self, "spacing", 1.0 / self.dims[0])
 
@@ -82,9 +84,17 @@ def identity_field(dims, group: str) -> LatticeGaugeField:
     return LatticeGaugeField(tuple(dims), group, links)
 
 
+@functools.lru_cache(maxsize=None)
+def _shift_index(extent: int, n: int) -> np.ndarray:
+    return (np.arange(extent) + n) % extent
+
+
 def _shift(a: np.ndarray, axis, n: int) -> np.ndarray:
-    """The site array (*dims, r, r) ``a`` read at x + n e_axis (each axis of a tuple)."""
-    return np.roll(a, -n, axis=axis)
+    """The site array (*dims, r, r) ``a`` read at x + n e_axis (each axis of a
+    tuple): np.roll(a, -n, axis) as a gather, without roll's per-call setup."""
+    for ax in axis if isinstance(axis, tuple) else (axis,):
+        a = np.take(a, _shift_index(a.shape[ax], n), axis=ax)
+    return a
 
 
 def _dag(a: np.ndarray) -> np.ndarray:
@@ -140,13 +150,19 @@ def clover_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
     Four plaquette leaves around the site, F^ = (C - C^+)/8 minus the trace
     part; approximates a^2 F_{mu nu} to O(a^4) with exact antisymmetry.
     """
-    a, b, c, d = _plane_links(U, mu, nu)
+    links = _plane_links(U, mu, nu)
+    return _clover(U.rank, mu, nu, links, _mul(*links))
+
+
+def _clover(rank: int, mu: int, nu: int, links, p: np.ndarray) -> np.ndarray:
+    """clover_field from the plane's links a, b, c, d and its plaquette p = abcd."""
+    a, b, c, d = links
     # the leaves are the cyclic words abcd, bcda, cdab, dabc: the plaquettes
     # at x, x - mu, x - mu - nu and x - nu, each read from its corner at x
-    C = (_mul(a, b, c, d) + _shift(_mul(b, c, d, a), mu, -1)
+    C = (p + _shift(_mul(b, c, d, a), mu, -1)
          + _shift(_mul(c, d, a, b), (mu, nu), -1) + _shift(_mul(d, a, b, c), nu, -1))
     # the factors are powers of 2, so this is (C - C^+)/8 to the bit
-    return _project_algebra(C, U.rank) / 4.0
+    return _project_algebra(C, rank) / 4.0
 
 
 # (mu, nu) planes in lexicographic order: the six of the first four
@@ -250,18 +266,6 @@ def constant_flux_field(dims, flux, group: str = "u1") -> LatticeGaugeField:
     return LatticeGaugeField(tuple(dims), group, links)
 
 
-def toron_su2(dims, f: float) -> LatticeGaugeField:
-    """Self-dual SU(2) configuration with clover charge about -2 f^2.
-
-    Equal flux f in the (1,2) and (3,4) planes on the sigma_3 generator;
-    f = 1/sqrt(2) realizes the |q| = 1 sector.
-    """
-    flux = np.zeros((4, 4))
-    flux[0, 1], flux[1, 0] = f, -f
-    flux[2, 3], flux[3, 2] = f, -f
-    return constant_flux_field(dims, flux, "su2")
-
-
 def add_link_noise(U: LatticeGaugeField, amplitude: float, seed: int) -> LatticeGaugeField:
     """Multiply every link by exp(noise) with seeded Lie-algebra noise."""
     rng = SplitMix64(seed)
@@ -348,6 +352,32 @@ def plaquette_chirality_energies(U: LatticeGaugeField) -> dict:
                        for mu, nu in _PLANES4])
 
 
+def _plane_sweep(U: LatticeGaugeField, force: bool) -> tuple:
+    """The clover charge of U and, if ``force``, its ASD force (else None):
+    each base plane's four links are built once, for leaves and force terms."""
+    if force:
+        P = {p: plaquette_field(U, *p) for p in _PLANES4}
+        D = _sd_asd([_project_algebra(P[p], U.rank) for p in _PLANES4])[1]
+        out = np.zeros_like(U.links)
+    F = {}
+    for (mu, nu), (k, s) in _PLANE_SIGNS.items():
+        links = a, b, c, d = _plane_links(U, mu, nu)
+        p = P.pop((mu, nu)) if force else _mul(*links)
+        F[(mu, nu)] = _clover(U.rank, mu, nu, links, p)
+        if force:
+            dd = _dag(D[k])
+            # U_mu(x): leading factor of P(x), daggered third factor of P(x-nu)
+            out[mu] += s * _mul(p, dd)
+            out[mu] -= s * _shift(_mul(d, dd, p, U.links[nu]), nu, -1)
+            # U_nu(x): second factor of P(x-mu), daggered last factor of P(x)
+            out[nu] += s * _shift(_mul(b, c, d, dd, a), mu, -1)
+            out[nu] -= s * _mul(dd, p)
+    # sign: Re tr(X M) = -<X, Pi(M)> for anti-Hermitian X, so the descent
+    # update U <- exp(-tau G) U needs G = -Pi(M)
+    return (_charge(U, [F[p] for p in _PLANES4]),
+            -_project_algebra(out, U.rank) if force else None)
+
+
 def asd_force(U: LatticeGaugeField) -> np.ndarray:
     """Exact Lie-algebra gradient of the plaquette ASD energy.
 
@@ -355,22 +385,7 @@ def asd_force(U: LatticeGaugeField) -> np.ndarray:
     plaquettes; the chain rule contributes four terms per (link, plane)
     since each link sits in two plaquettes of each containing plane.
     """
-    P = {p: plaquette_field(U, *p) for p in _PLANES4}
-    D = _sd_asd([_project_algebra(P[p], U.rank) for p in _PLANES4])[1]
-    u = U.links
-    out = np.zeros_like(u)
-    for (mu, nu), (k, s) in _PLANE_SIGNS.items():
-        a, b, c, d = _plane_links(U, mu, nu)
-        p, dd = P[(mu, nu)], _dag(D[k])
-        # U_mu(x): leading factor of P(x), daggered third factor of P(x-nu)
-        out[mu] += s * _mul(p, dd)
-        out[mu] -= s * _shift(_mul(d, dd, p, u[nu]), nu, -1)
-        # U_nu(x): second factor of P(x-mu), daggered last factor of P(x)
-        out[nu] += s * _shift(_mul(b, c, d, dd, a), mu, -1)
-        out[nu] -= s * _mul(dd, p)
-    # sign: Re tr(X M) = -<X, Pi(M)> for anti-Hermitian X, so the descent
-    # update U <- exp(-tau G) U needs G = -Pi(M)
-    return -_project_algebra(out, U.rank)
+    return _plane_sweep(U, True)[1]
 
 
 def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
@@ -389,10 +404,14 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
     work = U.copy()
     tau = step_size = 0.1
     en = plaquette_chirality_energies(work)
-    history = [(0, en["asd_fraction"], clover_charge(work))]
-    steps, plateau = 0, False
-    while steps < max_steps and not en["asd_fraction"] < tol:
-        force = asd_force(work)
+    history, steps, plateau = [], 0, False
+    while True:
+        # one sweep per accepted field: its charge, and the next step's force
+        more = steps < max_steps and not en["asd_fraction"] < tol
+        charge, force = _plane_sweep(work, more)
+        history.append((steps, en["asd_fraction"], charge))
+        if not more:
+            break
         fmax = float(np.abs(force).max())
         if fmax < 1e-14:
             plateau = True
@@ -414,7 +433,6 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
                 f"no acceptable step at iteration {steps + 1}", history)
         work, en, tau = trial, trial_en, min(trial_tau * 1.5, step_size)
         steps += 1
-        history.append((steps, en["asd_fraction"], clover_charge(work)))
     return {"field": work, "history": history, "converged": en["asd_fraction"] < tol,
             "steps": steps, "plateau": plateau}
 
@@ -511,26 +529,20 @@ def asd_residual_4d(U: LatticeGaugeField) -> float:
 def write_snapshot(U: LatticeGaugeField, path: str) -> None:
     """Binary snapshot: fixed header, then row-major complex links as
     little-endian float64 (re, im) pairs, with a JSON manifest alongside."""
-    header = bytearray()
-    header += _MAGIC
-    header += struct.pack("<I", 1)                      # version
-    header += struct.pack("<I", U.ndim)
-    header += struct.pack(f"<{U.ndim}I", *U.dims)
-    header += struct.pack("<I", _GROUP_CODE[U.group])
-    header += struct.pack("<d", U.spacing)
-    data = np.ascontiguousarray(U.links, dtype=np.complex128)
+    # dumped first: a NaN or infinite spacing raises before a file is opened
+    manifest = json.dumps({
+        "format": _MAGIC.decode(), "version": 1, "dims": list(U.dims),
+        "group": U.group, "spacing": U.spacing, "rank": U.rank,
+        "link_matrices": int(np.prod(U.links.shape[:-2]))},
+        indent=2, sort_keys=True, allow_nan=False)
+    # version 1, then the extents, the group code and the spacing
+    header = _MAGIC + struct.pack(f"<2I{U.ndim}IId", 1, U.ndim, *U.dims,
+                                  _GROUP_CODE[U.group], U.spacing)
     with open(path, "wb") as fh:
-        fh.write(bytes(header))
-        fh.write(data.astype("<c16").tobytes())
-    manifest = {
-        "format": _MAGIC.decode(), "version": 1,
-        "dims": list(U.dims), "group": U.group, "spacing": U.spacing,
-        "link_matrices": int(np.prod(U.links.shape[:-2])),
-        "rank": U.rank,
-    }
+        fh.write(header)
+        fh.write(U.links.astype("<c16").tobytes())
     with open(path + ".json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(manifest + "\n")
 
 
 def read_snapshot(path: str) -> LatticeGaugeField:

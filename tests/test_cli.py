@@ -1,13 +1,17 @@
 """End-to-end CLI checks: schemas, exit codes, and the snapshot pipeline."""
 
+import contextlib
+import io
 import json
 import os
 import struct
 
 import jsonschema
 import pytest
+from hypothesis import example, given, strategies as st
 
 from g2lab import cli
+from g2lab.gauge.lattice import read_snapshot
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
 
@@ -210,6 +214,48 @@ def test_residual_rejects_bad_snapshot_header(pipeline, case, capsys):
     assert code == 1 and out is None
     jsonschema.validate(err, load_schema("error"))
     assert err["error"]["code"] == "validation"
+
+
+# a well-formed 2^4 u1 snapshot with all-zero links
+_SMALL = _header(4, (2, 2, 2, 2), 1) + bytes(16 * 4 * 2 ** 4)
+
+
+def _any_header(ndim):
+    return st.builds(
+        lambda version, dims, code, spacing, body: (
+            b"G2LAT001" + struct.pack("<II", version, ndim)
+            + struct.pack(f"<{ndim}I", *dims) + struct.pack("<Id", code, spacing) + body),
+        st.integers(0, 2), st.lists(st.integers(0, 2 ** 32 - 1), min_size=ndim, max_size=ndim),
+        st.integers(0, 3), st.floats(), st.binary(max_size=64))
+
+
+SNAPSHOT_BYTES = st.one_of(
+    st.integers(0, len(_SMALL) - 1).map(lambda n: _SMALL[:n]),       # truncated
+    st.binary(min_size=1, max_size=64).map(lambda extra: _SMALL + extra),  # oversized
+    st.integers(0, 9).flatmap(_any_header),                          # any header
+    st.binary(max_size=128),                                         # garbage
+    st.binary(max_size=128).map(lambda tail: b"G2LAT001" + tail),
+)
+
+
+@given(data=SNAPSHOT_BYTES)
+@example(data=_SMALL)
+def test_snapshot_fuzz_loads_or_is_a_validation_error(tmp_path_factory, data):
+    path = str(tmp_path_factory.mktemp("fuzz") / "f.lat")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    try:
+        U = read_snapshot(path)
+    except ValueError:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(["residual", "--in", path])
+        assert code == 1 and out.getvalue() == ""
+        doc = strict_json(err.getvalue())
+        jsonschema.validate(doc, load_schema("error"))
+        assert doc["error"]["code"] == "validation"
+    else:
+        assert U.links.shape[:U.ndim + 1] == (U.ndim, *U.dims)
 
 
 def test_cs_probe_values(pipeline, capsys):

@@ -1,6 +1,7 @@
 """Lattice gauge fields: clover observables, cooling, lifting, snapshots."""
 
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from g2lab.gauge.lattice import (
     asd_residual_4d, chirality_energies, clover_charge, clover_field,
     constant_flux_field, cool_to_sd, identity_field, lift_lattice_7d,
     plaquette, plaquette_chirality_energies, plaquette_field, random_gauge_transform,
-    read_snapshot, residual_7d, reunitarize, toron_su2, write_snapshot,
+    read_snapshot, residual_7d, reunitarize, write_snapshot,
 )
-from g2lab.chernsimons import rho_lattice
+from g2lab.chernsimons import Verdict, obstruction_verdict_lattice, rho_lattice
+from g2lab.exterior import ConstForm, wedge
 from g2lab.gauge.lattice import (
-    _PLANE_SIGNS, _PLANES4, _dag, _mul, _project_algebra, _sd_asd, _shift,
+    _PLANE_SIGNS, _PLANES4, _charge, _chirality, _dag, _expm_ah, _mul,
+    _project_algebra, _sd_asd, _shift,
 )
 from g2lab.rng import SplitMix64
 
@@ -60,6 +63,9 @@ def test_gauge_invariance_of_observables(group, standard_fibration, cs_context):
     s, v = standard_fibration.adapted_g2(), (0.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0)
     res0, rho0 = residual_7d(U7, s), rho_lattice(cs_context, U7, v)
     assert abs(rho0) > 1e-6
+    xi = wedge(ConstForm.basis(7, (1,), -2.0), ConstForm.basis(7, (5, 6, 7)))
+    rep0 = obstruction_verdict_lattice(cs_context, U7, xi)
+    assert rep0.verdict is Verdict.OBSTRUCTED
     for seed in range(3):
         V = random_gauge_transform(U, seed=seed + 1)
         assert abs(clover_charge(V) - q0) < 1e-10
@@ -69,6 +75,9 @@ def test_gauge_invariance_of_observables(group, standard_fibration, cs_context):
         V7 = random_gauge_transform(U7, seed=seed + 1)
         assert residual_7d(V7, s) == pytest.approx(res0, rel=1e-12)
         assert rho_lattice(cs_context, V7, v) == pytest.approx(rho0, rel=1e-10)
+        rep = obstruction_verdict_lattice(cs_context, V7, xi)
+        assert rep.r_phi_value == pytest.approx(rep0.r_phi_value, rel=1e-12)
+        assert rep.verdict is rep0.verdict
 
 
 def test_clover_field_is_antihermitian_traceless():
@@ -102,7 +111,6 @@ def test_asd_force_is_gradient_of_asd_energy():
         return plaquette_chirality_energies(V)["asd_sq"]
 
     Up, Um = U.copy(), U.copy()
-    from g2lab.gauge.lattice import _expm_ah
     Up.links = _expm_ah(eps * H) @ Up.links
     Um.links = _expm_ah(-eps * H) @ Um.links
     fd = (energy(Up) - energy(Um)) / (2 * eps)
@@ -228,6 +236,137 @@ def test_loop_words_are_bit_identical_to_the_explicit_leaves(group, dims):
         assert plaquette_field(U, mu, nu).tobytes() == want.tobytes()
         assert clover_field(U, mu, nu).tobytes() == _reference_clover(U, mu, nu).tobytes()
     assert asd_force(U).tobytes() == _reference_asd_force(U).tobytes()
+
+
+# The cooling loop spelled as separate passes with np.roll shifts: the force,
+# then the trial energies, then a fresh clover charge for every history row.
+# cool_to_sd's single plane sweep per field must reproduce it bit for bit.
+def _roll(a, axis, n):
+    return np.roll(a, -n, axis=axis)
+
+
+def _roll_links(u, mu, nu):
+    return u[mu], _roll(u[nu], mu, 1), _dag(_roll(u[mu], nu, 1)), _dag(u[nu])
+
+
+def _roll_clover_charge(U):
+    F = []
+    for mu, nu in _PLANES4:
+        a, b, c, d = _roll_links(U.links, mu, nu)
+        C = (_mul(a, b, c, d) + _roll(_mul(b, c, d, a), mu, -1)
+             + _roll(_mul(c, d, a, b), (mu, nu), -1) + _roll(_mul(d, a, b, c), nu, -1))
+        F.append(_project_algebra(C, U.rank) / 4.0)
+    return _charge(U, F)
+
+
+def _roll_energies(U):
+    return _chirality([_project_algebra(_mul(*_roll_links(U.links, *p)), U.rank)
+                       for p in _PLANES4])
+
+
+def _roll_asd_force(U):
+    u = U.links
+    P = {p: _mul(*_roll_links(u, *p)) for p in _PLANES4}
+    D = _sd_asd([_project_algebra(P[p], U.rank) for p in _PLANES4])[1]
+    out = np.zeros_like(u)
+    for (mu, nu), (k, s) in _PLANE_SIGNS.items():
+        a, b, c, d = _roll_links(u, mu, nu)
+        p, dd = P[(mu, nu)], _dag(D[k])
+        out[mu] += s * _mul(p, dd)
+        out[mu] -= s * _roll(_mul(d, dd, p, u[nu]), nu, -1)
+        out[nu] += s * _roll(_mul(b, c, d, dd, a), mu, -1)
+        out[nu] -= s * _mul(dd, p)
+    return -_project_algebra(out, U.rank)
+
+
+def _roll_cool(U, max_steps, tol):
+    work = U.copy()
+    tau = step_size = 0.1
+    en = _roll_energies(work)
+    history = [(0, en["asd_fraction"], _roll_clover_charge(work))]
+    steps, plateau = 0, False
+    while steps < max_steps and not en["asd_fraction"] < tol:
+        force = _roll_asd_force(work)
+        fmax = float(np.abs(force).max())
+        if fmax < 1e-14:
+            plateau = True
+            break
+        trial_tau = tau
+        for _ in range(30):
+            rot = _expm_ah(-trial_tau / fmax * force)
+            trial = LatticeGaugeField(work.dims, work.group, _mul(rot, work.links), work.spacing)
+            reunitarize(trial)
+            trial_en = _roll_energies(trial)
+            if trial_en["asd_sq"] <= en["asd_sq"] * (1.0 + 1e-12):
+                break
+            trial_tau *= 0.5
+        else:
+            if en["asd_sq"] < 1e-20 or fmax < 1e-9 * max(en["asd_sq"], 1.0):
+                plateau = True
+                break
+            raise CoolingDivergence(f"no acceptable step at iteration {steps + 1}", history)
+        work, en, tau = trial, trial_en, min(trial_tau * 1.5, step_size)
+        steps += 1
+        history.append((steps, en["asd_fraction"], _roll_clover_charge(work)))
+    return {"field": work, "history": history, "converged": en["asd_fraction"] < tol,
+            "steps": steps, "plateau": plateau}
+
+
+def _assert_same_cooling(U, max_steps, tol=1e-3):
+    got, want = cool_to_sd(U, max_steps, tol), _roll_cool(U, max_steps, tol)
+    assert got["history"] == want["history"]
+    for key in ("steps", "converged", "plateau"):
+        assert got[key] == want[key], key
+    assert got["field"].links.tobytes() == want["field"].links.tobytes()
+    return got
+
+
+def test_shift_is_np_roll():
+    a = _random_links(np.random.default_rng(6), (3, 4, 5, 2), 2)
+    axes = list(range(4)) + list(itertools.permutations(range(4), 2))
+    for axis, n in itertools.product(axes, (1, -1)):
+        got = _shift(a, axis, n)
+        assert got.tobytes() == _roll(a, axis, n).tobytes(), (axis, n)
+        assert not np.shares_memory(got, a)
+
+
+@pytest.mark.parametrize("group", ["u1", "su2"])
+@pytest.mark.parametrize("dims", [(4, 4, 4, 4), (3, 4, 5, 2), (6, 6, 6, 6)],
+                         ids=["4x4x4x4", "3x4x5x2", "6x6x6x6"])
+def test_cooling_sweep_is_bit_identical_to_separate_passes(group, dims):
+    flux, noise = (SD_UNIT, 0.05) if group == "u1" else (HALF_FLUX, 0.02)
+    U = add_link_noise(constant_flux_field(dims, flux, group), noise, seed=5)
+    assert asd_force(U).tobytes() == _roll_asd_force(U).tobytes()
+    assert clover_charge(U) == _roll_clover_charge(U)
+    # 4^4 and 6^4 converge within 40 steps, 3x4x5x2 is stopped by max_steps
+    out = _assert_same_cooling(U, max_steps=40)
+    assert out["converged"] == (dims != (3, 4, 5, 2))
+
+
+@pytest.mark.parametrize("group", ["u1", "su2"])
+def test_short_and_trivial_cooling_are_bit_identical_to_separate_passes(group):
+    U = add_link_noise(constant_flux_field((4, 4, 4, 4), SD_UNIT, group), 0.1, seed=6)
+    out = _assert_same_cooling(U, max_steps=3)
+    assert out["steps"] == 3 and not out["converged"]
+    out = _assert_same_cooling(identity_field((4, 4, 4, 4), group), max_steps=10)
+    assert out["steps"] == 0 and out["history"] == [(0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("spacing", [float("nan"), float("inf"), -1.0])
+def test_field_rejects_bad_spacing(spacing):
+    U = identity_field((2, 2, 2, 2), "u1")
+    with pytest.raises(ValueError, match="spacing"):
+        LatticeGaugeField(U.dims, U.group, U.links, spacing)
+    assert LatticeGaugeField(U.dims, U.group, U.links, 0.0).spacing == 0.5
+
+
+def test_snapshot_manifest_is_never_written_with_nan(tmp_path):
+    U = identity_field((2, 2, 2, 2), "u1")
+    U.spacing = float("nan")
+    path = str(tmp_path / "nan.lat")
+    with pytest.raises(ValueError):
+        write_snapshot(U, path)
+    assert not os.path.exists(path) and not os.path.exists(path + ".json")
 
 
 def _random_links(rng, shape, rank):
