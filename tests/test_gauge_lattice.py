@@ -65,7 +65,9 @@ def test_gauge_invariance_of_observables(group, standard_fibration, cs_context):
     assert abs(rho0) > 1e-6
     xi = wedge(ConstForm.basis(7, (1,), -2.0), ConstForm.basis(7, (5, 6, 7)))
     rep0 = obstruction_verdict_lattice(cs_context, U7, xi)
-    assert rep0.verdict is Verdict.OBSTRUCTED
+    rep = obstruction_verdict_lattice(cs_context, random_gauge_transform(U7, seed=4), xi)
+    assert rep.verdict is rep0.verdict is Verdict.OBSTRUCTED
+    assert rep.r_phi_value == pytest.approx(rep0.r_phi_value, rel=1e-12)
     for seed in range(3):
         V = random_gauge_transform(U, seed=seed + 1)
         assert abs(clover_charge(V) - q0) < 1e-10
@@ -75,9 +77,6 @@ def test_gauge_invariance_of_observables(group, standard_fibration, cs_context):
         V7 = random_gauge_transform(U7, seed=seed + 1)
         assert residual_7d(V7, s) == pytest.approx(res0, rel=1e-12)
         assert rho_lattice(cs_context, V7, v) == pytest.approx(rho0, rel=1e-10)
-        rep = obstruction_verdict_lattice(cs_context, V7, xi)
-        assert rep.r_phi_value == pytest.approx(rep0.r_phi_value, rel=1e-12)
-        assert rep.verdict is rep0.verdict
 
 
 def test_clover_field_is_antihermitian_traceless():
