@@ -212,19 +212,29 @@ def identity_suite(mode: str) -> list:
 
     # the 4-form split round-trips and its blocks count 1+12+9+9+4 = 35
     res = 0.0
-    active = [set() for _ in range(5)]
+    active = [set(), set(), set(), set(), set()]
     for idx in lex_basis(7, 4):
         xi = ConstForm.basis(7, idx, one)
         sp = decompose_deformation(xi)
         res = max(res, _max_abs(sp.reassemble() - xi))
-        # the (row, column) entries each block ever uses
-        blocks = ([[sp.c_i]], sp.c_ii, sp.c_iii_pp, sp.c_iii_mp, [sp.c_iv])
-        for seen, block in zip(active, blocks):
-            seen.update((a, b) for a, row in enumerate(block)
-                        for b, c in enumerate(row) if c != 0)
+        if sp.c_i != 0:
+            active[0].add(0)
+        for a in range(3):
+            for b in range(4):
+                if sp.c_ii[a][b] != 0:
+                    active[1].add((a, b))
+            for b in range(3):
+                if sp.c_iii_pp[a][b] != 0:
+                    active[2].add((a, b))
+                if sp.c_iii_mp[a][b] != 0:
+                    active[3].add((a, b))
+        for b in range(4):
+            if sp.c_iv[b] != 0:
+                active[4].add(b)
     add("deformation-split-roundtrip", res)
+    counts = tuple(len(a) for a in active)
     add("deformation-split-dimensions",
-        0.0 if tuple(map(len, active)) == (1, 12, 9, 9, 4) else 1.0)
+        0.0 if counts == (1, 12, 9, 9, 4) else 1.0)
     return items
 
 

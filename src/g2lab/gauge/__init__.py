@@ -42,6 +42,7 @@ from .lattice import (
     read_snapshot,
     residual_7d,
     reunitarize,
+    toron_su2,
     write_snapshot,
 )
 
@@ -55,6 +56,6 @@ __all__ = [
     "instanton_residual_field", "is_self_dual_flux", "lift_lattice_7d",
     "lift_to_7d", "plaquette", "plaquette_chirality_energies",
     "plaquette_field", "q_map", "random_gauge_transform", "read_snapshot",
-    "residual_7d", "reunitarize", "topological_charge",
+    "residual_7d", "reunitarize", "topological_charge", "toron_su2",
     "write_snapshot", "ym_energy_4d",
 ]

@@ -266,6 +266,18 @@ def constant_flux_field(dims, flux, group: str = "u1") -> LatticeGaugeField:
     return LatticeGaugeField(tuple(dims), group, links)
 
 
+def toron_su2(dims, f: float) -> LatticeGaugeField:
+    """Self-dual SU(2) configuration with clover charge about -2 f^2.
+
+    Equal flux f in the (1,2) and (3,4) planes on the sigma_3 generator;
+    f = 1/sqrt(2) realizes the |q| = 1 sector.
+    """
+    flux = np.zeros((4, 4))
+    flux[0, 1], flux[1, 0] = f, -f
+    flux[2, 3], flux[3, 2] = f, -f
+    return constant_flux_field(dims, flux, "su2")
+
+
 def add_link_noise(U: LatticeGaugeField, amplitude: float, seed: int) -> LatticeGaugeField:
     """Multiply every link by exp(noise) with seeded Lie-algebra noise."""
     rng = SplitMix64(seed)
@@ -352,30 +364,26 @@ def plaquette_chirality_energies(U: LatticeGaugeField) -> dict:
                        for mu, nu in _PLANES4])
 
 
-def _plane_sweep(U: LatticeGaugeField, force: bool) -> tuple:
-    """The clover charge of U and, if ``force``, its ASD force (else None):
-    each base plane's four links are built once, for leaves and force terms."""
-    if force:
-        P = {p: plaquette_field(U, *p) for p in _PLANES4}
-        D = _sd_asd([_project_algebra(P[p], U.rank) for p in _PLANES4])[1]
-        out = np.zeros_like(U.links)
-    F = {}
+def _plane_sweep(U: LatticeGaugeField) -> tuple:
+    """The clover charge of U and its ASD force: the plaquettes are built
+    first, for the ASD part D, then each base plane's four links once more,
+    for the clover leaves and the force terms."""
+    P = {p: plaquette_field(U, *p) for p in _PLANES4}
+    D = _sd_asd([_project_algebra(P[p], U.rank) for p in _PLANES4])[1]
+    out, F = np.zeros_like(U.links), {}
     for (mu, nu), (k, s) in _PLANE_SIGNS.items():
         links = a, b, c, d = _plane_links(U, mu, nu)
-        p = P.pop((mu, nu)) if force else _mul(*links)
+        p, dd = P.pop((mu, nu)), _dag(D[k])
         F[(mu, nu)] = _clover(U.rank, mu, nu, links, p)
-        if force:
-            dd = _dag(D[k])
-            # U_mu(x): leading factor of P(x), daggered third factor of P(x-nu)
-            out[mu] += s * _mul(p, dd)
-            out[mu] -= s * _shift(_mul(d, dd, p, U.links[nu]), nu, -1)
-            # U_nu(x): second factor of P(x-mu), daggered last factor of P(x)
-            out[nu] += s * _shift(_mul(b, c, d, dd, a), mu, -1)
-            out[nu] -= s * _mul(dd, p)
+        # U_mu(x): leading factor of P(x), daggered third factor of P(x-nu)
+        out[mu] += s * _mul(p, dd)
+        out[mu] -= s * _shift(_mul(d, dd, p, U.links[nu]), nu, -1)
+        # U_nu(x): second factor of P(x-mu), daggered last factor of P(x)
+        out[nu] += s * _shift(_mul(b, c, d, dd, a), mu, -1)
+        out[nu] -= s * _mul(dd, p)
     # sign: Re tr(X M) = -<X, Pi(M)> for anti-Hermitian X, so the descent
     # update U <- exp(-tau G) U needs G = -Pi(M)
-    return (_charge(U, [F[p] for p in _PLANES4]),
-            -_project_algebra(out, U.rank) if force else None)
+    return _charge(U, [F[p] for p in _PLANES4]), -_project_algebra(out, U.rank)
 
 
 def asd_force(U: LatticeGaugeField) -> np.ndarray:
@@ -385,7 +393,7 @@ def asd_force(U: LatticeGaugeField) -> np.ndarray:
     plaquettes; the chain rule contributes four terms per (link, plane)
     since each link sits in two plaquettes of each containing plane.
     """
-    return _plane_sweep(U, True)[1]
+    return _plane_sweep(U)[1]
 
 
 def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
@@ -405,13 +413,10 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
     tau = step_size = 0.1
     en = plaquette_chirality_energies(work)
     history, steps, plateau = [], 0, False
-    while True:
+    while steps < max_steps and not en["asd_fraction"] < tol:
         # one sweep per accepted field: its charge, and the next step's force
-        more = steps < max_steps and not en["asd_fraction"] < tol
-        charge, force = _plane_sweep(work, more)
+        charge, force = _plane_sweep(work)
         history.append((steps, en["asd_fraction"], charge))
-        if not more:
-            break
         fmax = float(np.abs(force).max())
         if fmax < 1e-14:
             plateau = True
@@ -433,6 +438,9 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
                 f"no acceptable step at iteration {steps + 1}", history)
         work, en, tau = trial, trial_en, min(trial_tau * 1.5, step_size)
         steps += 1
+    else:
+        # stopped by tol or max_steps: the last field needs no force
+        history.append((steps, en["asd_fraction"], clover_charge(work)))
     return {"field": work, "history": history, "converged": en["asd_fraction"] < tol,
             "steps": steps, "plateau": plateau}
 
@@ -529,20 +537,29 @@ def asd_residual_4d(U: LatticeGaugeField) -> float:
 def write_snapshot(U: LatticeGaugeField, path: str) -> None:
     """Binary snapshot: fixed header, then row-major complex links as
     little-endian float64 (re, im) pairs, with a JSON manifest alongside."""
-    # dumped first: a NaN or infinite spacing raises before a file is opened
-    manifest = json.dumps({
-        "format": _MAGIC.decode(), "version": 1, "dims": list(U.dims),
-        "group": U.group, "spacing": U.spacing, "rank": U.rank,
-        "link_matrices": int(np.prod(U.links.shape[:-2]))},
-        indent=2, sort_keys=True, allow_nan=False)
-    # version 1, then the extents, the group code and the spacing
-    header = _MAGIC + struct.pack(f"<2I{U.ndim}IId", 1, U.ndim, *U.dims,
-                                  _GROUP_CODE[U.group], U.spacing)
+    # the rule read_snapshot applies; checked before either file is opened
+    if not 0.0 < U.spacing < math.inf:
+        raise ValueError(f"spacing {U.spacing} must be finite and > 0")
+    header = bytearray()
+    header += _MAGIC
+    header += struct.pack("<I", 1)                      # version
+    header += struct.pack("<I", U.ndim)
+    header += struct.pack(f"<{U.ndim}I", *U.dims)
+    header += struct.pack("<I", _GROUP_CODE[U.group])
+    header += struct.pack("<d", U.spacing)
+    data = np.ascontiguousarray(U.links, dtype=np.complex128)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(U.links.astype("<c16").tobytes())
+        fh.write(bytes(header))
+        fh.write(data.astype("<c16").tobytes())
+    manifest = {
+        "format": _MAGIC.decode(), "version": 1,
+        "dims": list(U.dims), "group": U.group, "spacing": U.spacing,
+        "link_matrices": int(np.prod(U.links.shape[:-2])),
+        "rank": U.rank,
+    }
     with open(path + ".json", "w") as fh:
-        fh.write(manifest + "\n")
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def read_snapshot(path: str) -> LatticeGaugeField:

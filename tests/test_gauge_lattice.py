@@ -11,7 +11,7 @@ from g2lab.gauge.lattice import (
     asd_residual_4d, chirality_energies, clover_charge, clover_field,
     constant_flux_field, cool_to_sd, identity_field, lift_lattice_7d,
     plaquette, plaquette_chirality_energies, plaquette_field, random_gauge_transform,
-    read_snapshot, residual_7d, reunitarize, write_snapshot,
+    read_snapshot, residual_7d, reunitarize, toron_su2, write_snapshot,
 )
 from g2lab.chernsimons import Verdict, obstruction_verdict_lattice, rho_lattice
 from g2lab.exterior import ConstForm, wedge
@@ -359,11 +359,13 @@ def test_field_rejects_bad_spacing(spacing):
     assert LatticeGaugeField(U.dims, U.group, U.links, 0.0).spacing == 0.5
 
 
-def test_snapshot_manifest_is_never_written_with_nan(tmp_path):
+@pytest.mark.parametrize("spacing", [float("nan"), float("inf"), -1.0, 0.0])
+def test_snapshot_is_never_written_with_a_bad_spacing(tmp_path, spacing):
+    # read_snapshot rejects each of these, so write_snapshot writes nothing
     U = identity_field((2, 2, 2, 2), "u1")
-    U.spacing = float("nan")
-    path = str(tmp_path / "nan.lat")
-    with pytest.raises(ValueError):
+    U.spacing = spacing
+    path = str(tmp_path / "bad.lat")
+    with pytest.raises(ValueError, match="spacing"):
         write_snapshot(U, path)
     assert not os.path.exists(path) and not os.path.exists(path + ".json")
 
