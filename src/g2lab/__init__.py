@@ -19,15 +19,10 @@ from .fibration import (
     TorusFibration,
     build_fibration,
     decompose_deformation,
-    poincare_pairing,
-    pullback_along_f,
-    xi_from_perturbation,
 )
 from .g2core import (
     G2Structure,
     eigen_split,
-    energy_report,
-    instanton_residual,
     metric_from_phi,
     standard_phi,
     standard_star_phi,
@@ -37,18 +32,14 @@ from .chernsimons import (
     CSContext,
     ObstructionReport,
     Verdict,
-    closedness_residual,
     cs_functional,
     cs_one_form,
     obstruction_verdict,
     obstruction_verdict_lattice,
-    pairing_oracle,
     path_integrate,
-    perturbed_rho,
     perturbed_rho_lattice,
     rho_lattice,
     rho_on_translation,
-    translation_tangent,
 )
 from .rng import SplitMix64
 from . import gauge

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exterior import ConstForm, interior
+from .exterior import ConstForm
 from .fibration import (DeformationSplit, FibrationSpec, TorusFibration,
                         build_fibration, decompose_deformation)
 from .g2core import G2Structure, standard_structure
@@ -133,36 +133,6 @@ def path_integrate(ctx: CSContext, a: FourierField, n_steps: int = 64,
     return total * h / 3.0
 
 
-def closedness_residual(ctx: CSContext, A: FourierField | None,
-                        a: FourierField, b: FourierField) -> float:
-    """|integral of tr(d_A a ^ b - a ^ d_A b) ^ star_phi|.
-
-    Vanishes by Stokes because the coassociative form is constant; this is
-    the closedness of rho as a 1-form on the space of connections.
-    """
-    star_phi = ctx.adapted().star_phi.to_double()
-
-    def d_cov(x: FourierField) -> FourierField:
-        out = x.d()
-        if A is not None and A.group_rank > 1:
-            out = out + A.wedge(x) + x.wedge(A)
-        return out
-
-    val = _pairing(d_cov(a), b, star_phi) - _pairing(a, d_cov(b), star_phi)
-    return abs(val)
-
-
-def translation_tangent(F: CurvatureField, v) -> FourierField:
-    """beta_v = v -| F, the tangent generated by translating along v.
-
-    Globally defined even on nontrivial bundles, since it contracts the
-    tensorial curvature rather than the potential.
-    """
-    if len(v) != F.dim:
-        raise ValueError("vector dimension mismatch")
-    return F.full_field().contract(v)
-
-
 def _probe_curvature(F: CurvatureField, offset: FourierField) -> CurvatureField:
     """Curvature at A + h*offset, h = 0.1, given the curvature at A.
 
@@ -209,31 +179,6 @@ def rho_on_translation(ctx: CSContext, F: CurvatureField, v, offsets) -> list:
         full = _probe_curvature(F, off).full_field()
         values.append(_pairing(full, full.contract(v), star_phi))
     return values
-
-
-def perturbed_rho(ctx: CSContext, F: CurvatureField, b: FourierField,
-                  xi: ConstForm) -> float:
-    """(r_phi)_A(b): the integral of tr(F ^ b) ^ xi, over 8 pi^2.
-
-    The division makes the value on translation tangents read directly in
-    charge units: for xi = -2 eps ^ e567 and a lifted field of charge q it
-    equals eps(v) * q.
-    """
-    if xi.dim != 7 or xi.degree != 4:
-        raise ValueError("expected a 4-form perturbation")
-    return _pairing(F.full_field(), b, xi.to_double()) / EIGHT_PI_SQ
-
-
-def pairing_oracle(ctx: CSContext, F: CurvatureField, v, xi: ConstForm) -> float:
-    """-1/2 integral of tr(F ^ F) ^ (v -| xi), in charge units.
-
-    Integration by parts identity for r_phi(beta_v) with constant xi; used
-    as an independent cross-check of perturbed_rho.
-    """
-    contracted = interior([float(x) for x in v], xi.to_double())
-    full = F.full_field()
-    val = _pairing(full, full, contracted)
-    return -0.5 * val / EIGHT_PI_SQ
 
 
 class Verdict(str, Enum):

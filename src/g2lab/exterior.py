@@ -364,7 +364,10 @@ class ConstForm:
         coeffs = {}
         for t in d["terms"]:
             c = t["c"]
-            coeffs[tuple(t["idx"])] = Fraction(c) if isinstance(c, str) else float(c)
+            idx = tuple(t["idx"])
+            if any(type(i) is not int for i in idx):
+                raise ValueError(f"form index {list(idx)} has a non-integer entry")
+            coeffs[idx] = Fraction(c) if isinstance(c, str) else float(c)
         return ConstForm(d["dim"], d["degree"], coeffs)
 
 

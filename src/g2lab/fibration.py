@@ -17,8 +17,6 @@ from . import g2core
 from .exterior import (
     ConstForm,
     Metric,
-    hodge,
-    interior,
     is_exact,
     lex_basis,
     mat_det,
@@ -26,7 +24,7 @@ from .exterior import (
     mat_inverse,
     pullback_linear,
 )
-from .g2core import G2Structure, eigen_split, metric_from_phi, standard_phi
+from .g2core import G2Structure, eigen_split, standard_phi
 
 BASE_LAMBDA2 = lex_basis(4, 2)
 
@@ -162,13 +160,6 @@ def build_fibration(spec: FibrationSpec) -> TorusFibration:
                           phi=phi, g2=g2s, f_matrix=f_matrix)
 
 
-def pullback_along_f(fib: TorusFibration, a: ConstForm) -> ConstForm:
-    """Pull a constant form on the base 4-torus back to the total space."""
-    if a.dim != 4:
-        raise ValueError("expected a form on the base 4-torus")
-    return pullback_linear(fib.f_matrix, a)
-
-
 # ---------------------------------------------------------------------------
 # deformation decomposition
 
@@ -287,27 +278,3 @@ def decompose_deformation(xi: ConstForm) -> DeformationSplit:
         c_iii_mp=tuple(tuple(float(x) / sqrt2 for x in r) for r in r_minus),
         c_iv=tuple(blocks[3][0]), r_plus=r_plus, r_minus=r_minus,
     )
-
-
-def xi_from_perturbation(phi: ConstForm, dphi: ConstForm) -> ConstForm:
-    """Exact coassociative deformation star(phi + dphi) - star(phi)."""
-    g0, o0, _ = metric_from_phi(phi)
-    phi1 = phi + dphi
-    g1, o1, _ = metric_from_phi(phi1)
-    return hodge(phi1, g1, o1) - hodge(phi, g0, o0)
-
-
-def poincare_pairing(xi: ConstForm, v, q, fib: TorusFibration):
-    """N(v) = -1/2 q * (fiber-volume coefficient of v -| xi), in charge units.
-
-    Both xi and v are taken in ambient coordinates and transported to the
-    lattice-adapted frame, where every cycle has unit volume and the pairing
-    is a plain coefficient read-off.
-    """
-    G = [list(r) for r in fib.ltilde]
-    xi_ad = pullback_linear(G, xi)
-    Ginv = mat_inverse(G)
-    v_ad = [sum(Ginv[i][j] * v[j] for j in range(7)) for i in range(7)]
-    contracted = interior(v_ad, xi_ad)
-    half = Fraction(1, 2) if is_exact(q) and all(is_exact(c) for c in contracted.coeffs.values()) else 0.5
-    return -half * q * contracted[(5, 6, 7)]

@@ -2,8 +2,7 @@
 
 The standard associative 3-form, the metric a nondegenerate 3-form induces,
 its coassociative 4-form, and the eigenspace split of 2-forms into the 7-
-and 14-dimensional pieces, together with the energy bookkeeping that makes
-instantons the absolute Yang-Mills minimizers.
+and 14-dimensional pieces.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from .exterior import (
     ConstForm,
     ExactnessError,
     Metric,
-    NotPositiveDefinite,
     Orientation,
-    form_inner,
     hodge,
     interior,
     is_exact,
@@ -277,50 +274,6 @@ def standard_structure() -> G2Structure:
     return _STANDARD
 
 
-def t_phi(eta2: ConstForm, s: G2Structure) -> ConstForm:
-    """T_phi(eta) = star(eta ^ phi)."""
-    return hodge(wedge(eta2, s.phi), s.metric, s.orientation)
-
-
 def l_star_phi(eta2: ConstForm, s: G2Structure) -> ConstForm:
     """eta -> eta ^ star phi; kills the 14-dimensional piece."""
     return wedge(eta2, s.star_phi)
-
-
-def energy_report(F7sq, F14sq) -> dict:
-    """Yang-Mills energy and the kappa charge from the two component norms.
-
-    kappa follows the -2/+1 weight convention, which matches the realized
-    eigenvalues of the standard structure (lambda7 = -2, lambda14 = +1).
-    """
-    if F7sq < 0 or F14sq < 0:
-        raise ValueError("component norms must be nonnegative")
-    ym = F7sq + F14sq
-    kappa = -2 * F7sq + F14sq
-    return {
-        "ym": ym,
-        "kappa": kappa,
-        "identity_residuals": {
-            "ym_minus_half_kappa": ym - (-kappa / 2 + 3 * F14sq / 2),
-            "ym_kappa_plus_3f7": ym - (kappa + 3 * F7sq),
-        },
-    }
-
-
-def instanton_residual(F: ConstForm, s: G2Structure) -> dict:
-    """Residuals of the two equivalent instanton equations plus |p7 F|.
-
-    All three vanish simultaneously, exactly when F has no component in the
-    7-dimensional eigenspace.  Norms use the g(phi)-induced inner products.
-    """
-    g = s.metric
-    wa = wedge(F, s.star_phi)
-    r_a = math.sqrt(max(float(form_inner(wa, wa, g)), 0.0))
-    tf = t_phi(F, s)
-    inv14 = (Fraction(1) / Fraction(s.lambda14)) if is_exact(s.lambda14) \
-        else 1.0 / float(s.lambda14)
-    diff = F - tf.scale(inv14)
-    r_b = math.sqrt(max(float(form_inner(diff, diff, g)), 0.0))
-    f7 = s.apply_p7(F)
-    f7_norm = math.sqrt(max(float(form_inner(f7, f7, g)), 0.0))
-    return {"r_a": r_a, "r_b": r_b, "f7_norm": f7_norm}

@@ -11,16 +11,11 @@ from .fibered import (
 from .fourier import (
     CurvatureField,
     FourierField,
-    asd_defect_form,
     constant_curvature_u1,
     curvature,
-    energy_decomposition_7d,
-    flux_charge,
     instanton_residual_field,
-    is_self_dual_flux,
     lift_to_7d,
     topological_charge,
-    ym_energy_4d,
 )
 from .lattice import (
     CoolingDivergence,
@@ -35,27 +30,23 @@ from .lattice import (
     cool_to_sd,
     identity_field,
     lift_lattice_7d,
-    plaquette,
     plaquette_chirality_energies,
     plaquette_field,
     random_gauge_transform,
     read_snapshot,
     residual_7d,
     reunitarize,
-    toron_su2,
     write_snapshot,
 )
 
 __all__ = [
     "CoolingDivergence", "CurvatureField", "FiberedConnection", "FourierField",
-    "LatticeGaugeField", "add_link_noise", "asd_defect_form", "asd_force",
-    "asd_residual_4d", "block_norms", "chirality_energies", "clover_charge",
-    "clover_field", "constant_curvature_u1", "constant_flux_field",
-    "cool_to_sd", "covariant_d_scalar", "curvature", "energy_decomposition_7d",
-    "fibered_curvature", "flux_charge", "identity_field",
-    "instanton_residual_field", "is_self_dual_flux", "lift_lattice_7d",
-    "lift_to_7d", "plaquette", "plaquette_chirality_energies",
-    "plaquette_field", "q_map", "random_gauge_transform", "read_snapshot",
-    "residual_7d", "reunitarize", "topological_charge", "toron_su2",
-    "write_snapshot", "ym_energy_4d",
+    "LatticeGaugeField", "add_link_noise", "asd_force", "asd_residual_4d",
+    "block_norms", "chirality_energies", "clover_charge", "clover_field",
+    "constant_curvature_u1", "constant_flux_field", "cool_to_sd",
+    "covariant_d_scalar", "curvature", "fibered_curvature", "identity_field",
+    "instanton_residual_field", "lift_lattice_7d", "lift_to_7d",
+    "plaquette_chirality_energies", "plaquette_field", "q_map",
+    "random_gauge_transform", "read_snapshot", "residual_7d", "reunitarize",
+    "topological_charge", "write_snapshot",
 ]

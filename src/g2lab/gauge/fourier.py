@@ -26,7 +26,7 @@ import numpy as np
 
 from ..exterior import INDEX_OF, MASK_OF, MERGE_SIGN, ConstForm, lex_basis
 from ..fibration import TorusFibration
-from .lattice import _chirality, _instanton_residuals, _norm_sq, _sd_asd
+from .lattice import _instanton_residuals, _norm_sq
 
 TWO_PI_I = 2.0j * np.pi
 
@@ -405,16 +405,6 @@ def constant_curvature_u1(m) -> CurvatureField:
     return CurvatureField(FourierField.zero(4, 2, 1, 0), flux=rows)
 
 
-def is_self_dual_flux(m) -> bool:
-    return m[0][1] == m[2][3] and m[0][2] == m[3][1] and m[0][3] == m[1][2]
-
-
-def flux_charge(m) -> int:
-    """q = -(m12 m34 + m13 m42 + m14 m23), the second Chern number of the
-    direct-sum bundle in the anti-Hermitian trace convention."""
-    return -(m[0][1] * m[2][3] + m[0][2] * m[3][1] + m[0][3] * m[1][2])
-
-
 def topological_charge(F: CurvatureField) -> float:
     """(1/8 pi^2) integral of tr(F ^ F); exact mode arithmetic."""
     if F.dim != 4:
@@ -426,21 +416,6 @@ def _full_charge(full: FourierField) -> float:
     """topological_charge from the full 4D curvature field."""
     FF = full.wedge(full, cutoff=2 * full.cutoff + 1)
     return float(np.real(FF.trace().integrate_top())) / (8.0 * np.pi ** 2)
-
-
-def ym_energy_4d(F: CurvatureField) -> dict:
-    """Yang-Mills energy split into SD and ASD parts, plus the charge.
-
-    SD means the +1 eigenspace of the flat Hodge star with the +e^{1234}
-    orientation: the e^{12}+e^{34} family, which is the chirality whose
-    lifts are instantons.  Parseval makes every number exact in the modes;
-    the split is the lattice one, applied to the mode stack.
-    """
-    if F.dim != 4:
-        raise ValueError("expected a 4D field")
-    en = _chirality(_components(F.full_field()))
-    return {"total": en["total"], "sd_part": en["sd_sq"],
-            "asd_part": en["asd_sq"], "q": topological_charge(F)}
 
 
 # ---------------------------------------------------------------------------
@@ -463,43 +438,9 @@ def lift_to_7d(F: CurvatureField, fib: TorusFibration) -> CurvatureField:
     return CurvatureField(out, flux=F.flux, truncation_error=F.truncation_error)
 
 
-def energy_decomposition_7d(F: CurvatureField, s) -> dict:
-    """Split the 7D energy by the two curvature eigenspaces.
-
-    kappa_integral is computed independently by integrating -tr(F^F)^phi
-    and must match lambda7*F7sq + lambda14*F14sq by the eigen-calculus.
-    """
-    if F.dim != 7:
-        raise ValueError("expected a 7D field")
-    full = F.full_field()
-    comps = _components(full)
-    f7sq, f14sq = (_norm_sq(np.tensordot(p, comps, axes=(1, 0)))
-                   for p in (s.p7_array(), s.p14_array()))
-    FF = full.wedge(full, cutoff=2 * full.cutoff + 1)
-    kappa = -float(np.real(FF.trace().wedge_const(s.phi).integrate_top()))
-    lam7 = float(s.lambda7)
-    lam14 = float(s.lambda14)
-    return {
-        "F7sq": f7sq, "F14sq": f14sq, "ym": f7sq + f14sq,
-        "kappa_integral": kappa,
-        "identity_residual": abs(kappa - (lam7 * f7sq + lam14 * f14sq)),
-    }
-
-
 def instanton_residual_field(F: CurvatureField, s) -> dict:
     """L^2 residuals of the instanton conditions for a 7D Fourier field:
     the maps of ``lattice.residual_7d`` on the mode stack."""
     if F.dim != 7:
         raise ValueError("expected a 7D field")
     return _instanton_residuals(_components(F.full_field()), s, 1)
-
-
-def asd_defect_form(F: CurvatureField) -> np.ndarray:
-    """Components of the 4D ASD defect (F34-F12, F42-F13, F23-F14).
-
-    For a constant-flux abelian field these are the three matrix
-    coefficients whose norms control the 7D residual of the lift.
-    """
-    d = F.full_field().modes.get((0,) * F.dim, {})
-    z = np.zeros((F.group_rank,) * 2, dtype=complex)
-    return -np.stack(_sd_asd([d.get(idx, z) for idx in lex_basis(4, 2)])[1])

@@ -68,14 +68,6 @@ class LatticeGaugeField:
         return LatticeGaugeField(self.dims, self.group, self.links.copy(),
                                  self.spacing)
 
-    def unitarity_defect(self) -> float:
-        u = self.links
-        d = np.abs(_mul(u, _dag(u)) - np.eye(self.rank)).max()
-        if self.group == "su2":
-            det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
-            d = max(float(d), float(np.abs(det - 1.0).max()))
-        return float(d)
-
 
 def identity_field(dims, group: str) -> LatticeGaugeField:
     r = _RANK[group]
@@ -124,16 +116,6 @@ def _plane_links(U: LatticeGaugeField, mu: int, nu: int) -> tuple:
 def plaquette_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
     """P_{mu nu}(x) = U_mu(x) U_nu(x+mu) U_mu(x+nu)^+ U_nu(x)^+, all sites."""
     return _mul(*_plane_links(U, mu, nu))
-
-
-def plaquette(U: LatticeGaugeField, site, mu: int, nu: int) -> np.ndarray:
-    d = U.ndim
-    if not (0 <= mu < d and 0 <= nu < d) or mu == nu:
-        raise IndexError("invalid directions")
-    site = tuple(int(s) for s in site)
-    if len(site) != d or any(not 0 <= s < n for s, n in zip(site, U.dims)):
-        raise IndexError("site out of range")
-    return plaquette_field(U, mu, nu)[site]
 
 
 def _project_algebra(m: np.ndarray, rank: int) -> np.ndarray:
@@ -264,18 +246,6 @@ def constant_flux_field(dims, flux, group: str = "u1") -> LatticeGaugeField:
         links[..., 0, 0] = ph
         links[..., 1, 1] = np.conj(ph)
     return LatticeGaugeField(tuple(dims), group, links)
-
-
-def toron_su2(dims, f: float) -> LatticeGaugeField:
-    """Self-dual SU(2) configuration with clover charge about -2 f^2.
-
-    Equal flux f in the (1,2) and (3,4) planes on the sigma_3 generator;
-    f = 1/sqrt(2) realizes the |q| = 1 sector.
-    """
-    flux = np.zeros((4, 4))
-    flux[0, 1], flux[1, 0] = f, -f
-    flux[2, 3], flux[3, 2] = f, -f
-    return constant_flux_field(dims, flux, "su2")
 
 
 def add_link_noise(U: LatticeGaugeField, amplitude: float, seed: int) -> LatticeGaugeField:

@@ -14,12 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import su2
+from conftest import (asd_defect_form, closedness_residual,
+                      energy_decomposition_7d, su2)
 from g2lab import cli
 from g2lab.chernsimons import (
-    CSContext, closedness_residual, cs_functional, cs_one_form,
-    obstruction_verdict, path_integrate, perturbed_rho, random_offsets,
-    rho_on_translation, translation_tangent, Verdict,
+    CSContext, cs_functional, cs_one_form, obstruction_verdict, path_integrate,
+    random_offsets, rho_on_translation, Verdict,
 )
 from g2lab.exterior import ConstForm, wedge
 from g2lab.fibration import FibrationSpec, build_fibration
@@ -28,8 +28,8 @@ from g2lab.gauge.fibered import (
     FiberedConnection, block_norms, covariant_d_scalar, fibered_curvature,
 )
 from g2lab.gauge.fourier import (
-    FourierField, asd_defect_form, constant_curvature_u1, curvature,
-    energy_decomposition_7d, instanton_residual_field, lift_to_7d,
+    FourierField, constant_curvature_u1, curvature, instanton_residual_field,
+    lift_to_7d,
 )
 from g2lab.gauge.lattice import (
     add_link_noise, asd_residual_4d, clover_charge, constant_flux_field,
@@ -223,9 +223,8 @@ def test_charge_pairing_and_truth_table(cs_context):
                    [-1, 0, 0, 1], [0, 1, -1, 0]]}
     for q, m in fluxes.items():
         F7 = lift_to_7d(constant_curvature_u1(m), cs_context.fib)
-        beta = translation_tangent(F7, E1)
-        assert perturbed_rho(cs_context, F7, beta, XI_IV) == pytest.approx(
-            float(q), abs=1e-9)
+        assert obstruction_verdict(cs_context, F7, XI_IV).r_phi_value == \
+            pytest.approx(float(q), abs=1e-9)
 
     cases = {"I": ConstForm.basis(7, (1, 2, 3, 4), 1.0),
              "II": ConstForm.basis(7, (1, 2, 3, 6), 1.0),

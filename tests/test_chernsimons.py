@@ -5,12 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import su2
+from conftest import closedness_residual, pairing_oracle, su2
 from g2lab.chernsimons import (
-    CSContext, closedness_residual, cs_functional, cs_one_form,
-    obstruction_verdict, pairing_oracle, path_integrate, perturbed_rho,
+    CSContext, cs_functional, cs_one_form, obstruction_verdict, path_integrate,
     perturbed_rho_lattice, random_offsets, rho_lattice, rho_on_translation,
-    translation_tangent, obstruction_verdict_lattice, Verdict,
+    obstruction_verdict_lattice, Verdict,
 )
 from g2lab.exterior import ConstForm, wedge
 from g2lab.gauge.fibered import covariant_d_scalar
@@ -111,12 +110,12 @@ def test_gauge_orbit_annihilation(cs_context):
 
 def test_translation_tangent_structure(cs_context):
     F7 = lifted(SD_UNIT, cs_context.fib)
-    beta = translation_tangent(F7, E1)
+    beta = F7.full_field().contract(E1)
     # no fiber legs for a base direction on a lifted field
     for d in beta.modes.values():
         for idx in d:
             assert all(i <= 4 for i in idx)
-    zero = translation_tangent(F7, (0.0,) * 7)
+    zero = F7.full_field().contract((0.0,) * 7)
     assert zero.is_zero()
 
 
@@ -145,8 +144,7 @@ def test_rho_on_translation_constant(cs_context):
 def test_perturbed_rho_charge_formula(cs_context):
     for flux, q in ((SD_UNIT, -1.0), (SD_TWO, -2.0)):
         F7 = lifted(flux, cs_context.fib)
-        beta = translation_tangent(F7, E1)
-        r = perturbed_rho(cs_context, F7, beta, XI_IV)
+        r = obstruction_verdict(cs_context, F7, XI_IV).r_phi_value
         assert r == pytest.approx(q, abs=1e-9)
         assert pairing_oracle(cs_context, F7, E1, XI_IV) == pytest.approx(
             q, abs=1e-9)
@@ -154,12 +152,11 @@ def test_perturbed_rho_charge_formula(cs_context):
 
 def test_perturbed_rho_types_i_to_iii_vanish(cs_context):
     F7 = lifted(SD_UNIT, cs_context.fib)
-    beta = translation_tangent(F7, E1)
     xis = [ConstForm.basis(7, (1, 2, 3, 4), 1.0),           # conformal
            ConstForm.basis(7, (1, 2, 3, 6), 1.0),           # one fiber leg
            ConstForm.basis(7, (1, 2, 6, 7), 1.0)]           # two fiber legs
     for xi in xis:
-        assert abs(perturbed_rho(cs_context, F7, beta, xi)) < 1e-10
+        assert abs(obstruction_verdict(cs_context, F7, xi).r_phi_value) < 1e-10
 
 
 def test_obstruction_bilinearity(cs_context):
@@ -171,8 +168,8 @@ def test_obstruction_bilinearity(cs_context):
     for i, sc in enumerate(scales):
         for j, q in enumerate(qs):
             F7 = lifted(fluxes[int(q)], cs_context.fib)
-            beta = translation_tangent(F7, E1)
-            vals[i, j] = perturbed_rho(cs_context, F7, beta, XI_IV.scale(sc))
+            vals[i, j] = obstruction_verdict(cs_context, F7,
+                                             XI_IV.scale(sc)).r_phi_value
     for i, sc in enumerate(scales):
         for j, q in enumerate(qs):
             assert vals[i, j] == pytest.approx(sc * q, abs=1e-9)
@@ -217,6 +214,19 @@ def test_lattice_quadrature_matches_continuum(cs_context):
     rep0 = obstruction_verdict_lattice(
         cs_context, U7, ConstForm.basis(7, (1, 2, 3, 4), 1.0))
     assert rep0.verdict is Verdict.SURVIVES
+
+
+def test_lattice_r_phi_converges_at_fourth_order(cs_context):
+    # r_phi(beta_e1) reads the clover curvature, whose error on the unit SD
+    # flux falls as N^-4; the continuum value is eps(e1) q = -1
+    from g2lab.gauge.lattice import constant_flux_field, lift_lattice_7d
+    sizes = [6, 8, 12]
+    err = [abs(perturbed_rho_lattice(
+        cs_context, lift_lattice_7d(constant_flux_field((n,) * 4, SD_UNIT, "u1"),
+                                    (2, 2, 2)), E1, XI_IV) + 1.0)
+           for n in sizes]
+    order = -np.polyfit(np.log(sizes), np.log(err), 1)[0]
+    assert order == pytest.approx(4.0, abs=0.1)
 
 
 def test_lattice_verdict_is_one_clover_pass(cs_context, monkeypatch):

@@ -258,6 +258,110 @@ def test_snapshot_fuzz_loads_or_is_a_validation_error(tmp_path_factory, data):
         assert U.links.shape[:U.ndim + 1] == (U.ndim, *U.dims)
 
 
+# JSON values a form or spec file may hold by mistake, and files built from
+# them: a valid document with at most one value made hostile, or any JSON
+# value, or text that is not JSON
+LEAVES = st.one_of(
+    st.integers(-2, 8), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.sampled_from(["1", "-2/3", "1/0", "1e400", "0.5", "x", ""]))
+JSON_VALUES = st.recursive(
+    LEAVES, lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
+FORM_TERMS = st.lists(st.fixed_dictionaries({
+    "c": st.one_of(st.floats(-4, 4), st.sampled_from(["1", "-2/3"])),
+    "idx": st.lists(st.integers(1, 7), min_size=4, max_size=4,
+                    unique=True).map(sorted)}), min_size=1, max_size=4)
+
+
+@st.composite
+def forms(draw):
+    form = {"dim": 7, "degree": 4, "terms": draw(FORM_TERMS)}
+    term = form["terms"][0]
+    spot = draw(st.sampled_from(["none", "dim", "degree", "terms", "c", "idx",
+                                 "idx-entry"]))
+    bad = draw(JSON_VALUES)
+    if spot in form:
+        form[spot] = bad
+    elif spot in term:
+        term[spot] = bad
+    elif spot == "idx-entry":
+        term["idx"][draw(st.integers(0, 3))] = bad
+    return form
+
+
+@st.composite
+def specs(draw):
+    alpha = st.lists(st.lists(st.sampled_from(["0", "1/2", "-3"]),
+                              min_size=4, max_size=4), min_size=3, max_size=3)
+    spec = {"eta": [["1" if i == j else "0" for j in range(4)] for i in range(4)],
+            "l_basis": [["1" if i == j else "0" for j in range(3)] for i in range(3)],
+            "alpha": draw(alpha)}
+    spot = draw(st.sampled_from(["none", "entry", *spec]))
+    bad = draw(JSON_VALUES)
+    if spot in spec:
+        spec[spot] = bad
+    elif spot == "entry":
+        rows = spec[draw(st.sampled_from(sorted(spec)))]
+        rows[draw(st.integers(0, len(rows) - 1))][
+            draw(st.integers(0, len(rows[0]) - 1))] = bad
+    return spec
+
+
+def _file_text(documents):
+    return st.one_of(documents.map(json.dumps), JSON_VALUES.map(json.dumps),
+                     st.text(max_size=40))
+
+
+def _write(tmp_path_factory, text):
+    path = str(tmp_path_factory.mktemp("fuzz") / "input.json")
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+@given(text=_file_text(forms()))
+@example(text=json.dumps(PINNED_XI))
+def test_form_fuzz_loads_or_is_a_validation_error(tmp_path_factory, text):
+    path = _write(tmp_path_factory, text)
+    try:
+        cli._load_xi(path)
+    except cli.ValidationFailure:
+        loaded = False
+    else:
+        loaded = True
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["deform", "--xi", path])
+    if loaded and code == 0:
+        assert err.getvalue() == ""
+        jsonschema.validate(strict_json(out.getvalue()), load_schema("deform"))
+    elif loaded:
+        # a finite coefficient whose square overflows: a numerical failure
+        assert code == 2 and out.getvalue() == ""
+        doc = strict_json(err.getvalue())
+        jsonschema.validate(doc, load_schema("error"))
+        assert doc["error"]["code"] == "numerical"
+    else:
+        assert code == 1 and out.getvalue() == ""
+        doc = strict_json(err.getvalue())
+        jsonschema.validate(doc, load_schema("error"))
+        assert doc["error"]["code"] == "validation"
+
+
+@given(text=_file_text(specs()))
+@example(text=json.dumps({"eta": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                          "l_basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                          "alpha": [["1/2", 0, 0, 0], [0] * 4, [0] * 4]}))
+def test_spec_fuzz_loads_or_is_a_validation_error(tmp_path_factory, text):
+    path = _write(tmp_path_factory, text)
+    try:
+        spec = cli._load_spec(path)
+    except cli.ValidationFailure as exc:
+        assert str(exc)
+    else:
+        assert len(spec.alpha) == 3 and spec.eta.dim == 4
+
+
 def test_cs_probe_values(pipeline, capsys):
     code, out, _ = run_cli(["cs", "--field", pipeline["seven"],
                             "--probe-offsets", "2"], capsys)
@@ -301,6 +405,7 @@ SPEC_TEXT = ('{"eta": [["1", "0", "0", "0"], ["0", "1", "0", "0"], '
              '"l_basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], '
              '"alpha": [[%s, "0", "0", "0"], ["0", "0", "0", "0"], '
              '["0", "0", "0", "0"]]}')
+BAD_INDEX_XI = '{"dim": 7, "degree": 4, "terms": [{"c": "1", "idx": [1.5, 2, 3, 4]}]}'
 FLOW = ["flow", "--lattice", "4x4x4x4", "--group", "u1"]
 
 # each builds the argv of one hostile input from a helper `h`
@@ -311,6 +416,7 @@ HOSTILE = {
     "form-coefficient-1e400": lambda h: ["deform", "--xi", h.text(XI_TEXT % "1e400")],
     "form-coefficient-boolean": lambda h: ["deform", "--xi", h.text(XI_TEXT % "true")],
     "form-coefficient-string-1e400": lambda h: ["deform", "--xi", h.text(XI_TEXT % '"1e400"')],
+    "form-index-not-an-integer": lambda h: ["deform", "--xi", h.text(BAD_INDEX_XI)],
     "form-is-a-directory": lambda h: ["deform", "--xi", str(h.root)],
     "form-nested-too-deep": lambda h: ["deform", "--xi", h.text("[" * 10**5 + "]" * 10**5)],
     "spec-zero-denominator": lambda h: ["fibration", "--spec", h.text(SPEC_TEXT % '"1/0"')],
@@ -328,6 +434,8 @@ HOSTILE = {
     "cs-nan-link": lambda h: ["cs", "--field", h.nan_link()],
     "obstruct-nan-link": lambda h: ["obstruct", "--field", h.nan_link(),
                                     "--xi", h.text(XI_TEXT % "-2.0")],
+    "obstruct-form-index-not-an-integer": lambda h: [
+        "obstruct", "--field", h.seven, "--xi", h.text(BAD_INDEX_XI)],
     "obstruct-form-coefficient-string-1e400": lambda h: [
         "obstruct", "--field", h.seven, "--xi", h.text(XI_TEXT % '"1e400"')],
     "lift-nan-spacing": lambda h: ["lift", "--in", h.nan_spacing(), "--out", h.out],

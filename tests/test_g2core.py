@@ -13,10 +13,12 @@ from g2lab.chernsimons import CSContext, obstruction_verdict, path_integrate
 from g2lab.exterior import (ConstForm, hodge, interior, is_exact, lex_basis,
                             wedge)
 from g2lab.g2core import (
-    UnstableForm, eigen_split, energy_report, instanton_residual,
-    l_star_phi, metric_from_phi, standard_phi, standard_star_phi, t_phi,
+    UnstableForm, eigen_split, l_star_phi, metric_from_phi, standard_phi,
+    standard_star_phi,
 )
 from g2lab.gauge.fourier import FourierField, constant_curvature_u1, lift_to_7d
+
+from conftest import energy_report, instanton_residual
 
 
 def test_coassociative_dual_closed_form(standard_structure):
@@ -54,7 +56,7 @@ def test_spectral_eigenvalues(standard_structure):
     s = standard_structure
     T = np.zeros((21, 21))
     for j, idx in enumerate(lex_basis(7, 2)):
-        img = t_phi(ConstForm.basis(7, idx), s)
+        img = hodge(wedge(ConstForm.basis(7, idx), s.phi), s.metric, s.orientation)
         for i, idx2 in enumerate(lex_basis(7, 2)):
             T[i, j] = float(img.coeffs.get(idx2, 0))
     vals = np.sort(np.linalg.eigvalsh(T))

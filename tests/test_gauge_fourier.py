@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import su2
+from conftest import asd_defect_form, energy_decomposition_7d, su2, ym_energy_4d
 from g2lab.gauge.fourier import (
-    CurvatureField, FourierField, asd_defect_form, constant_curvature_u1,
-    curvature, energy_decomposition_7d, flux_charge, instanton_residual_field,
-    is_self_dual_flux, lift_to_7d, topological_charge, ym_energy_4d,
+    CurvatureField, FourierField, constant_curvature_u1, curvature,
+    instanton_residual_field, lift_to_7d, topological_charge,
 )
 from g2lab.exterior import MASK_OF
 from g2lab.rng import SplitMix64
@@ -147,11 +146,11 @@ def test_symmetrized_field_is_real():
 def test_flux_charge_matches_integral():
     for a, b, c in itertools.product((-1, 0, 1), repeat=3):
         m = sd_flux(a, b, c)
-        assert is_self_dual_flux(m)
+        assert m[0][1] == m[2][3] and m[0][2] == m[3][1] and m[0][3] == m[1][2]
         F = constant_curvature_u1(m)
-        assert topological_charge(F) == pytest.approx(flux_charge(m), abs=1e-12)
-    assert flux_charge(sd_flux(1, 0, 0)) == -1
-    assert flux_charge(sd_flux(1, 1, 0)) == -2
+        # q = -(m12 m34 + m13 m42 + m14 m23) in the anti-Hermitian convention
+        assert topological_charge(F) == pytest.approx(-(a * a + b * b + c * c),
+                                                      abs=1e-12)
 
 
 def test_constant_flux_rejects_global_potential_representation():

@@ -6,12 +6,13 @@ import os
 import numpy as np
 import pytest
 
+from conftest import unitarity_defect
 from g2lab.gauge.lattice import (
     CoolingDivergence, LatticeGaugeField, add_link_noise, asd_force,
     asd_residual_4d, chirality_energies, clover_charge, clover_field,
     constant_flux_field, cool_to_sd, identity_field, lift_lattice_7d,
-    plaquette, plaquette_chirality_energies, plaquette_field, random_gauge_transform,
-    read_snapshot, residual_7d, reunitarize, toron_su2, write_snapshot,
+    plaquette_chirality_energies, plaquette_field, random_gauge_transform,
+    read_snapshot, residual_7d, reunitarize, write_snapshot,
 )
 from g2lab.chernsimons import Verdict, obstruction_verdict_lattice, rho_lattice
 from g2lab.exterior import ConstForm, wedge
@@ -28,8 +29,8 @@ HALF_FLUX = [[0, 0.5, 0.5, 0], [-0.5, 0, 0, -0.5],
 
 def test_identity_field_trivial():
     U = identity_field((4, 4, 4, 4), "su2")
-    assert U.unitarity_defect() < 1e-14
-    p = plaquette(U, (0, 0, 0, 0), 0, 1)
+    assert unitarity_defect(U) < 1e-14
+    p = plaquette_field(U, 0, 1)[0, 0, 0, 0]
     assert np.abs(p - np.eye(2)).max() == 0.0
     assert clover_charge(U) == 0.0
     en = chirality_energies(U)
@@ -135,13 +136,34 @@ def test_cooling_monotone_and_converges():
     assert abs(out["history"][-1][2] + 1.0) < 0.1
 
 
+@pytest.mark.parametrize("group, n, seed", [
+    ("u1", 8, 7), ("u1", 8, 11), ("u1", 8, 3), ("su2", 4, 42), ("su2", 4, 7)])
+def test_cooling_never_raises_the_asd_energy(group, n, seed, monkeypatch):
+    # the flow only promises that |F-|^2 does not rise: the ASD fraction of
+    # these u1 histories does rise once.  Each accepted field is swept once,
+    # so its |F-|^2 is the energy evaluation recorded for that field.
+    from g2lab.gauge import lattice
+    energies, swept = {}, []
+    measure, sweep = lattice.plaquette_chirality_energies, lattice._plane_sweep
+    monkeypatch.setattr(lattice, "plaquette_chirality_energies",
+                        lambda U: energies.setdefault(id(U), (U, measure(U)))[1])
+    monkeypatch.setattr(lattice, "_plane_sweep",
+                        lambda U: swept.append(U) or sweep(U))
+    flux = SD_UNIT if group == "u1" else HALF_FLUX
+    U = add_link_noise(constant_flux_field((n,) * 4, flux, group), 0.05, seed)
+    out = cool_to_sd(U, max_steps=5000, tol=1e-3)
+    assert out["converged"] and len(swept) == out["steps"]
+    asd = [energies[id(V)][1]["asd_sq"] for V in swept + [out["field"]]]
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(asd, asd[1:]))
+
+
 def test_reunitarize_projects_back():
     U = identity_field((3, 3, 3, 3), "su2")
     U.links = U.links + 0.05 * (np.random.default_rng(1).normal(
         size=U.links.shape) + 1j * np.random.default_rng(2).normal(
         size=U.links.shape))
     reunitarize(U)
-    assert U.unitarity_defect() < 1e-12
+    assert unitarity_defect(U) < 1e-12
 
 
 def test_lift_and_7d_residual_ratio(standard_fibration):
@@ -417,10 +439,10 @@ def test_reunitarize_matches_svd_projection_near_su2():
     X[:, 0, 0], X[:, 1, 1] = 1j * g[:, 0], -1j * g[:, 0]
     X[:, 0, 1], X[:, 1, 0] = g[:, 1] + 1j * g[:, 2], -g[:, 1] + 1j * g[:, 2]
     V = _as_field(U + X @ U)
-    assert V.unitarity_defect() > 1e-8
+    assert unitarity_defect(V) > 1e-8
     reunitarize(V)
     assert np.abs(V.links[0] - _svd_projection(U + X @ U)).max() < 1e-14
-    assert V.unitarity_defect() < 1e-15
+    assert unitarity_defect(V) < 1e-15
 
 
 def test_reunitarize_is_the_nearest_su2_matrix():
@@ -430,7 +452,7 @@ def test_reunitarize_is_the_nearest_su2_matrix():
     M = _su2_links(rng, 5000) + 1e-3 * _random_links(rng, (5000,), 2)
     V = _as_field(M)
     reunitarize(V)
-    assert V.unitarity_defect() < 1e-15
+    assert unitarity_defect(V) < 1e-15
     near = np.linalg.norm(V.links[0] - M, axis=(-2, -1))
     svd = np.linalg.norm(_svd_projection(M) - M, axis=(-2, -1))
     assert np.all(near <= svd * (1 + 1e-12))
