@@ -119,7 +119,10 @@ def _load_xi(path: str) -> ConstForm:
     d = _load_json(path)
     try:
         xi = ConstForm.from_json_dict(d)
-        xi.to_double()  # every exact coefficient must fit a double
+        # every coefficient must fit a double, and 35 squares of it too
+        for idx, c in xi.to_double().coeffs.items():
+            if abs(c) > 1e150:
+                raise ValueError(f"coefficient {c!r} of {list(idx)} exceeds 1e150 in size")
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationFailure(f"invalid form JSON: {exc}") from exc
     if (xi.dim, xi.degree) != (7, 4):

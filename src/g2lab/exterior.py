@@ -361,6 +361,8 @@ class ConstForm:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ConstForm":
+        if type(d["dim"]) is not int or type(d["degree"]) is not int:
+            raise ValueError("form dim and degree must be integers")
         coeffs = {}
         for t in d["terms"]:
             c = t["c"]

@@ -165,9 +165,6 @@ class G2Structure:
     def p7_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.p7])
 
-    def p14_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.p14])
-
 
 def _apply_matrix(mat, eta: ConstForm) -> ConstForm:
     if eta.degree != 2 or eta.dim != 7:

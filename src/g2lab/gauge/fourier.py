@@ -184,10 +184,6 @@ class FourierField:
                             -self.freqs, self.masks,
                             self.coeffs.conj().swapaxes(-1, -2))
 
-    def reality_defect(self) -> float:
-        """max |c_{-m} + c_m^dagger|; zero for a real Lie-algebra field."""
-        return float(np.abs((self + self._reflected()).coeffs).max(initial=0.0))
-
     def symmetrized(self) -> "FourierField":
         """Project onto the real Lie-algebra subspace, c_{-m} = -c_m^dagger."""
         return (self - self._reflected()).scale(0.5)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -148,7 +149,7 @@ def energy_decomposition_7d(F, s) -> dict:
     full = F.full_field()
     comps = _components(full)
     f7sq, f14sq = (_norm_sq(np.tensordot(p, comps, axes=(1, 0)))
-                   for p in (s.p7_array(), s.p14_array()))
+                   for p in (s.p7_array(), p14_array(s)))
     FF = full.wedge(full, cutoff=2 * full.cutoff + 1)
     kappa = -float(np.real(FF.trace().wedge_const(s.phi).integrate_top()))
     lam7 = float(s.lambda7)
@@ -158,6 +159,27 @@ def energy_decomposition_7d(F, s) -> dict:
         "kappa_integral": kappa,
         "identity_residual": abs(kappa - (lam7 * f7sq + lam14 * f14sq)),
     }
+
+
+@pytest.fixture
+def rising_energies(monkeypatch):
+    """Make every ASD energy that cooling measures larger than the one before,
+    keeping the real ASD fraction, so that no trial step is ever accepted."""
+    from g2lab.gauge import lattice
+    measure, calls = lattice.plaquette_chirality_energies, itertools.count(1)
+    monkeypatch.setattr(lattice, "plaquette_chirality_energies",
+                        lambda U: {**measure(U), "asd_sq": float(next(calls))})
+
+
+def p14_array(s) -> np.ndarray:
+    """The projector onto Lambda^2_14 of the G2 structure ``s``, as floats."""
+    return np.array([[float(x) for x in row] for row in s.p14])
+
+
+def reality_defect(a) -> float:
+    """max |c_{-m} + c_m^dagger| of a Fourier field; zero for a real
+    Lie-algebra field."""
+    return float(np.abs((a + a._reflected()).coeffs).max(initial=0.0))
 
 
 def asd_defect_form(F) -> np.ndarray:

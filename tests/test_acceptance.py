@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import (asd_defect_form, closedness_residual,
-                      energy_decomposition_7d, su2)
+                      energy_decomposition_7d, p14_array, su2)
 from g2lab import cli
 from g2lab.chernsimons import (
     CSContext, cs_functional, cs_one_form, obstruction_verdict, path_integrate,
@@ -74,7 +74,7 @@ def test_spectrum_and_kappa_weight_identity(standard_fibration):
     assert abs(float(s.lambda7) + 2.0) < 1e-10
     assert abs(float(s.lambda14) - 1.0) < 1e-10
     assert float(s.lambda7) * float(s.lambda14) < 0  # opposite signs
-    p7, p14 = s.p7_array(), s.p14_array()
+    p7, p14 = s.p7_array(), p14_array(s)
     assert abs(np.trace(p7) - 7.0) < 1e-10
     assert abs(np.trace(p14) - 14.0) < 1e-10
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import struct
@@ -144,6 +145,18 @@ def pipeline(tmp_path_factory):
                     "--out", seven])
     assert code == 0
     return {"root": root, "four": four, "seven": seven}
+
+
+def test_flow_divergence_exits_2_and_keeps_the_history(tmp_path, rising_energies, capsys):
+    out = str(tmp_path / "diverged.lat")
+    code, doc, err = run_cli(FLOW + ["--noise", "0.05", "--out", out], capsys)
+    assert code == 2 and doc is None and not os.path.exists(out)
+    jsonschema.validate(err, load_schema("error"))
+    assert err["error"]["code"] == "numerical"
+    assert "no acceptable step" in err["error"]["message"]
+    csv = open(out + ".csv").read().splitlines()
+    assert csv[0] == "step,asd_fraction,charge" and len(csv) == 2
+    assert csv[1].startswith("0,")
 
 
 def test_flow_outputs(pipeline, capsys):
@@ -332,15 +345,9 @@ def test_form_fuzz_loads_or_is_a_validation_error(tmp_path_factory, text):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(["deform", "--xi", path])
-    if loaded and code == 0:
-        assert err.getvalue() == ""
+    if loaded:
+        assert code == 0 and err.getvalue() == ""
         jsonschema.validate(strict_json(out.getvalue()), load_schema("deform"))
-    elif loaded:
-        # a finite coefficient whose square overflows: a numerical failure
-        assert code == 2 and out.getvalue() == ""
-        doc = strict_json(err.getvalue())
-        jsonschema.validate(doc, load_schema("error"))
-        assert doc["error"]["code"] == "numerical"
     else:
         assert code == 1 and out.getvalue() == ""
         doc = strict_json(err.getvalue())
@@ -406,6 +413,7 @@ SPEC_TEXT = ('{"eta": [["1", "0", "0", "0"], ["0", "1", "0", "0"], '
              '"alpha": [[%s, "0", "0", "0"], ["0", "0", "0", "0"], '
              '["0", "0", "0", "0"]]}')
 BAD_INDEX_XI = '{"dim": 7, "degree": 4, "terms": [{"c": "1", "idx": [1.5, 2, 3, 4]}]}'
+SHAPED_XI = '{"dim": %s, "degree": %s, "terms": [{"c": -2.0, "idx": [1, 5, 6, 7]}]}'
 FLOW = ["flow", "--lattice", "4x4x4x4", "--group", "u1"]
 
 # each builds the argv of one hostile input from a helper `h`
@@ -417,6 +425,9 @@ HOSTILE = {
     "form-coefficient-boolean": lambda h: ["deform", "--xi", h.text(XI_TEXT % "true")],
     "form-coefficient-string-1e400": lambda h: ["deform", "--xi", h.text(XI_TEXT % '"1e400"')],
     "form-index-not-an-integer": lambda h: ["deform", "--xi", h.text(BAD_INDEX_XI)],
+    "form-dim-float": lambda h: ["deform", "--xi", h.text(SHAPED_XI % ("7.0", "4"))],
+    "form-degree-float": lambda h: ["deform", "--xi", h.text(SHAPED_XI % ("7", "4.0"))],
+    "form-coefficient-1e200": lambda h: ["deform", "--xi", h.text(XI_TEXT % "1e200")],
     "form-is-a-directory": lambda h: ["deform", "--xi", str(h.root)],
     "form-nested-too-deep": lambda h: ["deform", "--xi", h.text("[" * 10**5 + "]" * 10**5)],
     "spec-zero-denominator": lambda h: ["fibration", "--spec", h.text(SPEC_TEXT % '"1/0"')],
@@ -438,6 +449,8 @@ HOSTILE = {
         "obstruct", "--field", h.seven, "--xi", h.text(BAD_INDEX_XI)],
     "obstruct-form-coefficient-string-1e400": lambda h: [
         "obstruct", "--field", h.seven, "--xi", h.text(XI_TEXT % '"1e400"')],
+    "obstruct-form-coefficient-1e200": lambda h: [
+        "obstruct", "--field", h.seven, "--xi", h.text(XI_TEXT % "-1e200")],
     "lift-nan-spacing": lambda h: ["lift", "--in", h.nan_spacing(), "--out", h.out],
 }
 
@@ -475,6 +488,21 @@ def test_hostile_input_is_a_validation_error(pipeline, tmp_path, case, capsys):
     assert code == 1 and out is None and not os.path.exists(files.out)
     jsonschema.validate(err, load_schema("error"))
     assert err["error"]["code"] == "validation"
+
+
+def test_form_coefficients_are_bounded_by_1e150(tmp_path, capsys):
+    path = tmp_path / "xi.json"
+    path.write_text(XI_TEXT % "1e200")
+    code, _, err = run_cli(["deform", "--xi", str(path)], capsys)
+    assert code == 1 and err["error"]["message"] == (
+        "invalid form JSON: coefficient 1e+200 of [1, 5, 6, 7] exceeds 1e150 in size")
+    # at the bound, every one of the 35 coefficients still gives finite block norms
+    terms = [{"idx": list(idx), "c": (-1) ** k * 1e150}
+             for k, idx in enumerate(itertools.combinations(range(1, 8), 4))]
+    path.write_text(json.dumps({"dim": 7, "degree": 4, "terms": terms}))
+    code, out, _ = run_cli(["deform", "--xi", str(path)], capsys)
+    norms = out["split"]["block_norms_sq"].values()
+    assert code == 0 and min(norms) > 1e299 and max(norms) < float("inf")
 
 
 @pytest.mark.parametrize("argv, reason", [

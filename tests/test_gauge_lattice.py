@@ -157,6 +157,40 @@ def test_cooling_never_raises_the_asd_energy(group, n, seed, monkeypatch):
     assert all(b <= a * (1 + 1e-12) for a, b in zip(asd, asd[1:]))
 
 
+@pytest.mark.parametrize("group, n, seed, halving_steps", [
+    ("u1", 8, 7, 23), ("u1", 8, 11, 22), ("u1", 8, 3, 23), ("su2", 4, 42, 19), ("su2", 4, 7, 19)])
+def test_cooling_needs_few_trials_per_accepted_step(group, n, seed, halving_steps, monkeypatch):
+    # the flows above; halving_steps is what each took when every rise halved
+    # the step and every accepted step grew the next by 1.5 (1.74-1.78 trials
+    # per accepted step)
+    from g2lab.gauge import lattice
+    calls, measure = [], lattice.plaquette_chirality_energies
+    monkeypatch.setattr(lattice, "plaquette_chirality_energies",
+                        lambda U: calls.append(U) or measure(U))
+    flux = SD_UNIT if group == "u1" else HALF_FLUX
+    U = add_link_noise(constant_flux_field((n,) * 4, flux, group), 0.05, seed)
+    out = cool_to_sd(U, max_steps=5000, tol=1e-3)
+    trials = len(calls) - 1  # the first call measures the start field
+    assert out["converged"] and out["steps"] <= halving_steps
+    assert trials <= 1.4 * out["steps"]
+
+
+@pytest.mark.parametrize("group", ["u1", "su2"])
+def test_cooling_flat_field_below_zero_tol_is_a_plateau(group):
+    out = cool_to_sd(identity_field((4,) * 4, group), tol=0)
+    assert out["plateau"] and out["steps"] == 0 and not out["converged"]
+    assert out["history"] == [(0, 0.0, 0.0)]
+
+
+def test_cooling_that_only_rises_raises_with_its_history(rising_energies):
+    U = add_link_noise(constant_flux_field((4,) * 4, HALF_FLUX, "su2"), 0.05, seed=3)
+    with pytest.raises(CoolingDivergence, match="iteration 1") as exc:
+        cool_to_sd(U, max_steps=5000, tol=1e-3)
+    frac = plaquette_chirality_energies(U)["asd_fraction"]
+    assert frac > 1e-3
+    assert exc.value.history == [(0, frac, clover_charge(U))]
+
+
 def test_reunitarize_projects_back():
     U = identity_field((3, 3, 3, 3), "su2")
     U.links = U.links + 0.05 * (np.random.default_rng(1).normal(
@@ -302,7 +336,7 @@ def _roll_asd_force(U):
 
 def _roll_cool(U, max_steps, tol):
     work = U.copy()
-    tau = step_size = 0.1
+    tau = np.inf
     en = _roll_energies(work)
     history = [(0, en["asd_fraction"], _roll_clover_charge(work))]
     steps, plateau = 0, False
@@ -312,21 +346,25 @@ def _roll_cool(U, max_steps, tol):
         if fmax < 1e-14:
             plateau = True
             break
-        trial_tau = tau
+        # the quadratic model of E(tau) from its exact slope -|G|^2 at 0
+        g2 = float(np.vdot(force, force).real)
+        tau = min(tau, 0.1 / fmax)
         for _ in range(30):
-            rot = _expm_ah(-trial_tau / fmax * force)
+            rot = _expm_ah(-tau * force)
             trial = LatticeGaugeField(work.dims, work.group, _mul(rot, work.links), work.spacing)
             reunitarize(trial)
             trial_en = _roll_energies(trial)
+            c = (trial_en["asd_sq"] - en["asd_sq"] + g2 * tau) / (tau * tau)
+            best = g2 / (2.0 * c) if c > 0 else np.inf
             if trial_en["asd_sq"] <= en["asd_sq"] * (1.0 + 1e-12):
                 break
-            trial_tau *= 0.5
+            tau = min(max(best, tau / 10), tau / 2)
         else:
             if en["asd_sq"] < 1e-20 or fmax < 1e-9 * max(en["asd_sq"], 1.0):
                 plateau = True
                 break
             raise CoolingDivergence(f"no acceptable step at iteration {steps + 1}", history)
-        work, en, tau = trial, trial_en, min(trial_tau * 1.5, step_size)
+        work, en, tau = trial, trial_en, min(max(best, tau / 2), 2 * tau)
         steps += 1
         history.append((steps, en["asd_fraction"], _roll_clover_charge(work)))
     return {"field": work, "history": history, "converged": en["asd_fraction"] < tol,
