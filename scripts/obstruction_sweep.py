@@ -48,7 +48,7 @@ def main(argv=None):
     cfg = SweepConfig(a.out, a.tol)
 
     fib = build_fibration(FibrationSpec.standard())
-    ctx = CSContext(fib, fib.g2)
+    ctx = CSContext(fib)
     rows = []
     for q, flux in FLUXES.items():
         F7 = lift_to_7d(constant_curvature_u1(flux), fib)

@@ -6,11 +6,9 @@ from .exterior import (
     ConstForm,
     Metric,
     Orientation,
-    form_inner,
     hodge,
     interior,
     pullback_linear,
-    volume_form,
     wedge,
 )
 from .fibration import (

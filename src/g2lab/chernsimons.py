@@ -22,7 +22,7 @@ import numpy as np
 from .exterior import ConstForm
 from .fibration import (DeformationSplit, FibrationSpec, TorusFibration,
                         build_fibration, decompose_deformation)
-from .g2core import G2Structure, standard_structure
+from .g2core import standard_structure
 from .gauge.fourier import CurvatureField, FourierField, _full_charge, curvature
 from .gauge.lattice import (_BASE_PLANES, _PLANES7, _charge, _clover_stack,
                             _cs_integral, su2)
@@ -33,7 +33,7 @@ EIGHT_PI_SQ = 8.0 * np.pi ** 2
 
 @dataclass(frozen=True)
 class CSContext:
-    """Fibration, structure, and the quadrature convention for CS integrals.
+    """Fibration and the quadrature convention for CS integrals.
 
     The reference connection is the zero potential of the trivial sector;
     the functional on nontrivial sectors is never evaluated directly, only
@@ -41,11 +41,6 @@ class CSContext:
     """
 
     fib: TorusFibration
-    s: G2Structure
-
-    def __post_init__(self):
-        if self.s is not self.fib.g2 and self.s.phi.coeffs != self.fib.g2.phi.coeffs:
-            raise ValueError("structure must come from the fibration")
 
     @staticmethod
     def standard() -> "CSContext":
@@ -53,12 +48,8 @@ class CSContext:
         (read-only) afterwards, like ``g2core.standard_structure()``."""
         global _STANDARD
         if _STANDARD is None:
-            fib = build_fibration(FibrationSpec.standard())
-            _STANDARD = CSContext(fib, fib.g2)
+            _STANDARD = CSContext(build_fibration(FibrationSpec.standard()))
         return _STANDARD
-
-    def adapted(self) -> G2Structure:
-        return standard_structure()
 
 
 _STANDARD: CSContext | None = None
@@ -79,7 +70,7 @@ def cs_one_form(ctx: CSContext, F: CurvatureField, b: FourierField) -> float:
         raise ValueError("expected 7D curvature and a 7D 1-form direction")
     if F.group_rank != b.group_rank:
         raise ValueError("group rank mismatch")
-    return _pairing(F.full_field(), b, ctx.adapted().star_phi.to_double())
+    return _pairing(F.full_field(), b, standard_structure().star_phi.to_double())
 
 
 def cs_functional(ctx: CSContext, a: FourierField) -> float:
@@ -90,7 +81,7 @@ def cs_functional(ctx: CSContext, a: FourierField) -> float:
     """
     if a.dim != 7 or a.degree != 1:
         raise ValueError("expected a 7D 1-form potential")
-    star_phi = ctx.adapted().star_phi.to_double()
+    star_phi = standard_structure().star_phi.to_double()
     val = _pairing(a.d(), a, star_phi)
     if a.group_rank > 1:
         val += (2.0 / 3.0) * _pairing(a.wedge(a), a, star_phi)
@@ -116,7 +107,7 @@ def path_integrate(ctx: CSContext, a: FourierField, n_steps: int = 64,
         w = 1.0 + np.abs(a.freqs).sum(axis=1)
         c = FourierField(a.dim, a.degree, a.group_rank, a.cutoff,
                          a.freqs, a.masks, a.coeffs * w[:, None, None])
-    star_phi = ctx.adapted().star_phi.to_double()
+    star_phi = standard_structure().star_phi.to_double()
 
     def rho_at(t: float) -> float:
         At = a.scale(t)
@@ -173,7 +164,7 @@ def rho_on_translation(ctx: CSContext, F: CurvatureField, v, offsets) -> list:
     d(v -| star_phi) = 0), so the spread over probes measures quadrature
     noise only.
     """
-    star_phi = ctx.adapted().star_phi.to_double()
+    star_phi = standard_structure().star_phi.to_double()
     values = []
     for off in offsets:
         full = _probe_curvature(F, off).full_field()
@@ -241,7 +232,7 @@ def obstruction_verdict(ctx: CSContext, F: CurvatureField, xi: ConstForm,
     def measure(v):
         beta = full.contract(v)
         return (_full_charge(_restrict_base(full)),
-                _pairing(full, beta, ctx.adapted().star_phi.to_double()),
+                _pairing(full, beta, standard_structure().star_phi.to_double()),
                 _pairing(full, beta, xi.to_double()) / EIGHT_PI_SQ)
     return _verdict(xi, tol, measure)
 
@@ -253,7 +244,7 @@ def obstruction_verdict(ctx: CSContext, F: CurvatureField, xi: ConstForm,
 def rho_lattice(ctx: CSContext, U, v) -> float:
     """rho(beta_v) by site-sum quadrature on a 7D lattice field."""
     return _cs_integral(U, _clover_stack(U, _PLANES7), v,
-                        ctx.adapted().star_phi)
+                        standard_structure().star_phi)
 
 
 def perturbed_rho_lattice(ctx: CSContext, U, v, xi: ConstForm) -> float:
@@ -270,7 +261,7 @@ def obstruction_verdict_lattice(ctx: CSContext, U, xi: ConstForm,
 
     def measure(v):
         return (_charge(U, F[_BASE_PLANES]),
-                _cs_integral(U, F, v, ctx.adapted().star_phi),
+                _cs_integral(U, F, v, standard_structure().star_phi),
                 _cs_integral(U, F, v, xi) / EIGHT_PI_SQ)
     return _verdict(xi, tol, measure)
 

@@ -24,8 +24,8 @@ import numpy as np
 from .exterior import ConstForm, interior, lex_basis, wedge
 from .fibration import (OMEGA_BASE, FibrationSpec, TorusFibration,
                         build_fibration, decompose_deformation)
-from .g2core import (eigen_split, l_star_phi, standard_phi, standard_star_phi,
-                     standard_structure)
+from .g2core import (eigen_split, l_star_phi, metric_from_phi, standard_phi,
+                     standard_star_phi, standard_structure)
 from .gauge.fibered import q_map
 from .gauge.lattice import (
     CoolingDivergence, add_link_noise, chirality_energies, constant_flux_field,
@@ -262,7 +262,7 @@ def _diagnosis(fib: TorusFibration) -> str:
 
 def cmd_fibration(args) -> int:
     fib = build_fibration(_load_spec(args.spec))
-    g = fib.g2.metric.mat
+    g = metric_from_phi(fib.phi)[0].mat
     ortho = max(abs(float(g[i][j]) - (1.0 if i == j else 0.0))
                 for i in range(7) for j in range(7))
     _emit({
@@ -414,7 +414,7 @@ def cmd_report(args) -> int:
     # continuum lift of the unit SD flux and its residual triple
     F4 = constant_curvature_u1(_UNIT_SD_FLUX)
     F7 = lift_to_7d(F4, fib)
-    res = instanton_residual_field(F7, fib.adapted_g2())
+    res = instanton_residual_field(F7, standard_structure())
 
     # Chern-Simons constancy probe on the lifted field
     v = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

@@ -290,10 +290,6 @@ class ConstForm:
         return ConstForm(dim, len(idx), {key: sign * coeff})
 
     @staticmethod
-    def scalar(dim: int, value) -> "ConstForm":
-        return ConstForm(dim, 0, {(): value})
-
-    @staticmethod
     def from_terms(dim: int, degree: int, terms: Mapping[Sequence[int], object]) -> "ConstForm":
         out: dict = {}
         for idx, c in terms.items():
@@ -346,9 +342,6 @@ class ConstForm:
     def coeff_vector(self, basis: Sequence[Index] | None = None) -> list:
         basis = basis if basis is not None else lex_basis(self.dim, self.degree)
         return [self.coeffs.get(k, 0) for k in basis]
-
-    def norm_sq(self, g: Metric | None = None):
-        return form_inner(self, self, g)
 
     # -- serialization (spec wire format) ------------------------------------
 
@@ -412,22 +405,6 @@ def interior(v: Sequence, a: ConstForm) -> ConstForm:
     return ConstForm(a.dim, a.degree - 1, out)
 
 
-def form_inner(a: ConstForm, b: ConstForm, g: Metric | None = None):
-    """Inner product on Lambda^k induced by g (Gram determinants)."""
-    a._check_same(b)
-    if g is None:
-        return sum((a.coeffs[k] * b.coeffs[k] for k in a.coeffs.keys() & b.coeffs.keys()),
-                   start=0)
-    if g.dim != a.dim:
-        raise DimensionMismatch("metric dim")
-    ginv = g.inverse_matrix()
-    total = 0
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            total = total + ca * cb * mat_minor_det(ginv, ia, ib)
-    return total
-
-
 def hodge(a: ConstForm, g: Metric | None = None, o: Orientation = Orientation(1)) -> ConstForm:
     """Hodge star for an arbitrary SPD metric and explicit orientation.
 
@@ -461,11 +438,6 @@ def hodge(a: ConstForm, g: Metric | None = None, o: Orientation = Orientation(1)
         if total != 0:
             out[kdx] = scale * total
     return ConstForm(n, n - a.degree, out)
-
-
-def volume_form(g: Metric | None, dim: int, o: Orientation = Orientation(1)) -> ConstForm:
-    exact = g is None or g.is_exact()
-    return hodge(ConstForm.scalar(dim, Fraction(1) if exact else 1.0), g, o)
 
 
 def pullback_linear(M, a: ConstForm) -> ConstForm:

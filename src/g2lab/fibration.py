@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import g2core
 from .exterior import (
     ConstForm,
     Metric,
@@ -24,7 +23,7 @@ from .exterior import (
     mat_inverse,
     pullback_linear,
 )
-from .g2core import G2Structure, eigen_split, standard_phi
+from .g2core import standard_phi
 
 BASE_LAMBDA2 = lex_basis(4, 2)
 
@@ -82,15 +81,6 @@ class FibrationSpec:
         eye3 = [[one if i == j else zero for j in range(3)] for i in range(3)]
         return FibrationSpec(_FLAT_ETA, eye3, [[zero] * 4 for _ in range(3)])
 
-    def to_json_dict(self) -> dict:
-        def num(x):
-            return str(Fraction(x)) if is_exact(x) else float(x)
-        return {
-            "eta": [[num(x) for x in row] for row in self.eta.mat],
-            "l_basis": [[num(x) for x in row] for row in self.l_basis],
-            "alpha": [[num(x) for x in row] for row in self.alpha],
-        }
-
     @staticmethod
     def from_json_dict(d: dict) -> "FibrationSpec":
         def num(x):
@@ -113,23 +103,16 @@ def _sqrtm_spd(mat) -> list:
 
 @dataclass(frozen=True)
 class TorusFibration:
-    spec: FibrationSpec
+    """The 7-torus of a spec, in ambient coordinates.  Its G2 structure is
+    ``eigen_split(phi)``; lattice-adapted work reads the standard one."""
+
     ltilde: tuple          # 7x7 generator matrix, columns = lattice generators
     phi: ConstForm         # ambient-coordinate 3-form
-    g2: G2Structure
-    f_matrix: tuple        # 4x7 matrix of the fibration map onto unit base coords
-
-    def generator_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.ltilde])
-
-    def adapted_g2(self) -> G2Structure:
-        """Structure in lattice-adapted coordinates, where phi is standard."""
-        return g2core.standard_structure()
 
     def mixing_block(self) -> np.ndarray:
         """Base-to-fiber block of the generator matrix (alpha); nonzero means
         the total space is not a Riemannian product."""
-        return self.generator_array()[4:, :4]
+        return np.array([[float(x) for x in row[:4]] for row in self.ltilde[4:]])
 
 
 def build_fibration(spec: FibrationSpec) -> TorusFibration:
@@ -147,17 +130,9 @@ def build_fibration(spec: FibrationSpec) -> TorusFibration:
         + [list(a) + list(lb) for a, lb in zip(spec.alpha, spec.l_basis)]
     if not exact:
         G = [[float(x) for x in row] for row in G]
-    Ginv = mat_inverse(G)
     phi0 = standard_phi() if exact else standard_phi().to_double()
-    phi = pullback_linear(Ginv, phi0)
-    # An exact spec that leaves phi standard shares the one exact structure.
-    # Only on the exact path: a float phi compares equal to it (1.0 == 1)
-    # but must keep its own float split.
-    g2s = g2core.standard_structure() if exact and phi == phi0 else eigen_split(phi)
-    Finv = mat_inverse(F)
-    f_matrix = tuple(tuple(Finv[i]) + (zero,) * 3 for i in range(4))
-    return TorusFibration(spec=spec, ltilde=tuple(tuple(r) for r in G),
-                          phi=phi, g2=g2s, f_matrix=f_matrix)
+    phi = pullback_linear(mat_inverse(G), phi0)
+    return TorusFibration(ltilde=tuple(tuple(r) for r in G), phi=phi)
 
 
 # ---------------------------------------------------------------------------

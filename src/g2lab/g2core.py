@@ -24,7 +24,6 @@ from .exterior import (
     is_exact,
     lex_basis,
     mat_det,
-    volume_form,
     wedge,
 )
 
@@ -90,12 +89,12 @@ def _ninth_root(x) -> object:
 
 
 def metric_from_phi(phi: ConstForm):
-    """Metric, orientation and volume form induced by a stable 3-form.
+    """Metric and orientation induced by a stable 3-form.
 
     Forms the symmetric matrix B of top-form coefficients of
     (1/6)(u -| phi)^(v -| phi)^phi, then normalizes g = B / det(B)^{1/9};
     the ninth root is the unique power making <u,v> dVol_g = B_uv e^{1..7}
-    self-consistent.  Returns (Metric, Orientation, volume ConstForm).
+    self-consistent.  Returns (Metric, Orientation).
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("expected a 3-form on R^7")
@@ -130,8 +129,7 @@ def metric_from_phi(phi: ConstForm):
     if not exact:
         scale = _ninth_root(detB)
         g = Metric(7, (Bf / scale).tolist())
-    vol = volume_form(g, 7, orient)
-    return g, orient, vol
+    return g, orient
 
 
 def _t_matrix(phi: ConstForm, g: Metric, o: Orientation):
@@ -148,19 +146,16 @@ def _t_matrix(phi: ConstForm, g: Metric, o: Orientation):
 class G2Structure:
     phi: ConstForm
     metric: Metric
-    orientation: Orientation
-    vol: ConstForm
     star_phi: ConstForm
     lambda7: object
     lambda14: object
     p7: tuple
-    p14: tuple
 
     def apply_p7(self, eta: ConstForm) -> ConstForm:
         return _apply_matrix(self.p7, eta)
 
     def apply_p14(self, eta: ConstForm) -> ConstForm:
-        return _apply_matrix(self.p14, eta)
+        return eta - self.apply_p7(eta)
 
     def p7_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.p7])
@@ -186,7 +181,7 @@ def eigen_split(phi: ConstForm) -> G2Structure:
     comes out at -2 and the g2 subalgebra at +1, but downstream code only
     ever references the realized values.
     """
-    g, orient, vol = metric_from_phi(phi)
+    g, orient = metric_from_phi(phi)
     T = _t_matrix(phi, g, orient)
     Tf = np.array([[float(x) for x in row] for row in T])
     # T is self-adjoint for g's inner product on Lambda^2, not for the
@@ -219,16 +214,11 @@ def eigen_split(phi: ConstForm) -> G2Structure:
         denom = lam7 - lam14
         p7 = [[(T[i][j] - (lam14 if i == j else 0)) / denom for j in range(21)]
               for i in range(21)]
-        p14 = [[(1 if i == j else 0) - p7[i][j] for j in range(21)] for i in range(21)]
     else:
-        p7np = (Tf - lam14 * np.eye(21)) / (lam7 - lam14)
-        p7 = tuple(tuple(row) for row in p7np.tolist())
-        p14 = tuple(tuple(row) for row in (np.eye(21) - p7np).tolist())
+        p7 = ((Tf - lam14 * np.eye(21)) / (lam7 - lam14)).tolist()
     return G2Structure(
-        phi=phi, metric=g, orientation=orient, vol=vol,
-        star_phi=hodge(phi, g, orient),
-        lambda7=lam7, lambda14=lam14,
-        p7=tuple(tuple(r) for r in p7), p14=tuple(tuple(r) for r in p14),
+        phi=phi, metric=g, star_phi=hodge(phi, g, orient),
+        lambda7=lam7, lambda14=lam14, p7=tuple(tuple(r) for r in p7),
     )
 
 

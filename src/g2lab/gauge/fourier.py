@@ -134,8 +134,8 @@ class FourierField:
     def add_coeff(self, freq: tuple, idx: tuple, value) -> None:
         self._put(freq, idx, value, add=True)
 
-    def prune(self, tol: float = 0.0) -> "FourierField":
-        keep = np.abs(self.coeffs).max(axis=tuple(range(1, self.coeffs.ndim))) > tol
+    def prune(self) -> "FourierField":
+        keep = np.abs(self.coeffs).max(axis=tuple(range(1, self.coeffs.ndim))) > 0
         self.freqs, self.masks, self.coeffs = \
             self.freqs[keep], self.masks[keep], self.coeffs[keep]
         return self
@@ -330,9 +330,12 @@ class CurvatureField:
     def __post_init__(self):
         if self.fluctuation.degree != 2:
             raise ValueError("curvature must have degree 2")
-        fl = tuple(tuple(int(x) for x in row) for row in self.flux)
-        if len(fl) != 4 or any(len(r) != 4 for r in fl):
+        raw = tuple(tuple(row) for row in self.flux)
+        if len(raw) != 4 or any(len(r) != 4 for r in raw):
             raise ValueError("flux must be 4x4")
+        fl = tuple(tuple(int(x) for x in r) for r in raw)
+        if fl != raw:
+            raise ValueError("flux entries must be integers")
         if any(fl[i][j] != -fl[j][i] for i in range(4) for j in range(4)):
             raise ValueError("flux must be antisymmetric")
         object.__setattr__(self, "flux", fl)
@@ -389,16 +392,7 @@ def constant_curvature_u1(m) -> CurvatureField:
     first Chern numbers of the line bundle over the coordinate 2-tori, so no
     global potential exists unless m = 0.
     """
-    rows = [list(r) for r in m]
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
-        raise ValueError("flux matrix must be 4x4")
-    for i in range(4):
-        for j in range(4):
-            if rows[i][j] != int(rows[i][j]):
-                raise ValueError("flux entries must be integers")
-            if rows[i][j] != -rows[j][i]:
-                raise ValueError("flux matrix must be antisymmetric")
-    return CurvatureField(FourierField.zero(4, 2, 1, 0), flux=rows)
+    return CurvatureField(FourierField.zero(4, 2, 1, 0), flux=m)
 
 
 def topological_charge(F: CurvatureField) -> float:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import settings, HealthCheck
 
 from g2lab.chernsimons import EIGHT_PI_SQ, _pairing
-from g2lab.exterior import (form_inner, hodge, interior, is_exact, lex_basis,
-                            wedge)
-from g2lab.g2core import metric_from_phi
+from g2lab.exterior import (DimensionMismatch, hodge, interior, is_exact,
+                            lex_basis, mat_minor_det, wedge)
+from g2lab.g2core import metric_from_phi, standard_structure as _standard
 from g2lab.gauge.fourier import _components, topological_charge
 from g2lab.gauge.lattice import (  # noqa: F401  (su2 is imported by the tests)
     _chirality, _dag, _mul, _norm_sq, _sd_asd, su2,
@@ -26,8 +26,7 @@ settings.load_profile("ci")
 
 @pytest.fixture(scope="session")
 def standard_structure():
-    from g2lab.g2core import standard_structure
-    return standard_structure()
+    return _standard()
 
 
 @pytest.fixture(scope="session")
@@ -39,11 +38,27 @@ def standard_fibration():
 @pytest.fixture(scope="session")
 def cs_context(standard_fibration):
     from g2lab.chernsimons import CSContext
-    return CSContext(standard_fibration, standard_fibration.g2)
+    return CSContext(standard_fibration)
 
 
 # ---------------------------------------------------------------------------
 # Oracles: independent formulas that the tests compare g2lab's pipeline with.
+
+
+def form_inner(a, b, g=None):
+    """Inner product on Lambda^k induced by g (Gram determinants)."""
+    a._check_same(b)
+    if g is None:
+        return sum((a.coeffs[k] * b.coeffs[k] for k in a.coeffs.keys() & b.coeffs.keys()),
+                   start=0)
+    if g.dim != a.dim:
+        raise DimensionMismatch("metric dim")
+    ginv = g.inverse_matrix()
+    total = 0
+    for ia, ca in a.coeffs.items():
+        for ib, cb in b.coeffs.items():
+            total = total + ca * cb * mat_minor_det(ginv, ia, ib)
+    return total
 
 
 def energy_report(F7sq, F14sq) -> dict:
@@ -75,7 +90,7 @@ def instanton_residual(F, s) -> dict:
     g = s.metric
     wa = wedge(F, s.star_phi)
     r_a = math.sqrt(max(float(form_inner(wa, wa, g)), 0.0))
-    tf = hodge(wedge(F, s.phi), s.metric, s.orientation)
+    tf = hodge(wedge(F, s.phi), s.metric, metric_from_phi(s.phi)[1])
     inv14 = (Fraction(1) / Fraction(s.lambda14)) if is_exact(s.lambda14) \
         else 1.0 / float(s.lambda14)
     diff = F - tf.scale(inv14)
@@ -87,19 +102,19 @@ def instanton_residual(F, s) -> dict:
 
 def xi_from_perturbation(phi, dphi):
     """Exact coassociative deformation star(phi + dphi) - star(phi)."""
-    g0, o0, _ = metric_from_phi(phi)
+    g0, o0 = metric_from_phi(phi)
     phi1 = phi + dphi
-    g1, o1, _ = metric_from_phi(phi1)
+    g1, o1 = metric_from_phi(phi1)
     return hodge(phi1, g1, o1) - hodge(phi, g0, o0)
 
 
-def closedness_residual(ctx, A, a, b) -> float:
+def closedness_residual(A, a, b) -> float:
     """|integral of tr(d_A a ^ b - a ^ d_A b) ^ star_phi|.
 
     Vanishes by Stokes because the coassociative form is constant; this is
     the closedness of rho as a 1-form on the space of connections.
     """
-    star_phi = ctx.adapted().star_phi.to_double()
+    star_phi = _standard().star_phi.to_double()
 
     def d_cov(x):
         out = x.d()
@@ -172,8 +187,10 @@ def rising_energies(monkeypatch):
 
 
 def p14_array(s) -> np.ndarray:
-    """The projector onto Lambda^2_14 of the G2 structure ``s``, as floats."""
-    return np.array([[float(x) for x in row] for row in s.p14])
+    """The projector 1 - p7 onto Lambda^2_14 of the G2 structure ``s``,
+    taken in the structure's arithmetic and then as floats."""
+    return np.array([[float((i == j) - x) for j, x in enumerate(row)]
+                     for i, row in enumerate(s.p7)])
 
 
 def reality_defect(a) -> float:

@@ -69,7 +69,7 @@ def test_exact_identity_suite_under_one_second():
 # --- 2: two-form spectrum and the energy-weight identity ------------------
 
 
-def test_spectrum_and_kappa_weight_identity(standard_fibration):
+def test_spectrum_and_kappa_weight_identity():
     s = eigen_split(standard_phi().to_double())
     assert abs(float(s.lambda7) + 2.0) < 1e-10
     assert abs(float(s.lambda14) - 1.0) < 1e-10
@@ -78,7 +78,7 @@ def test_spectrum_and_kappa_weight_identity(standard_fibration):
     assert abs(np.trace(p7) - 7.0) < 1e-10
     assert abs(np.trace(p14) - 14.0) < 1e-10
 
-    sx = standard_fibration.adapted_g2()
+    sx = standard_structure()
     from test_gauge_fourier import random_field
     for seed in range(20):
         F = curvature(random_field(7, 1, 2, seed=500 + seed, cutoff=2))
@@ -92,7 +92,7 @@ def test_spectrum_and_kappa_weight_identity(standard_fibration):
 
 def test_lifting_sd_exact_asd_matches_defect(standard_fibration):
     t0 = time.monotonic()
-    s = standard_fibration.adapted_g2()
+    s = standard_structure()
     sd_nine = [sd_flux(1, 0, 0), sd_flux(-1, 0, 0), sd_flux(0, 1, 0),
                sd_flux(0, -1, 0), sd_flux(0, 0, 1), sd_flux(0, 0, -1),
                sd_flux(1, 1, 0), sd_flux(1, 0, 1), sd_flux(0, 1, 1)]
@@ -194,7 +194,7 @@ def test_functional_one_form_consistency(cs_context):
 
     # closedness and gauge-orbit annihilation
     offs = random_offsets(7, 2, 3, seed=5)
-    assert closedness_residual(cs_context, a, offs[0], offs[1]) < 1e-10
+    assert closedness_residual(a, offs[0], offs[1]) < 1e-10
     chi = FourierField.zero(7, 0, 2, 2)
     chi.add_coeff((0, 1, 0, 0, 0, 0, 0), (), su2([0.4, 0.1, -0.3]))
     chi = chi.symmetrized()
@@ -244,7 +244,7 @@ def test_charge_pairing_and_truth_table(cs_context):
 # --- 8: lattice cooling pipeline ------------------------------------------
 
 
-def test_lattice_cooling_and_lift(standard_fibration):
+def test_lattice_cooling_and_lift():
     t0 = time.monotonic()
     start = constant_flux_field((6, 6, 6, 6),
                                 [[0, 0.5, 0.5, 0], [-0.5, 0, 0, -0.5],
@@ -258,7 +258,7 @@ def test_lattice_cooling_and_lift(standard_fibration):
     assert en["asd_fraction"] < 1e-3
     assert abs(clover_charge(field) + 1.0) < 0.1
     U7 = lift_lattice_7d(field, (4, 4, 4))
-    res = residual_7d(U7, standard_fibration.adapted_g2())
+    res = residual_7d(U7, standard_structure())
     assert res["f7_norm"] <= 2.0 * asd_residual_4d(field)
     assert time.monotonic() - t0 < 300.0
 

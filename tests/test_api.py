@@ -3,7 +3,14 @@
 A public module-level function or class must be referenced by code in
 ``src/``, ``scripts/`` or ``perfbench/`` (other than its own body and the
 package ``__init__.py`` re-exports), or be named by a traced metric in
-``perfbench/worker.py``.  A name that only tests call belongs in ``tests/``.
+``perfbench/worker.py``.  A public method, and a public field of a
+dataclass, must be read as an attribute somewhere in those directories, or
+be named as ``module.Class.name`` in ``perfbench/worker.py``; reads inside a
+``__post_init__`` are validation, not use, and do not count.  A name that
+only tests read belongs in ``tests/``.
+
+Blind spot: attributes are matched by name alone, so a name shared by two
+classes (``to_json_dict``, ``norm_sq``, ``copy``) counts as read for both.
 """
 
 import ast
@@ -12,6 +19,12 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "g2lab")
 USER_DIRS = [os.path.join(ROOT, d) for d in ("src", "scripts", "perfbench")]
+
+#: members kept without a pipeline reader, and why
+EXEMPT = {
+    # ROADMAP.md item 2 builds the grid-native fibered families through it
+    "gauge.fibered.FiberedConnection.pullback",
+}
 
 
 def _python_files(top):
@@ -26,6 +39,10 @@ def _parse(path):
         return ast.parse(fh.read(), path)
 
 
+def _module(path):
+    return os.path.relpath(path, PACKAGE)[:-3].replace(os.sep, ".")
+
+
 def _referenced(node):
     """Names read anywhere under ``node``, as bare names or attributes."""
     out = set()
@@ -37,16 +54,29 @@ def _referenced(node):
     return out
 
 
+def _attribute_reads(node, out):
+    """Add to ``out`` every attribute loaded under ``node``, outside the
+    bodies of ``__post_init__``."""
+    if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+        return
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        out.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        _attribute_reads(child, out)
+
+
 def _traced_names():
-    """Dotted components of every name in worker.py's PER_LAYER/COUNT_ONLY."""
+    """Every dotted prefix of the names in worker.py's PER_LAYER/COUNT_ONLY:
+    ``gauge.fourier.FourierField.wedge.calls`` names the layer
+    ``gauge.fourier``, the class ``FourierField`` and its method ``wedge``."""
     names = set()
     for node in _parse(os.path.join(ROOT, "perfbench", "worker.py")).body:
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) in ("PER_LAYER", "COUNT_ONLY")
                         for t in node.targets)):
             for entry in ast.literal_eval(node.value):
-                dotted = entry[0] if isinstance(entry, tuple) else entry
-                names.update(dotted.split("."))
+                parts = (entry[0] if isinstance(entry, tuple) else entry).split(".")
+                names.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
     return names
 
 
@@ -59,6 +89,20 @@ def _public_definitions():
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 yield path, node
+
+
+def _public_members(cls):
+    """Public methods of a class, and its public fields if it is a dataclass."""
+    dataclass = any("dataclass" in _referenced(d) for d in cls.decorator_list)
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif dataclass and isinstance(node, ast.AnnAssign):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name
 
 
 def test_every_public_name_has_a_pipeline_user():
@@ -74,10 +118,26 @@ def test_every_public_name_has_a_pipeline_user():
     traced = _traced_names()
     unused = []
     for path, node in _public_definitions():
-        used = node.name in traced or any(
+        used = f"{_module(path)}.{node.name}" in traced or any(
             node.name in names for p, n, names in refs
             if not (p == path and n.lineno == node.lineno))
         if not used:
-            module = os.path.relpath(path, PACKAGE)[:-3].replace(os.sep, ".")
-            unused.append(f"{module}.{node.name}")
+            unused.append(f"{_module(path)}.{node.name}")
     assert unused == []
+
+
+def test_every_public_member_is_read_by_a_pipeline():
+    reads = set()
+    for top in USER_DIRS:
+        for path in _python_files(top):
+            _attribute_reads(_parse(path), reads)
+    traced = _traced_names()
+    unread = []
+    for path, node in _public_definitions():
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for name in _public_members(node):
+            qual = f"{_module(path)}.{node.name}.{name}"
+            if name not in reads and qual not in traced and qual not in EXEMPT:
+                unread.append(qual)
+    assert unread == []

@@ -9,11 +9,12 @@ from hypothesis import given, strategies as st
 
 from g2lab.exterior import (
     INDEX_OF, MASK_OF, MERGE_SIGN, ConstForm, DimensionMismatch, Metric,
-    NotPositiveDefinite, Orientation, form_inner, hodge, interior, lex_basis,
-    mat_det, mat_inverse, merge_indices, pullback_linear, sort_indices,
-    volume_form, wedge,
+    NotPositiveDefinite, Orientation, hodge, interior, lex_basis, mat_det,
+    mat_inverse, merge_indices, pullback_linear, sort_indices, wedge,
 )
 from g2lab.gauge.fourier import FourierField
+
+from conftest import form_inner
 
 DIM = 5
 
@@ -76,7 +77,7 @@ def test_inner_via_hodge(a):
     """<a,a> dVol = a ^ *a, the defining property of the star."""
     lhs = wedge(a, hodge(a))
     inner = form_inner(a, a)
-    rhs = volume_form(None, DIM).scale(inner)
+    rhs = ConstForm.basis(DIM, tuple(range(1, DIM + 1))).scale(inner)
     assert (lhs - rhs).is_zero()
     assert inner >= 0
 
@@ -166,7 +167,7 @@ def test_hodge_with_a_metric(dim):
     gf = Metric(dim, [[float(x) for x in row] for row in g.mat])
     rnd = random.Random(100 + dim)
     for o in (Orientation(1), Orientation(-1)):
-        vol = volume_form(g, dim, o)
+        vol = hodge(ConstForm(dim, 0, {(): Fraction(1)}), g, o)
         for k in range(dim + 1):
             a = _random_form(dim, k, rnd)
             star = hodge(a, g, o)

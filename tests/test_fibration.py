@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 from g2lab.exterior import (ConstForm, Metric, interior, lex_basis, mat_det,
                             mat_inverse, pullback_linear, wedge)
 from g2lab.fibration import FibrationSpec, build_fibration, decompose_deformation
-from g2lab.g2core import (_exact_spectrum_ok, _t_matrix, standard_phi,
-                          standard_star_phi, standard_structure)
+from g2lab.g2core import (_exact_spectrum_ok, _t_matrix, eigen_split,
+                          metric_from_phi, standard_phi, standard_star_phi,
+                          standard_structure)
 
 from conftest import xi_from_perturbation
 
@@ -29,7 +30,7 @@ def fiber_generators(fib):
 def test_standard_fibration_is_adapted(standard_fibration):
     fib = standard_fibration
     assert (fib.phi - standard_phi()).is_zero()
-    g = fib.g2.metric.mat
+    g = metric_from_phi(fib.phi)[0].mat
     for i in range(7):
         for j in range(7):
             assert g[i][j] == (1 if i == j else 0)
@@ -50,26 +51,22 @@ def test_twisted_fibration_is_non_product():
     alpha = [[Fraction(1, 2), 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     twisted = FibrationSpec(spec.eta, spec.l_basis, alpha)
     fib = build_fibration(twisted)
-    assert np.abs(fib.mixing_block()).max() > 0
-    # the adapted-coordinate structure is still the model one
-    g = fib.adapted_g2().metric.mat
-    for i in range(7):
-        for j in range(7):
-            assert g[i][j] == (1 if i == j else 0)
+    assert fib.mixing_block().tolist() == [[float(x) for x in r] for r in alpha]
 
 
 def test_only_exact_standard_spec_shares_the_standard_structure():
+    """The exact standard spec's phi is the one standard_structure() splits,
+    exactly; a float spec keeps float phi, whose split stays float."""
     exact = build_fibration(FibrationSpec.standard())
-    assert exact.g2 is standard_structure()
-    assert isinstance(exact.g2.lambda7, Fraction)
+    assert exact.phi == standard_structure().phi
+    assert all(type(c) is not float for c in exact.phi.coeffs.values())
     # identity entries as floats compare equal to the exact ones (1.0 == 1),
-    # yet the float spec must get its own float split
+    # yet the float spec must keep float arithmetic
     eye = [[1.0 if i == j else 0.0 for j in range(3)] for i in range(3)]
     floats = build_fibration(FibrationSpec(Metric.identity(4, exact=False),
                                            eye, [[0.0] * 4 for _ in range(3)]))
-    assert floats.g2 is not standard_structure()
-    assert type(floats.g2.lambda7) is float
-    assert all(type(c) is float for c in floats.g2.phi.coeffs.values())
+    assert all(type(c) is float for c in floats.phi.coeffs.values())
+    assert type(eigen_split(floats.phi).lambda7) is float
 
 
 def test_nonflat_eta_induces_inverse_metric_on_base():
@@ -78,7 +75,7 @@ def test_nonflat_eta_induces_inverse_metric_on_base():
     spec = FibrationSpec(eta, FibrationSpec.standard().l_basis,
                          FibrationSpec.standard().alpha)
     fib = build_fibration(spec)
-    g = fib.g2.metric.mat
+    g = metric_from_phi(fib.phi)[0].mat
     want = [Fraction(1, 4), 1, 1, Fraction(1, 4), 1, 1, 1]
     for i in range(7):
         for j in range(7):
@@ -107,18 +104,17 @@ def test_twisted_structure_is_the_pulled_back_standard_one(spec):
     star phi = A^* star phi0, and T keeps the exact spectrum -2 / +1."""
     fib = build_fibration(spec)
     A = mat_inverse([list(r) for r in fib.ltilde])
-    s = fib.g2
+    s = eigen_split(fib.phi)
+    orientation = metric_from_phi(fib.phi)[1]
     assert all(s.metric.mat[i][j] == sum(A[k][i] * A[k][j] for k in range(7))
                for i in range(7) for j in range(7))
     assert s.star_phi == pullback_linear(A, standard_star_phi())
-    assert s.orientation.sign == (1 if mat_det(A) > 0 else -1)
+    assert orientation.sign == (1 if mat_det(A) > 0 else -1)
     assert type(s.lambda7) is Fraction and type(s.lambda14) is Fraction
     assert (s.lambda7, s.lambda14) == (-2, 1)
     p7 = np.array(s.p7, dtype=object)
     assert (p7.dot(p7) == p7).all()
-    assert all(s.p7[i][j] + s.p14[i][j] == (i == j)
-               for i in range(21) for j in range(21))
-    T = _t_matrix(s.phi, s.metric, s.orientation)
+    T = _t_matrix(s.phi, s.metric, orientation)
     assert not _exact_spectrum_ok(T, Fraction(-2), Fraction(3, 2))
 
 
@@ -127,19 +123,12 @@ def test_float_twisted_structure_has_the_model_spectrum():
     coordinate inner product, and still has eigenvalues -2 and +1."""
     eta = Metric(4, ((Fraction(4), 0, 0, 0), (0, Fraction(1), 0, 0),
                      (0, 0, Fraction(1), 0), (0, 0, 0, Fraction(4))))
-    s = build_fibration(FibrationSpec(eta, FibrationSpec.standard().l_basis,
-                                      _twisted_spec(5).alpha)).g2
+    s = eigen_split(build_fibration(FibrationSpec(
+        eta, FibrationSpec.standard().l_basis, _twisted_spec(5).alpha)).phi)
     assert type(s.lambda7) is float
     assert abs(s.lambda7 + 2) < 1e-12 and abs(s.lambda14 - 1) < 1e-12
     p7 = s.p7_array()
     assert np.abs(p7 @ p7 - p7).max() < 1e-12
-
-
-def test_pullback_along_f_kills_nothing_on_base(standard_fibration):
-    a = ConstForm.basis(4, (1, 2))
-    lifted = pullback_linear(standard_fibration.f_matrix, a)
-    assert lifted.dim == 7
-    assert (lifted - ConstForm.basis(7, (1, 2))).is_zero()
 
 
 @given(st.lists(st.tuples(st.sampled_from(lex_basis(7, 4)), rationals),
@@ -215,7 +204,7 @@ def test_fibred_variations_have_no_transverse_block():
     for moved_spec in (FibrationSpec(spec.eta, spec.l_basis, alpha),
                        FibrationSpec(eta, spec.l_basis, spec.alpha)):
         moved = build_fibration(moved_spec)
-        xi = moved.g2.star_phi - base.g2.star_phi
+        xi = eigen_split(moved.phi).star_phi - eigen_split(base.phi).star_phi
         sp = decompose_deformation(xi)
         assert all(c == 0 for c in sp.c_iv)
     # and the exact coassociative difference map agrees with the structures

@@ -13,6 +13,7 @@ from g2lab.gauge.fourier import (
     instanton_residual_field, lift_to_7d, topological_charge,
 )
 from g2lab.exterior import MASK_OF
+from g2lab.g2core import standard_structure
 from g2lab.rng import SplitMix64
 
 
@@ -160,6 +161,22 @@ def test_constant_flux_rejects_global_potential_representation():
     assert F.flux[0][1] == 1 and F.flux[2][3] == 1
 
 
+@pytest.mark.parametrize("build", [
+    constant_curvature_u1,
+    lambda m: CurvatureField(FourierField.zero(4, 2), flux=m)])
+def test_flux_must_be_integer_antisymmetric_4x4(build):
+    """A half-integer flux is no Chern class: it is rejected, not rounded."""
+    half = ((0, .5, 0, 0), (-.5, 0, 0, 0), (0, 0, 0, 1.5), (0, 0, -1.5, 0))
+    for bad, reason in ((half, "integers"),
+                        (sd_flux(1, 0, 0)[:3], "4x4"),
+                        ([[0, 1, 0, 0], [1, 0, 0, 0], [0] * 4, [0] * 4],
+                         "antisymmetric")):
+        with pytest.raises(ValueError, match=reason):
+            build(bad)
+    assert build([[float(x) for x in r] for r in sd_flux(1, 0, 0)]).flux \
+        == tuple(map(tuple, sd_flux(1, 0, 0)))
+
+
 def test_ym_energy_sd_asd_split():
     F = constant_curvature_u1(sd_flux(1, 0, 0))
     en = ym_energy_4d(F)
@@ -189,7 +206,7 @@ def test_charge_of_trivial_sector_vanishes():
 
 
 def test_lift_residuals_sd_and_asd(standard_fibration):
-    s = standard_fibration.adapted_g2()
+    s = standard_structure()
     for a, b, c in itertools.product((-1, 0, 1), repeat=3):
         F7 = lift_to_7d(constant_curvature_u1(sd_flux(a, b, c)),
                         standard_fibration)
@@ -206,8 +223,8 @@ def test_lift_residuals_sd_and_asd(standard_fibration):
     assert res["f7_norm"] == pytest.approx(nO / np.sqrt(3.0), abs=1e-10)
 
 
-def test_energy_decomposition_identity_random_fields(standard_fibration):
-    s = standard_fibration.adapted_g2()
+def test_energy_decomposition_identity_random_fields():
+    s = standard_structure()
     for seed in range(20):
         A = random_field(7, 1, 2, seed=100 + seed, cutoff=2)
         F = curvature(A)
@@ -217,7 +234,7 @@ def test_energy_decomposition_identity_random_fields(standard_fibration):
 
 def test_asd_fraction_of_lifted_field(standard_fibration):
     """For a lifted ASD plane the 7-component carries 2/3 of the energy."""
-    s = standard_fibration.adapted_g2()
+    s = standard_structure()
     asd = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
     F7 = lift_to_7d(constant_curvature_u1(asd), standard_fibration)
     en = energy_decomposition_7d(F7, s)
@@ -228,7 +245,7 @@ def test_asd_fraction_of_lifted_field(standard_fibration):
 
 
 def test_kappa_positive_for_sd_lift(standard_fibration):
-    s = standard_fibration.adapted_g2()
+    s = standard_structure()
     F7 = lift_to_7d(constant_curvature_u1(sd_flux(1, 0, 0)),
                     standard_fibration)
     en = energy_decomposition_7d(F7, s)

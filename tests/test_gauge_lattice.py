@@ -16,6 +16,7 @@ from g2lab.gauge.lattice import (
 )
 from g2lab.chernsimons import Verdict, obstruction_verdict_lattice, rho_lattice
 from g2lab.exterior import ConstForm, wedge
+from g2lab.g2core import standard_structure
 from g2lab.gauge.lattice import (
     _PLANE_SIGNS, _PLANES4, _charge, _chirality, _dag, _expm_ah, _mul,
     _project_algebra, _sd_asd, _shift,
@@ -55,13 +56,13 @@ def test_clover_charge_converges_at_fourth_order(group):
 
 
 @pytest.mark.parametrize("group", ["u1", "su2"])
-def test_gauge_invariance_of_observables(group, standard_fibration, cs_context):
+def test_gauge_invariance_of_observables(group, cs_context):
     U = add_link_noise(constant_flux_field((6, 6, 6, 6), SD_UNIT, group), 0.1, seed=11)
     q0 = clover_charge(U)
     en0 = chirality_energies(U)
     # a lift with noise on every link, so rho is not zero by symmetry
     U7 = add_link_noise(lift_lattice_7d(U, (2, 2, 2)), 0.1, seed=12)
-    s, v = standard_fibration.adapted_g2(), (0.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0)
+    s, v = standard_structure(), (0.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0)
     res0, rho0 = residual_7d(U7, s), rho_lattice(cs_context, U7, v)
     assert abs(rho0) > 1e-6
     xi = wedge(ConstForm.basis(7, (1,), -2.0), ConstForm.basis(7, (5, 6, 7)))
@@ -200,20 +201,20 @@ def test_reunitarize_projects_back():
     assert unitarity_defect(U) < 1e-12
 
 
-def test_lift_and_7d_residual_ratio(standard_fibration):
+def test_lift_and_7d_residual_ratio():
     """A lifted 4D field has 7D residual sqrt(2/3) times its ASD residual."""
     U = constant_flux_field((6, 6, 6, 6),
                             [[0, 1, 0, 0], [-1, 0, 0, 0],
                              [0, 0, 0, -1], [0, 0, 1, 0]], "u1")
     U7 = lift_lattice_7d(U, (3, 3, 3))
     assert U7.ndim == 7
-    res = residual_7d(U7, standard_fibration.adapted_g2())
+    res = residual_7d(U7, standard_structure())
     asd4 = asd_residual_4d(U)
     assert res["f7_norm"] == pytest.approx(np.sqrt(2.0 / 3.0) * asd4, rel=1e-10)
     # an SD flux lifts with residual at discretization level only
     V7 = lift_lattice_7d(constant_flux_field((6, 6, 6, 6), SD_UNIT, "u1"),
                          (3, 3, 3))
-    resV = residual_7d(V7, standard_fibration.adapted_g2())
+    resV = residual_7d(V7, standard_structure())
     assert resV["f7_norm"] < 2 * asd_residual_4d(
         constant_flux_field((6, 6, 6, 6), SD_UNIT, "u1")) + 1e-12
 
