@@ -22,10 +22,10 @@ import sys
 import numpy as np
 
 from .exterior import ConstForm, interior, lex_basis, wedge
-from .fibration import (OMEGA_BASE, FibrationSpec, TorusFibration,
-                        build_fibration, decompose_deformation)
-from .g2core import (eigen_split, l_star_phi, metric_from_phi, standard_phi,
-                     standard_star_phi, standard_structure)
+from .fibration import (FibrationSpec, TorusFibration, build_fibration,
+                        decompose_deformation)
+from .g2core import (OMEGA_BASE, eigen_split, l_star_phi, metric_from_phi,
+                     standard_phi, standard_star_phi, standard_structure)
 from .gauge.fibered import q_map
 from .gauge.lattice import (
     CoolingDivergence, add_link_noise, chirality_energies, constant_flux_field,
@@ -215,27 +215,16 @@ def identity_suite(mode: str) -> list:
 
     # the 4-form split round-trips and its blocks count 1+12+9+9+4 = 35
     res = 0.0
-    active = [set(), set(), set(), set(), set()]
+    active = set()   # (block, row, column) of every entry some basis form reaches
     for idx in lex_basis(7, 4):
         xi = ConstForm.basis(7, idx, one)
         sp = decompose_deformation(xi)
         res = max(res, _max_abs(sp.reassemble() - xi))
-        if sp.c_i != 0:
-            active[0].add(0)
-        for a in range(3):
-            for b in range(4):
-                if sp.c_ii[a][b] != 0:
-                    active[1].add((a, b))
-            for b in range(3):
-                if sp.c_iii_pp[a][b] != 0:
-                    active[2].add((a, b))
-                if sp.c_iii_mp[a][b] != 0:
-                    active[3].add((a, b))
-        for b in range(4):
-            if sp.c_iv[b] != 0:
-                active[4].add(b)
+        blocks = ([[sp.c_i]], sp.c_ii, sp.c_iii_pp, sp.c_iii_mp, [sp.c_iv])
+        active.update((b, i, j) for b, m in enumerate(blocks)
+                      for i, row in enumerate(m) for j, c in enumerate(row) if c != 0)
     add("deformation-split-roundtrip", res)
-    counts = tuple(len(a) for a in active)
+    counts = tuple(sum(1 for p in active if p[0] == b) for b in range(5))
     add("deformation-split-dimensions",
         0.0 if counts == (1, 12, 9, 9, 4) else 1.0)
     return items

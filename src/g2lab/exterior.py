@@ -405,7 +405,7 @@ def interior(v: Sequence, a: ConstForm) -> ConstForm:
     return ConstForm(a.dim, a.degree - 1, out)
 
 
-def hodge(a: ConstForm, g: Metric | None = None, o: Orientation = Orientation(1)) -> ConstForm:
+def hodge(a: ConstForm, g: Metric, o: Orientation) -> ConstForm:
     """Hodge star for an arbitrary SPD metric and explicit orientation.
 
     Defined by b ^ (star a) = <b, a>_g dVol for every b, with
@@ -415,16 +415,10 @@ def hodge(a: ConstForm, g: Metric | None = None, o: Orientation = Orientation(1)
     (star a)_K = sign * det(g)^(-1/2) * sum_I sign(I, I^c) a_I det g[I^c, K].
     """
     n = a.dim
-    if g is not None and g.dim != n:
+    if g.dim != n:
         raise DimensionMismatch("metric dim")
-    exact = (g is None or g.is_exact()) and all(is_exact(c) for c in a.coeffs.values())
+    exact = g.is_exact() and all(is_exact(c) for c in a.coeffs.values())
     out: dict = {}
-    if g is None:
-        one = Fraction(1) if exact else 1.0
-        for idx, c in a.coeffs.items():
-            kdx = complement(idx, n)
-            out[kdx] = o.sign * perm_sign(idx, kdx) * one * c
-        return ConstForm(n, n - a.degree, out)
     detg = g.det()
     scale = o.sign / sqrt_exact(Fraction(detg)) if exact else o.sign / math.sqrt(float(detg))
     terms = []

@@ -23,23 +23,9 @@ from .exterior import (
     mat_inverse,
     pullback_linear,
 )
-from .g2core import standard_phi
+from .g2core import OMEGA_BAR_BASE, OMEGA_BASE, standard_phi
 
 BASE_LAMBDA2 = lex_basis(4, 2)
-
-#: the three 2-forms omega_1, omega_2, omega_3 on the base
-OMEGA_BASE = (
-    ConstForm.from_terms(4, 2, {(1, 2): 1, (3, 4): -1}),
-    ConstForm.from_terms(4, 2, {(1, 3): 1, (4, 2): -1}),
-    ConstForm.from_terms(4, 2, {(1, 4): 1, (2, 3): -1}),
-)
-
-#: their orthogonal complement in Lambda^2(R^4) (the opposite chirality)
-OMEGA_BAR_BASE = (
-    ConstForm.from_terms(4, 2, {(1, 2): 1, (3, 4): 1}),
-    ConstForm.from_terms(4, 2, {(1, 3): 1, (4, 2): 1}),
-    ConstForm.from_terms(4, 2, {(1, 4): 1, (2, 3): 1}),
-)
 
 EPSILON3 = {(1, 2): 3, (2, 3): 1, (1, 3): -2}  # (i,j) -> signed k with eps^ijk
 

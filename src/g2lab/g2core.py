@@ -24,15 +24,29 @@ from .exterior import (
     is_exact,
     lex_basis,
     mat_det,
+    mat_identity,
     wedge,
 )
 
 LAMBDA2_BASIS = lex_basis(7, 2)  # 21 increasing pairs, lexicographic
 
-#: self-dual triple on the base R^4 entering the standard 3-form
-OMEGA1 = ConstForm.from_terms(7, 2, {(1, 2): 1, (3, 4): -1})
-OMEGA2 = ConstForm.from_terms(7, 2, {(1, 3): 1, (4, 2): -1})
-OMEGA3 = ConstForm.from_terms(7, 2, {(1, 4): 1, (2, 3): -1})
+#: the three 2-forms omega_1, omega_2, omega_3 on the base R^4 that enter
+#: the standard 3-form
+OMEGA_BASE = (
+    ConstForm.from_terms(4, 2, {(1, 2): 1, (3, 4): -1}),
+    ConstForm.from_terms(4, 2, {(1, 3): 1, (4, 2): -1}),
+    ConstForm.from_terms(4, 2, {(1, 4): 1, (2, 3): -1}),
+)
+
+#: their orthogonal complement in Lambda^2(R^4) (the opposite chirality)
+OMEGA_BAR_BASE = (
+    ConstForm.from_terms(4, 2, {(1, 2): 1, (3, 4): 1}),
+    ConstForm.from_terms(4, 2, {(1, 3): 1, (4, 2): 1}),
+    ConstForm.from_terms(4, 2, {(1, 4): 1, (2, 3): 1}),
+)
+
+#: omega_1, omega_2, omega_3 as 2-forms on R^7
+_OMEGA7 = tuple(ConstForm(7, 2, w.coeffs) for w in OMEGA_BASE)
 
 
 class UnstableForm(ValueError):
@@ -45,26 +59,18 @@ class EigenvalueClustering(ValueError):
 
 def standard_phi() -> ConstForm:
     """The model associative 3-form e^567 + w1^e5 + w2^e6 + w3^e7."""
-    e5 = ConstForm.basis(7, (5,))
-    e6 = ConstForm.basis(7, (6,))
-    e7 = ConstForm.basis(7, (7,))
-    return (ConstForm.basis(7, (5, 6, 7))
-            + wedge(OMEGA1, e5) + wedge(OMEGA2, e6) + wedge(OMEGA3, e7))
+    phi = ConstForm.basis(7, (5, 6, 7))
+    for w, e in zip(_OMEGA7, ((5,), (6,), (7,))):
+        phi = phi + wedge(w, ConstForm.basis(7, e))
+    return phi
 
 
 def standard_star_phi() -> ConstForm:
     """e^1234 - w1^e67 - w2^e75 - w3^e56, the model coassociative 4-form."""
-    e67 = ConstForm.basis(7, (6, 7))
-    e75 = ConstForm.basis(7, (7, 5))
-    e56 = ConstForm.basis(7, (5, 6))
-    return (ConstForm.basis(7, (1, 2, 3, 4))
-            - wedge(OMEGA1, e67) - wedge(OMEGA2, e75) - wedge(OMEGA3, e56))
-
-
-def _basis_vector(i: int, exact: bool):
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    return [one if j == i else zero for j in range(7)]
+    psi = ConstForm.basis(7, (1, 2, 3, 4))
+    for w, e in zip(_OMEGA7, ((6, 7), (7, 5), (5, 6))):
+        psi = psi - wedge(w, ConstForm.basis(7, e))
+    return psi
 
 
 def _ninth_root(x) -> object:
@@ -100,7 +106,7 @@ def metric_from_phi(phi: ConstForm):
         raise ValueError("expected a 3-form on R^7")
     exact = all(is_exact(c) for c in phi.coeffs.values())
     one_sixth = Fraction(1, 6) if exact else (1.0 / 6.0)
-    contr = [interior(_basis_vector(i, exact), phi) for i in range(7)]
+    contr = [interior(e, phi) for e in mat_identity(7, exact)]
     top = (1, 2, 3, 4, 5, 6, 7)
     # Sign convention: the top coefficient is read against -e^{1..7}; this is
     # the choice that realizes orientation +1 for the standard 3-form, so the

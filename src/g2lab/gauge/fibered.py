@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exterior import ConstForm
-from ..fibration import EPSILON3, OMEGA_BASE
+from ..fibration import EPSILON3
+from ..g2core import OMEGA_BASE
 from .fourier import CurvatureField, FourierField, _curvature_and_tail
 
 

@@ -38,7 +38,6 @@ class LatticeGaugeField:
     dims: tuple
     group: str
     links: np.ndarray      # (d, *dims, r, r) complex
-    spacing: float = 0.0   # 0 means default 1/N
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
@@ -48,10 +47,6 @@ class LatticeGaugeField:
         want = (len(self.dims), *self.dims, r, r)
         if self.links.shape != want:
             raise ValueError(f"links shape {self.links.shape} != {want}")
-        if not 0.0 <= self.spacing < math.inf:
-            raise ValueError(f"spacing {self.spacing} must be finite and >= 0")
-        if self.spacing == 0.0:
-            object.__setattr__(self, "spacing", 1.0 / self.dims[0])
 
     @property
     def ndim(self) -> int:
@@ -65,8 +60,7 @@ class LatticeGaugeField:
         return int(np.prod(self.dims))
 
     def copy(self) -> "LatticeGaugeField":
-        return LatticeGaugeField(self.dims, self.group, self.links.copy(),
-                                 self.spacing)
+        return LatticeGaugeField(self.dims, self.group, self.links.copy())
 
 
 def identity_field(dims, group: str) -> LatticeGaugeField:
@@ -395,7 +389,7 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
         g2, tau = _norm_sq(force), min(tau, 0.1 / fmax)
         for _ in range(30):
             rot = _expm_ah(-tau * force)
-            trial = LatticeGaugeField(work.dims, work.group, _mul(rot, work.links), work.spacing)
+            trial = LatticeGaugeField(work.dims, work.group, _mul(rot, work.links))
             reunitarize(trial)
             trial_en = plaquette_chirality_energies(trial)
             c = (trial_en["asd_sq"] - en["asd_sq"] + g2 * tau) / (tau * tau)
@@ -434,7 +428,7 @@ def lift_lattice_7d(U: LatticeGaugeField, t_dims) -> LatticeGaugeField:
     base = U.links.reshape(4, *U.dims, 1, 1, 1, r, r)
     links[:4] = np.broadcast_to(base, (4, *dims7, r, r))
     links[4:] = np.eye(r)
-    return LatticeGaugeField(dims7, U.group, links, U.spacing)
+    return LatticeGaugeField(dims7, U.group, links)
 
 
 def _wedge_table(form: ConstForm, degree: int) -> np.ndarray:
@@ -508,24 +502,23 @@ def asd_residual_4d(U: LatticeGaugeField) -> float:
 
 def write_snapshot(U: LatticeGaugeField, path: str) -> None:
     """Binary snapshot: fixed header, then row-major complex links as
-    little-endian float64 (re, im) pairs, with a JSON manifest alongside."""
-    # the rule read_snapshot applies; checked before either file is opened
-    if not 0.0 < U.spacing < math.inf:
-        raise ValueError(f"spacing {U.spacing} must be finite and > 0")
+    little-endian float64 (re, im) pairs, with a JSON manifest alongside.
+    The format's spacing slot holds 1/N of the first axis; nothing reads it."""
+    spacing = 1.0 / U.dims[0]
     header = bytearray()
     header += _MAGIC
     header += struct.pack("<I", 1)                      # version
     header += struct.pack("<I", U.ndim)
     header += struct.pack(f"<{U.ndim}I", *U.dims)
     header += struct.pack("<I", _GROUP_CODE[U.group])
-    header += struct.pack("<d", U.spacing)
+    header += struct.pack("<d", spacing)
     data = np.ascontiguousarray(U.links, dtype=np.complex128)
     with open(path, "wb") as fh:
         fh.write(bytes(header))
         fh.write(data.astype("<c16").tobytes())
     manifest = {
         "format": _MAGIC.decode(), "version": 1,
-        "dims": list(U.dims), "group": U.group, "spacing": U.spacing,
+        "dims": list(U.dims), "group": U.group, "spacing": spacing,
         "link_matrices": int(np.prod(U.links.shape[:-2])),
         "rank": U.rank,
     }
@@ -536,8 +529,9 @@ def write_snapshot(U: LatticeGaugeField, path: str) -> None:
 
 def read_snapshot(path: str) -> LatticeGaugeField:
     """Read a write_snapshot file.  The header is checked, and the file
-    length against it, before the links are allocated; any mismatch, a bad
-    spacing, or a NaN or infinite link entry, raises ValueError."""
+    length against it, before the links are allocated; any mismatch, a
+    spacing that is not finite and positive, or a NaN or infinite link entry,
+    raises ValueError.  The spacing is checked and then ignored."""
     size = os.path.getsize(path)
     with open(path, "rb") as fh:
         def unpack(fmt):
@@ -572,4 +566,4 @@ def read_snapshot(path: str) -> LatticeGaugeField:
     if not np.isfinite(raw).all():
         raise ValueError("snapshot has non-finite link entries")
     links = raw.reshape(ndim, *dims, r, r).astype(complex)
-    return LatticeGaugeField(dims, group, links, spacing)
+    return LatticeGaugeField(dims, group, links)

@@ -1,13 +1,14 @@
 """Every public name in g2lab has a user outside the tests.
 
 A public module-level function or class must be referenced by code in
-``src/``, ``scripts/`` or ``perfbench/`` (other than its own body and the
-package ``__init__.py`` re-exports), or be named by a traced metric in
-``perfbench/worker.py``.  A public method, and a public field of a
-dataclass, must be read as an attribute somewhere in those directories, or
-be named as ``module.Class.name`` in ``perfbench/worker.py``; reads inside a
-``__post_init__`` are validation, not use, and do not count.  A name that
-only tests read belongs in ``tests/``.
+``src/``, ``scripts/`` or ``perfbench/`` (other than its own body), or be
+named by a traced metric in ``perfbench/worker.py``.  A public method, and
+a public field of a dataclass, must be read as an attribute somewhere in
+those directories, or be named as ``module.Class.name`` in
+``perfbench/worker.py``; reads inside a ``__post_init__`` are validation,
+not use, and do not count.  A name that only tests read belongs in
+``tests/``.  Every name is imported from its defining module: a package
+``__init__.py`` holds its docstring and nothing else.
 
 Blind spot: attributes are matched by name alone, so a name shared by two
 classes (``to_json_dict``, ``norm_sq``, ``copy``) counts as read for both.
@@ -83,8 +84,6 @@ def _traced_names():
 def _public_definitions():
     """(path, top-level node) for every public function and class in g2lab."""
     for path in _python_files(PACKAGE):
-        if os.path.basename(path) == "__init__.py":
-            continue
         for node in _parse(path).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
@@ -111,8 +110,6 @@ def test_every_public_name_has_a_pipeline_user():
     refs = []
     for top in USER_DIRS:
         for path in _python_files(top):
-            if os.path.basename(path) == "__init__.py":
-                continue
             for node in _parse(path).body:
                 refs.append((path, node, _referenced(node)))
     traced = _traced_names()
@@ -141,3 +138,11 @@ def test_every_public_member_is_read_by_a_pipeline():
             if name not in reads and qual not in traced and qual not in EXEMPT:
                 unread.append(qual)
     assert unread == []
+
+
+def test_package_inits_define_nothing():
+    inits = [p for p in _python_files(PACKAGE) if os.path.basename(p) == "__init__.py"]
+    assert inits
+    for path in inits:
+        tree = _parse(path)
+        assert len(tree.body) == 1 and ast.get_docstring(tree) is not None, path

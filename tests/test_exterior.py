@@ -17,6 +17,8 @@ from g2lab.gauge.fourier import FourierField
 from conftest import form_inner
 
 DIM = 5
+EUCLID = Metric.identity(DIM)
+POS = Orientation(1)
 
 rationals = st.fractions(
     min_value=-4, max_value=4,
@@ -67,7 +69,7 @@ def test_wedge_bilinearity(a, b, c):
 @given(forms(degree=3))
 def test_double_hodge_is_signed_identity(a):
     k = a.degree
-    twice = hodge(hodge(a))
+    twice = hodge(hodge(a, EUCLID, POS), EUCLID, POS)
     sign = (-1) ** (k * (DIM - k))
     assert (twice - a.scale(sign)).is_zero()
 
@@ -75,7 +77,7 @@ def test_double_hodge_is_signed_identity(a):
 @given(forms())
 def test_inner_via_hodge(a):
     """<a,a> dVol = a ^ *a, the defining property of the star."""
-    lhs = wedge(a, hodge(a))
+    lhs = wedge(a, hodge(a, EUCLID, POS))
     inner = form_inner(a, a)
     rhs = ConstForm.basis(DIM, tuple(range(1, DIM + 1))).scale(inner)
     assert (lhs - rhs).is_zero()
@@ -112,8 +114,8 @@ def test_pullback_respects_wedge(a, b):
 def test_exact_vs_double_agreement(a):
     """The float path tracks the rational path to near machine precision."""
     d = a.to_double()
-    star_exact = hodge(a).to_double()
-    star_float = hodge(d)
+    star_exact = hodge(a, EUCLID, POS).to_double()
+    star_float = hodge(d, EUCLID, POS)
     diff = star_exact - star_float
     worst = max((abs(float(c)) for c in diff.coeffs.values()), default=0.0)
     assert worst < 1e-13
@@ -127,9 +129,9 @@ def test_json_roundtrip_exact():
 
 
 def test_hodge_euclidean_examples():
-    e12 = ConstForm.basis(4, (1, 2))
-    assert (hodge(e12) - ConstForm.basis(4, (3, 4))).is_zero()
-    rev = hodge(e12, o=Orientation(-1))
+    e12, g = ConstForm.basis(4, (1, 2)), Metric.identity(4)
+    assert (hodge(e12, g, POS) - ConstForm.basis(4, (3, 4))).is_zero()
+    rev = hodge(e12, g, Orientation(-1))
     assert (rev + ConstForm.basis(4, (3, 4))).is_zero()
 
 
@@ -137,7 +139,7 @@ def test_hodge_nontrivial_metric():
     g = Metric(2, ((Fraction(4), 0), (0, Fraction(1))))
     e1 = ConstForm.basis(2, (1,))
     # *e1 = sqrt(det g) g^{11} e2 = 2 * (1/4) e2
-    assert (hodge(e1, g) - ConstForm.basis(2, (2,), Fraction(1, 2))).is_zero()
+    assert (hodge(e1, g, POS) - ConstForm.basis(2, (2,), Fraction(1, 2))).is_zero()
 
 
 def _spd_metric(dim, seed):

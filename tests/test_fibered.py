@@ -7,7 +7,7 @@ import pytest
 
 from conftest import su2
 from g2lab.exterior import ConstForm
-from g2lab.fibration import OMEGA_BASE
+from g2lab.g2core import OMEGA_BASE
 from g2lab.gauge.fibered import (
     FiberedConnection, block_norms, covariant_d_scalar, fibered_curvature,
     q_map,

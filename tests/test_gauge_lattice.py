@@ -1,7 +1,7 @@
 """Lattice gauge fields: clover observables, cooling, lifting, snapshots."""
 
 import itertools
-import os
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from g2lab.gauge.lattice import (
 )
 from g2lab.chernsimons import Verdict, obstruction_verdict_lattice, rho_lattice
 from g2lab.exterior import ConstForm, wedge
-from g2lab.g2core import standard_structure
+from g2lab.g2core import OMEGA_BAR_BASE, OMEGA_BASE, standard_structure
 from g2lab.gauge.lattice import (
     _PLANE_SIGNS, _PLANES4, _charge, _chirality, _dag, _expm_ah, _mul,
     _project_algebra, _sd_asd, _shift,
@@ -86,6 +86,25 @@ def test_clover_field_is_antihermitian_traceless():
     f = clover_field(U, 0, 1)
     assert np.abs(f + np.conj(np.swapaxes(f, -1, -2))).max() < 1e-14
     assert np.abs(np.trace(f, axis1=-2, axis2=-1)).max() < 1e-14
+
+
+def test_chirality_tables_are_the_omega_triples():
+    # SD pairs a plane stack with omega-bar and ASD with omega, the triples
+    # that build phi; _PLANE_SIGNS lists omega's planes in the force's order
+    rng = np.random.default_rng(8)
+    f = [rng.normal(size=(3, 3, 2, 2)) + 1j * rng.normal(size=(3, 3, 2, 2))
+         for _ in _PLANES4]
+
+    def pair(w):
+        return sum(c * f[_PLANES4.index((i - 1, j - 1))] for (i, j), c in w.coeffs.items())
+
+    sd, asd = _sd_asd(f)
+    for k in range(3):
+        assert np.array_equal(sd[k], pair(OMEGA_BAR_BASE[k]))
+        assert np.array_equal(asd[k], pair(OMEGA_BASE[k]))
+    signs = [((i - 1, j - 1), (k, float(c)))
+             for k, w in enumerate(OMEGA_BASE) for (i, j), c in w.coeffs.items()]
+    assert list(_PLANE_SIGNS.items()) == signs
 
 
 def test_single_plaquette_excitation_is_topologically_trivial():
@@ -231,6 +250,24 @@ def test_snapshot_roundtrip(tmp_path):
     manifest = json.load(open(path + ".json"))
     assert manifest["dims"] == list(U.dims)
     assert manifest["group"] == "su2"
+    assert manifest["spacing"] == 0.25
+
+
+def test_snapshot_header_spacing_is_ignored(tmp_path):
+    # a hand-made header spacing is read, and written back as 1/N of axis 0
+    path = str(tmp_path / "field.lat")
+    write_snapshot(identity_field((4, 2, 2, 2), "u1"), path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    at = 8 + 4 * (2 + 4 + 1)   # magic, version, ndim, four extents, group
+    assert struct.unpack_from("<d", raw, at) == (0.25,)
+    hand = str(tmp_path / "hand.lat")
+    with open(hand, "wb") as fh:
+        fh.write(raw[:at] + struct.pack("<d", 0.5) + raw[at + 8:])
+    again = str(tmp_path / "again.lat")
+    write_snapshot(read_snapshot(hand), again)
+    with open(again, "rb") as fh:
+        assert fh.read() == raw
 
 
 def test_snapshot_rejects_garbage(tmp_path):
@@ -352,7 +389,7 @@ def _roll_cool(U, max_steps, tol):
         tau = min(tau, 0.1 / fmax)
         for _ in range(30):
             rot = _expm_ah(-tau * force)
-            trial = LatticeGaugeField(work.dims, work.group, _mul(rot, work.links), work.spacing)
+            trial = LatticeGaugeField(work.dims, work.group, _mul(rot, work.links))
             reunitarize(trial)
             trial_en = _roll_energies(trial)
             c = (trial_en["asd_sq"] - en["asd_sq"] + g2 * tau) / (tau * tau)
@@ -410,25 +447,6 @@ def test_short_and_trivial_cooling_are_bit_identical_to_separate_passes(group):
     assert out["steps"] == 3 and not out["converged"]
     out = _assert_same_cooling(identity_field((4, 4, 4, 4), group), max_steps=10)
     assert out["steps"] == 0 and out["history"] == [(0, 0.0, 0.0)]
-
-
-@pytest.mark.parametrize("spacing", [float("nan"), float("inf"), -1.0])
-def test_field_rejects_bad_spacing(spacing):
-    U = identity_field((2, 2, 2, 2), "u1")
-    with pytest.raises(ValueError, match="spacing"):
-        LatticeGaugeField(U.dims, U.group, U.links, spacing)
-    assert LatticeGaugeField(U.dims, U.group, U.links, 0.0).spacing == 0.5
-
-
-@pytest.mark.parametrize("spacing", [float("nan"), float("inf"), -1.0, 0.0])
-def test_snapshot_is_never_written_with_a_bad_spacing(tmp_path, spacing):
-    # read_snapshot rejects each of these, so write_snapshot writes nothing
-    U = identity_field((2, 2, 2, 2), "u1")
-    U.spacing = spacing
-    path = str(tmp_path / "bad.lat")
-    with pytest.raises(ValueError, match="spacing"):
-        write_snapshot(U, path)
-    assert not os.path.exists(path) and not os.path.exists(path + ".json")
 
 
 def _random_links(rng, shape, rank):
