@@ -11,7 +11,6 @@ summary.  Example:
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from g2lab.g2core import standard_structure
 from g2lab.gauge.lattice import (
@@ -23,18 +22,7 @@ HALF_FLUX = [[0, 0.5, 0.5, 0], [-0.5, 0, 0, -0.5],
              [-0.5, 0, 0, 0.5], [0, 0.5, -0.5, 0]]
 
 
-@dataclass(frozen=True)
-class CoolingConfig:
-    dims: tuple
-    noise: float
-    seed: int
-    max_steps: int
-    tol: float
-    t_dims: tuple
-    out: str
-
-
-def parse_args(argv):
+def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--lattice", default="6x6x6x6")
     p.add_argument("--noise", type=float, default=0.005)
@@ -44,17 +32,11 @@ def parse_args(argv):
     p.add_argument("--tgrid", default="4x4x4")
     p.add_argument("--out", default="cooling.csv")
     a = p.parse_args(argv)
-    return CoolingConfig(tuple(int(x) for x in a.lattice.split("x")),
-                         a.noise, a.seed, a.steps, a.tol,
-                         tuple(int(x) for x in a.tgrid.split("x")), a.out)
-
-
-def main(argv=None):
-    cfg = parse_args(argv)
-    U = add_link_noise(constant_flux_field(cfg.dims, HALF_FLUX, "su2"),
-                       cfg.noise, cfg.seed)
-    out = cool_to_sd(U, max_steps=cfg.max_steps, tol=cfg.tol)
-    with open(cfg.out, "w") as fh:
+    dims = tuple(int(x) for x in a.lattice.split("x"))
+    t_dims = tuple(int(x) for x in a.tgrid.split("x"))
+    U = add_link_noise(constant_flux_field(dims, HALF_FLUX, "su2"), a.noise, a.seed)
+    out = cool_to_sd(U, max_steps=a.steps, tol=a.tol)
+    with open(a.out, "w") as fh:
         fh.write("step,asd_fraction,charge\n")
         for step, frac, charge in out["history"]:
             fh.write(f"{step},{frac!r},{charge!r}\n")
@@ -62,13 +44,13 @@ def main(argv=None):
     field = out["field"]
     _, asd_fraction, charge = out["history"][-1]
     # lattice work runs in adapted coordinates, where phi is standard
-    res = residual_7d(lift_lattice_7d(field, cfg.t_dims), standard_structure())
+    res = residual_7d(lift_lattice_7d(field, t_dims), standard_structure())
     print(f"converged      {out['converged']} in {out['steps']} steps")
     print(f"asd_fraction   {asd_fraction:.3e}")
     print(f"clover charge  {charge:+.4f}")
     print(f"asd residual   {asd_residual_4d(field):.3e}")
     print(f"7D f7_norm     {res['f7_norm']:.3e}")
-    print(f"history csv    {cfg.out}")
+    print(f"history csv    {a.out}")
     return 0 if out["converged"] else 2
 
 

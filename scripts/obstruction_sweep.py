@@ -10,7 +10,6 @@ and report the obstruction verdict.  Writes a CSV and prints a table:
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from g2lab.chernsimons import CSContext, obstruction_verdict
 from g2lab.exterior import ConstForm, wedge
@@ -34,18 +33,11 @@ XIS = {
 }
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    out: str
-    tol: float
-
-
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--tol", type=float, default=1e-9)
     a = p.parse_args(argv)
-    cfg = SweepConfig(a.out, a.tol)
 
     fib = build_fibration(FibrationSpec.standard())
     ctx = CSContext(fib)
@@ -53,10 +45,10 @@ def main(argv=None):
     for q, flux in FLUXES.items():
         F7 = lift_to_7d(constant_curvature_u1(flux), fib)
         for name, xi in XIS.items():
-            rep = obstruction_verdict(ctx, F7, xi, tol=cfg.tol)
+            rep = obstruction_verdict(ctx, F7, xi, tol=a.tol)
             rows.append((q, name, rep.r_phi_value, rep.verdict.value))
 
-    with open(cfg.out, "w") as fh:
+    with open(a.out, "w") as fh:
         fh.write("q,perturbation,r_phi,verdict\n")
         for q, name, r, verdict in rows:
             fh.write(f"{q},{name},{r!r},{verdict}\n")
@@ -65,7 +57,7 @@ def main(argv=None):
     print(f"{'q':>3}  {'perturbation'.ljust(width)}  {'r_phi':>12}  verdict")
     for q, name, r, verdict in rows:
         print(f"{q:>3}  {name.ljust(width)}  {r:>12.4e}  {verdict}")
-    print(f"csv written to {cfg.out}")
+    print(f"csv written to {a.out}")
     return 0
 
 

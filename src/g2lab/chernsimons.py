@@ -133,8 +133,7 @@ def _probe_curvature(F: CurvatureField, offset: FourierField) -> CurvatureField:
     """
     h = 0.1
     dF = offset.d().scale(h) + offset.wedge(offset).scale(h * h)
-    return CurvatureField((F.fluctuation + dF).prune(), flux=F.flux,
-                          truncation_error=F.truncation_error)
+    return CurvatureField(F.full_field() + dF)
 
 
 def random_offsets(dim: int, group_rank: int, count: int, seed: int) -> list:

@@ -24,8 +24,8 @@ import numpy as np
 from .exterior import ConstForm, interior, lex_basis, wedge
 from .fibration import (FibrationSpec, TorusFibration, build_fibration,
                         decompose_deformation)
-from .g2core import (OMEGA_BASE, eigen_split, l_star_phi, metric_from_phi,
-                     standard_phi, standard_star_phi, standard_structure)
+from .g2core import (OMEGA_BASE, eigen_split, metric_from_phi, standard_phi,
+                     standard_star_phi, standard_structure)
 from .gauge.fibered import q_map
 from .gauge.lattice import (
     CoolingDivergence, add_link_noise, chirality_energies, constant_flux_field,
@@ -197,8 +197,8 @@ def identity_suite(mode: str) -> list:
     cols = []
     for idx in lex_basis(7, 2):
         eta = ConstForm.basis(7, idx, one)
-        kill = max(kill, _max_abs(l_star_phi(s.apply_p14(eta), s)))
-        cols.append([float(c) for c in l_star_phi(eta, s).coeff_vector(
+        kill = max(kill, _max_abs(wedge(s.apply_p14(eta), s.star_phi)))
+        cols.append([float(c) for c in wedge(eta, s.star_phi).coeff_vector(
             lex_basis(7, 6))])
     rank = int(np.linalg.matrix_rank(np.array(cols).T, tol=1e-9))
     add("coassociative-wedge-kernel", kill)
@@ -556,7 +556,7 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit:  # --help printed its text
         return EXIT_OK
-    except ValidationFailure as exc:
+    except (ValidationFailure, OSError) as exc:  # OSError: unreadable input, unwritable --out
         _emit_error("validation", str(exc))
         return EXIT_VALIDATION
     except NumericalFailure as exc:

@@ -412,26 +412,19 @@ def hodge(a: ConstForm, g: Metric, o: Orientation) -> ConstForm:
     dVol = sign * sqrt(det g) e^{1...n}.  Jacobi's identity
     det(g^-1)[J, I] = (-1)^(sum I + sum J) det g[J^c, I^c] / det g turns the
     raised coefficients into complementary minors of g itself:
-    (star a)_K = sign * det(g)^(-1/2) * sum_I sign(I, I^c) a_I det g[I^c, K].
+    (star a)_K = sign * det(g)^(-1/2) * sum_I sign(I, I^c) a_I det g[I^c, K]:
+    the pullback along g of sum_I sign(I, I^c) a_I e^{I^c}, scaled.
     """
     n = a.dim
     if g.dim != n:
         raise DimensionMismatch("metric dim")
     exact = g.is_exact() and all(is_exact(c) for c in a.coeffs.values())
-    out: dict = {}
     detg = g.det()
     scale = o.sign / sqrt_exact(Fraction(detg)) if exact else o.sign / math.sqrt(float(detg))
-    terms = []
-    for idx, c in a.coeffs.items():
-        rest = complement(idx, n)
-        terms.append((rest, perm_sign(idx, rest) * c))
-    for kdx in increasing_tuples(n, n - a.degree):
-        total = 0
-        for rest, c in terms:
-            total = total + c * mat_minor_det(g.mat, rest, kdx)
-        if total != 0:
-            out[kdx] = scale * total
-    return ConstForm(n, n - a.degree, out)
+    rests = {idx: complement(idx, n) for idx in a.coeffs}
+    dual = ConstForm(n, n - a.degree, {rests[idx]: perm_sign(idx, rests[idx]) * c
+                                       for idx, c in a.coeffs.items()})
+    return pullback_linear(g.mat, dual).scale(scale)
 
 
 def pullback_linear(M, a: ConstForm) -> ConstForm:

@@ -265,8 +265,3 @@ def standard_structure() -> G2Structure:
     if _STANDARD is None:
         _STANDARD = eigen_split(standard_phi())
     return _STANDARD
-
-
-def l_star_phi(eta2: ConstForm, s: G2Structure) -> ConstForm:
-    """eta -> eta ^ star phi; kills the 14-dimensional piece."""
-    return wedge(eta2, s.star_phi)

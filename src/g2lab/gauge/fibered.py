@@ -17,7 +17,7 @@ import numpy as np
 from ..exterior import ConstForm
 from ..fibration import EPSILON3
 from ..g2core import OMEGA_BASE
-from .fourier import CurvatureField, FourierField, _curvature_and_tail
+from .fourier import CurvatureField, FourierField, curvature
 
 
 def _t_indices(t_dims):
@@ -118,17 +118,16 @@ def fibered_curvature(conn: FiberedConnection) -> dict:
     dims = conn.t_dims
     A = _stack(conn.base, dims)
     sigma = [_stack(s, dims) for s in conn.sigma]
-    F, tail = _curvature_and_tail(A)
+    F = curvature(A).full_field()
     mixed = [covariant_d_scalar(A, s) - _t_derivative(A, dims, i)
              for i, s in enumerate(sigma)]
     f_sigma = {(i, j): (_t_derivative(sigma[i], dims, j)
                         - _t_derivative(sigma[j], dims, i))
                + (sigma[i].wedge(sigma[j]) - sigma[j].wedge(sigma[i])).scale(0.5)
                for i, j in ((0, 1), (0, 2), (1, 2))}
-    base, tails = _by_point(F, dims), _by_point(tail, dims)
+    base = _by_point(F, dims)
     f_sigma = {k: _by_point(c, dims) for k, c in f_sigma.items()}
-    return {"F_base": {t: CurvatureField(base[t], truncation_error=np.sqrt(
-                tails[t].norm_sq())) for t in base},
+    return {"F_base": {t: CurvatureField(base[t]) for t in base},
             "mixed": tuple(_by_point(m, dims) for m in mixed),
             "F_sigma": {t: {k: c[t] for k, c in f_sigma.items()} for t in base}}
 

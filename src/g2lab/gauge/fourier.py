@@ -19,7 +19,6 @@ the row and matrix axes make a field a family on one set of rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -313,76 +312,37 @@ def _components(f: FourierField) -> np.ndarray:
 # curvature
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurvatureField:
-    """Degree-2 field plus the integer flux block of a nontrivial bundle.
+    """A degree-2 curvature as one field.  The constant flux part
+    2 pi i m_{jk} e^{jk} of a nontrivial bundle sits in its zero mode."""
 
-    The constant part 2 pi i m_{jk} e^{jk} is stored separately in ``flux``
-    (a 4x4 antisymmetric integer matrix over the base coordinates) so that
-    topological data stays exact; ``fluctuation`` carries the Fourier part.
-    The flux is fixed at construction: its zero-mode field is built once.
-    """
-
-    fluctuation: FourierField
-    flux: tuple = ((0,) * 4,) * 4
-    truncation_error: float = 0.0
+    field: FourierField
 
     def __post_init__(self):
-        if self.fluctuation.degree != 2:
+        if self.field.degree != 2:
             raise ValueError("curvature must have degree 2")
-        raw = tuple(tuple(row) for row in self.flux)
-        if len(raw) != 4 or any(len(r) != 4 for r in raw):
-            raise ValueError("flux must be 4x4")
-        fl = tuple(tuple(int(x) for x in r) for r in raw)
-        if fl != raw:
-            raise ValueError("flux entries must be integers")
-        if any(fl[i][j] != -fl[j][i] for i in range(4) for j in range(4)):
-            raise ValueError("flux must be antisymmetric")
-        object.__setattr__(self, "flux", fl)
 
     @property
     def dim(self) -> int:
-        return self.fluctuation.dim
+        return self.field.dim
 
     @property
     def group_rank(self) -> int:
-        return self.fluctuation.group_rank
-
-    @cached_property
-    def _flux_field(self) -> FourierField:
-        """The constant part 2 pi i m_{jk} e^{jk} as a zero-mode field."""
-        j, k = np.nonzero(np.triu(self.flux))
-        return _zero_mode(self.dim, 2, self.group_rank, (1 << j) | (1 << k),
-                          TWO_PI_I * np.array(self.flux)[j, k])
+        return self.field.group_rank
 
     def full_field(self) -> FourierField:
-        """Fluctuation plus the constant flux part folded into the zero mode."""
-        return self.fluctuation + self._flux_field
-
-
-def _curvature_and_tail(A: FourierField) -> tuple:
-    """The fields F of ``curvature`` and the dropped tail of A ^ A."""
-    if A.degree != 1:
-        raise ValueError("potential must be a 1-form")
-    lim = 2 * A.cutoff
-    AA = A.wedge(A, cutoff=4 * A.cutoff)
-    far = np.abs(AA.freqs).max(axis=1, initial=0) > lim
-    near, tail = (FourierField(A.dim, 2, A.group_rank, lim, AA.freqs[rows],
-                               AA.masks[rows], AA.coeffs[rows])
-                  for rows in (~far, far))
-    F = A.d() + near
-    F.cutoff = lim
-    return F, tail
+        return self.field
 
 
 def curvature(A: FourierField) -> CurvatureField:
     """F = dA + A ^ A for a globally defined (topologically trivial) potential.
 
-    The quadratic term is a mode convolution truncated at twice the cutoff;
-    the dropped tail is reported as ``truncation_error``.
+    The quadratic term is a mode convolution truncated at twice the cutoff.
     """
-    F, tail = _curvature_and_tail(A)
-    return CurvatureField(F, truncation_error=np.sqrt(tail.norm_sq()))
+    if A.degree != 1:
+        raise ValueError("potential must be a 1-form")
+    return CurvatureField(A.d() + A.wedge(A, cutoff=2 * A.cutoff))
 
 
 def constant_curvature_u1(m) -> CurvatureField:
@@ -392,7 +352,18 @@ def constant_curvature_u1(m) -> CurvatureField:
     first Chern numbers of the line bundle over the coordinate 2-tori, so no
     global potential exists unless m = 0.
     """
-    return CurvatureField(FourierField.zero(4, 2, 1, 0), flux=m)
+    raw = tuple(tuple(row) for row in m)
+    if len(raw) != 4 or any(len(r) != 4 for r in raw):
+        raise ValueError("flux must be 4x4")
+    flux = tuple(tuple(int(x) for x in r) for r in raw)
+    if flux != raw:
+        raise ValueError("flux entries must be integers")
+    if any(flux[i][j] != -flux[j][i] for i in range(4) for j in range(4)):
+        raise ValueError("flux must be antisymmetric")
+    j, k = np.nonzero(np.triu(flux))
+    # the sum, like every field sum, turns a -0.0 part into +0.0
+    return CurvatureField(FourierField.zero(4, 2, 1, 0) + _zero_mode(
+        4, 2, 1, (1 << j) | (1 << k), TWO_PI_I * np.array(flux)[j, k]))
 
 
 def topological_charge(F: CurvatureField) -> float:
@@ -422,10 +393,10 @@ def lift_to_7d(F: CurvatureField, fib: TorusFibration) -> CurvatureField:
     if F.dim != 4:
         raise ValueError("expected a base field")
     del fib  # adapted coordinates make the map the same for every spec
-    fl = F.fluctuation
-    out = FourierField(7, 2, fl.group_rank, fl.cutoff,
-                       np.pad(fl.freqs, ((0, 0), (0, 3))), fl.masks, fl.coeffs)
-    return CurvatureField(out, flux=F.flux, truncation_error=F.truncation_error)
+    f = F.full_field()
+    return CurvatureField(FourierField(7, 2, f.group_rank, f.cutoff,
+                                       np.pad(f.freqs, ((0, 0), (0, 3))),
+                                       f.masks, f.coeffs))
 
 
 def instanton_residual_field(F: CurvatureField, s) -> dict:

@@ -452,6 +452,11 @@ HOSTILE = {
     "obstruct-form-coefficient-1e200": lambda h: [
         "obstruct", "--field", h.seven, "--xi", h.text(XI_TEXT % "-1e200")],
     "lift-nan-spacing": lambda h: ["lift", "--in", h.nan_spacing(), "--out", h.out],
+    "residual-in-a-directory": lambda h: ["residual", "--in", str(h.root)],
+    "cs-field-a-directory": lambda h: ["cs", "--field", str(h.root)],
+    "flow-out-in-a-missing-directory": lambda h: FLOW + ["--out", h.missing],
+    "lift-out-in-a-missing-directory": lambda h: ["lift", "--in", h.four, "--out", h.missing],
+    "report-out-in-a-missing-directory": lambda h: ["report", "--out", h.missing],
 }
 
 
@@ -459,6 +464,7 @@ class HostileFiles:
     def __init__(self, pipeline, tmp_path):
         self.root, self.four, self.seven = tmp_path, pipeline["four"], pipeline["seven"]
         self.out = str(tmp_path / "never.lat")
+        self.missing = str(tmp_path / "no-such-directory" / "out.lat")
 
     def text(self, text, name="input.json"):
         path = self.root / name

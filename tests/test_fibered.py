@@ -77,13 +77,13 @@ def test_grid_blocks_match_per_point_formulas(monkeypatch):
         dn[i] = (t[i] - 1) % t_dims[i]
         return (grid[tuple(up)] - grid[tuple(dn)]).scale(1.0 / (2.0 / t_dims[i]))
 
-    tails = 0
     for t, A in conn.base.items():
-        want = curvature(A)
-        got = blocks["F_base"][t]
-        assert _same_field(got.fluctuation, want.fluctuation)
-        assert got.truncation_error == want.truncation_error
-        tails += want.truncation_error > 0
+        got = blocks["F_base"][t].full_field()
+        assert _same_field(got, curvature(A).full_field())
+        # A ^ A reaches beyond twice the cutoff; the base block drops it there
+        AA = A.wedge(A, cutoff=4 * A.cutoff)
+        assert np.abs(AA.freqs).max() > 2 * A.cutoff \
+            >= np.abs((got - A.d()).freqs).max(initial=0)
         for i in range(3):
             want = covariant_d_scalar(A, conn.sigma[i][t]) - d_t(conn.base, t, i)
             assert _same_field(blocks["mixed"][i][t], want)
@@ -92,7 +92,6 @@ def test_grid_blocks_match_per_point_formulas(monkeypatch):
             want = (d_t(conn.sigma[i], t, j) - d_t(conn.sigma[j], t, i)) \
                 + (si.wedge(sj) - sj.wedge(si)).scale(0.5)
             assert _same_field(blocks["F_sigma"][t][(i, j)], want)
-    assert tails == len(conn.base)
 
     # the number of field products does not grow with the grid
     calls = []

@@ -13,7 +13,7 @@ from g2lab.chernsimons import CSContext, obstruction_verdict, path_integrate
 from g2lab.exterior import (ConstForm, hodge, interior, is_exact, lex_basis,
                             wedge)
 from g2lab.g2core import (
-    UnstableForm, eigen_split, l_star_phi, metric_from_phi, standard_phi,
+    UnstableForm, eigen_split, metric_from_phi, standard_phi,
     standard_star_phi,
 )
 from g2lab.gauge.fourier import FourierField, constant_curvature_u1, lift_to_7d
@@ -84,9 +84,9 @@ def test_coassociative_wedge_kills_14_and_has_rank_7(standard_structure):
     cols = []
     for idx in lex_basis(7, 2):
         eta = ConstForm.basis(7, idx)
-        assert l_star_phi(s.apply_p14(eta), s).is_zero()
+        assert wedge(s.apply_p14(eta), s.star_phi).is_zero()
         cols.append([float(c) for c in
-                     l_star_phi(eta, s).coeff_vector(lex_basis(7, 6))])
+                     wedge(eta, s.star_phi).coeff_vector(lex_basis(7, 6))])
     assert np.linalg.matrix_rank(np.array(cols).T, tol=1e-9) == 7
 
 

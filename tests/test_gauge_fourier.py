@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import (asd_defect_form, energy_decomposition_7d, reality_defect, su2,
                       ym_energy_4d)
 from g2lab.gauge.fourier import (
-    CurvatureField, FourierField, constant_curvature_u1, curvature,
+    FourierField, constant_curvature_u1, curvature,
     instanton_residual_field, lift_to_7d, topological_charge,
 )
 from g2lab.exterior import MASK_OF
@@ -156,15 +156,16 @@ def test_flux_charge_matches_integral():
 
 
 def test_constant_flux_rejects_global_potential_representation():
-    F = constant_curvature_u1(sd_flux(1, 0, 0))
-    assert F.fluctuation.is_zero()
-    assert F.flux[0][1] == 1 and F.flux[2][3] == 1
+    """The whole field is the zero mode 2 pi i m_jk e^{jk}: no potential."""
+    m = sd_flux(1, 0, 0)
+    full = constant_curvature_u1(m).full_field()
+    assert list(full.modes) == [(0, 0, 0, 0)]
+    assert {idx: c[0, 0] for idx, c in full.modes[(0, 0, 0, 0)].items()} == {
+        (j + 1, k + 1): 2j * np.pi * m[j][k]
+        for j in range(4) for k in range(j + 1, 4) if m[j][k]}
 
 
-@pytest.mark.parametrize("build", [
-    constant_curvature_u1,
-    lambda m: CurvatureField(FourierField.zero(4, 2), flux=m)])
-def test_flux_must_be_integer_antisymmetric_4x4(build):
+def test_flux_must_be_integer_antisymmetric_4x4():
     """A half-integer flux is no Chern class: it is rejected, not rounded."""
     half = ((0, .5, 0, 0), (-.5, 0, 0, 0), (0, 0, 0, 1.5), (0, 0, -1.5, 0))
     for bad, reason in ((half, "integers"),
@@ -172,9 +173,11 @@ def test_flux_must_be_integer_antisymmetric_4x4(build):
                         ([[0, 1, 0, 0], [1, 0, 0, 0], [0] * 4, [0] * 4],
                          "antisymmetric")):
         with pytest.raises(ValueError, match=reason):
-            build(bad)
-    assert build([[float(x) for x in r] for r in sd_flux(1, 0, 0)]).flux \
-        == tuple(map(tuple, sd_flux(1, 0, 0)))
+            constant_curvature_u1(bad)
+    got, want = (constant_curvature_u1(m).full_field() for m in
+                 ([[float(x) for x in r] for r in sd_flux(1, 0, 0)], sd_flux(1, 0, 0)))
+    for name in ("freqs", "masks", "coeffs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_ym_energy_sd_asd_split():
@@ -197,7 +200,9 @@ def test_curvature_of_potential_and_bianchi():
     full = F.full_field()
     bianchi = full.d() + A.wedge(full) - full.wedge(A)
     assert bianchi.is_zero(1e-10)
-    assert F.truncation_error == pytest.approx(0.0, abs=1e-14)
+    # A ^ A has no mode beyond twice the cutoff, so the truncation drops nothing
+    AA = A.wedge(A, cutoff=4 * A.cutoff)
+    assert np.abs(AA.freqs).max() <= 2 * A.cutoff
 
 
 def test_charge_of_trivial_sector_vanishes():
