@@ -23,7 +23,7 @@ from .exterior import ConstForm
 from .fibration import (DeformationSplit, FibrationSpec, TorusFibration,
                         build_fibration, decompose_deformation)
 from .g2core import standard_structure
-from .gauge.fourier import CurvatureField, FourierField, _full_charge, curvature
+from .gauge.fourier import FourierField, curvature, topological_charge
 from .gauge.lattice import (_BASE_PLANES, _PLANES7, _charge, _clover_stack,
                             _cs_integral, su2)
 from .rng import SplitMix64
@@ -61,7 +61,7 @@ def _pairing(a: FourierField, b: FourierField, four_form: ConstForm) -> float:
     return float(np.real(a.wedge(b).trace().wedge_const(four_form).integrate_top()))
 
 
-def cs_one_form(ctx: CSContext, F: CurvatureField, b: FourierField) -> float:
+def cs_one_form(ctx: CSContext, F: FourierField, b: FourierField) -> float:
     """rho_A(b): the integral of tr(F_A ^ b) ^ star_phi.
 
     Vanishes for every b exactly when F has no 7-component; linear in b.
@@ -70,7 +70,7 @@ def cs_one_form(ctx: CSContext, F: CurvatureField, b: FourierField) -> float:
         raise ValueError("expected 7D curvature and a 7D 1-form direction")
     if F.group_rank != b.group_rank:
         raise ValueError("group rank mismatch")
-    return _pairing(F.full_field(), b, standard_structure().star_phi.to_double())
+    return _pairing(F, b, standard_structure().star_phi.to_double())
 
 
 def cs_functional(ctx: CSContext, a: FourierField) -> float:
@@ -115,7 +115,7 @@ def path_integrate(ctx: CSContext, a: FourierField, n_steps: int = 64,
         if c is not None:
             At = At + c.scale(t * (1.0 - t))
             dAt = dAt + c.scale(1.0 - 2.0 * t)
-        return _pairing(curvature(At).full_field(), dAt, star_phi)
+        return _pairing(curvature(At), dAt, star_phi)
 
     h = 1.0 / n_steps
     total = rho_at(0.0) + rho_at(1.0)
@@ -124,7 +124,7 @@ def path_integrate(ctx: CSContext, a: FourierField, n_steps: int = 64,
     return total * h / 3.0
 
 
-def _probe_curvature(F: CurvatureField, offset: FourierField) -> CurvatureField:
+def _probe_curvature(F: FourierField, offset: FourierField) -> FourierField:
     """Curvature at A + h*offset, h = 0.1, given the curvature at A.
 
     The cross term [A, offset] requires a global potential; it vanishes for
@@ -133,7 +133,7 @@ def _probe_curvature(F: CurvatureField, offset: FourierField) -> CurvatureField:
     """
     h = 0.1
     dF = offset.d().scale(h) + offset.wedge(offset).scale(h * h)
-    return CurvatureField(F.full_field() + dF)
+    return F + dF
 
 
 def random_offsets(dim: int, group_rank: int, count: int, seed: int) -> list:
@@ -156,7 +156,7 @@ def random_offsets(dim: int, group_rank: int, count: int, seed: int) -> list:
     return out
 
 
-def rho_on_translation(ctx: CSContext, F: CurvatureField, v, offsets) -> list:
+def rho_on_translation(ctx: CSContext, F: FourierField, v, offsets) -> list:
     """Evaluate rho(beta_v) at probe points A + 0.1 offset.
 
     The values are all equal (translation invariance of the integrand plus
@@ -166,8 +166,8 @@ def rho_on_translation(ctx: CSContext, F: CurvatureField, v, offsets) -> list:
     star_phi = standard_structure().star_phi.to_double()
     values = []
     for off in offsets:
-        full = _probe_curvature(F, off).full_field()
-        values.append(_pairing(full, full.contract(v), star_phi))
+        probe = _probe_curvature(F, off)
+        values.append(_pairing(probe, probe.contract(v), star_phi))
     return values
 
 
@@ -217,7 +217,7 @@ def _verdict(xi: ConstForm, tol: float, measure) -> ObstructionReport:
                              verdict=verdict, tolerance=tol)
 
 
-def obstruction_verdict(ctx: CSContext, F: CurvatureField, xi: ConstForm,
+def obstruction_verdict(ctx: CSContext, F: FourierField, xi: ConstForm,
                         tol: float = 1e-9) -> ObstructionReport:
     """Does the perturbed structure still admit this instanton family?
 
@@ -226,13 +226,11 @@ def obstruction_verdict(ctx: CSContext, F: CurvatureField, xi: ConstForm,
     transverse block are both nonzero; the numeric verdict uses a
     10x-tolerance threshold to separate signal from quadrature rounding.
     """
-    full = F.full_field()
-
     def measure(v):
-        beta = full.contract(v)
-        return (_full_charge(_restrict_base(full)),
-                _pairing(full, beta, standard_structure().star_phi.to_double()),
-                _pairing(full, beta, xi.to_double()) / EIGHT_PI_SQ)
+        beta = F.contract(v)
+        return (topological_charge(_restrict_base(F)),
+                _pairing(F, beta, standard_structure().star_phi.to_double()),
+                _pairing(F, beta, xi.to_double()) / EIGHT_PI_SQ)
     return _verdict(xi, tol, measure)
 
 

@@ -28,7 +28,7 @@ from .g2core import (OMEGA_BASE, eigen_split, metric_from_phi, standard_phi,
                      standard_star_phi, standard_structure)
 from .gauge.fibered import q_map
 from .gauge.lattice import (
-    CoolingDivergence, add_link_noise, chirality_energies, constant_flux_field,
+    CoolingDivergence, add_link_noise, constant_flux_field,
     cool_to_sd, identity_field, lift_lattice_7d, read_snapshot, residual_7d,
     write_snapshot,
 )
@@ -139,6 +139,14 @@ def _bounded(kind, low: float, strict: bool = False):
                 f"expected a finite number {'>' if strict else '>='} {low}, got {text!r}")
         return x
     return parse
+
+
+def _check_outputs(*paths) -> None:
+    """Before any work: each output path is a file in a writable directory."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ValidationFailure(f"cannot write {path}: no writable directory for it")
 
 
 def _parse_dims(text: str, n: int) -> tuple:
@@ -290,8 +298,6 @@ def _flow_start(dims, group: str, start: str, noise: float, seed: int):
         U = constant_flux_field(dims, _UNIT_SD_FLUX, group)
     elif start == "identity":
         U = identity_field(dims, group)
-    else:
-        raise ValidationFailure(f"unknown start {start!r}")
     if noise > 0:
         U = add_link_noise(U, noise, seed)
     return U
@@ -299,8 +305,7 @@ def _flow_start(dims, group: str, start: str, noise: float, seed: int):
 
 def cmd_flow(args) -> int:
     dims = _parse_dims(args.lattice, 4)
-    if args.group not in ("u1", "su2"):
-        raise ValidationFailure("group must be u1 or su2")
+    _check_outputs(args.out, args.out + ".csv")
     U = _flow_start(dims, args.group, args.start, args.noise, args.seed)
     try:
         result = cool_to_sd(U, max_steps=args.steps, tol=args.tol)
@@ -334,6 +339,7 @@ def _write_history_csv(path: str, history) -> None:
 
 
 def cmd_lift(args) -> int:
+    _check_outputs(args.out)
     U = _read_field(args.infile, ndim=4)
     t_dims = _parse_dims(args.tgrid, 3)
     U7 = lift_lattice_7d(U, t_dims)
@@ -395,6 +401,7 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_outputs(args.out)
     ids = identity_suite("exact")
 
     ctx = CSContext.standard()
@@ -419,7 +426,7 @@ def cmd_report(args) -> int:
     # small abelian lattice flow for the pipeline section
     U = _flow_start((4, 4, 4, 4), "u1", "sd-flux", 0.02, args.seed)
     flow = cool_to_sd(U, max_steps=2000, tol=1e-3)
-    en = chirality_energies(flow["field"])
+    _, asd_fraction, charge = flow["history"][-1]
 
     report = {
         "command": "report",
@@ -447,8 +454,8 @@ def cmd_report(args) -> int:
             "lattice": [4, 4, 4, 4], "group": "u1",
             "converged": bool(flow["converged"]),
             "steps": int(flow["steps"]),
-            "final_asd_fraction": float(en["asd_fraction"]),
-            "final_charge": float(flow["history"][-1][2]),
+            "final_asd_fraction": float(asd_fraction),
+            "final_charge": float(charge),
         },
     }
     text = _json_line(report)
@@ -504,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("flow", parents=[seeded], help="cool a lattice field")
     q.add_argument("--lattice", default="6x6x6x6")
-    q.add_argument("--group", default="su2")
+    q.add_argument("--group", default="su2", choices=("u1", "su2"))
     q.add_argument("--tol", type=_bounded(float, 0, strict=True), default=1e-3)
     q.add_argument("--steps", type=_bounded(int, 0), default=5000)
     q.add_argument("--noise", type=_bounded(float, 0), default=0.005)

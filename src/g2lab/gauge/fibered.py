@@ -17,7 +17,7 @@ import numpy as np
 from ..exterior import ConstForm
 from ..fibration import EPSILON3
 from ..g2core import OMEGA_BASE
-from .fourier import CurvatureField, FourierField, curvature
+from .fourier import FourierField, curvature
 
 
 def _t_indices(t_dims):
@@ -118,25 +118,24 @@ def fibered_curvature(conn: FiberedConnection) -> dict:
     dims = conn.t_dims
     A = _stack(conn.base, dims)
     sigma = [_stack(s, dims) for s in conn.sigma]
-    F = curvature(A).full_field()
+    F = curvature(A)
     mixed = [covariant_d_scalar(A, s) - _t_derivative(A, dims, i)
              for i, s in enumerate(sigma)]
     f_sigma = {(i, j): (_t_derivative(sigma[i], dims, j)
                         - _t_derivative(sigma[j], dims, i))
                + (sigma[i].wedge(sigma[j]) - sigma[j].wedge(sigma[i])).scale(0.5)
                for i, j in ((0, 1), (0, 2), (1, 2))}
-    base = _by_point(F, dims)
     f_sigma = {k: _by_point(c, dims) for k, c in f_sigma.items()}
-    return {"F_base": {t: CurvatureField(base[t]) for t in base},
+    return {"F_base": _by_point(F, dims),
             "mixed": tuple(_by_point(m, dims) for m in mixed),
-            "F_sigma": {t: {k: c[t] for k, c in f_sigma.items()} for t in base}}
+            "F_sigma": {t: {k: c[t] for k, c in f_sigma.items()} for t in _t_indices(dims)}}
 
 
 def block_norms(blocks: dict) -> dict:
     """Grid-averaged L^2 norms of the three curvature blocks."""
     idxs = list(blocks["F_base"].keys())
     n = len(idxs)
-    base = np.sqrt(sum(blocks["F_base"][t].full_field().norm_sq() for t in idxs) / n)
+    base = np.sqrt(sum(blocks["F_base"][t].norm_sq() for t in idxs) / n)
     mixed = np.sqrt(sum(blocks["mixed"][i][t].norm_sq()
                         for i in range(3) for t in idxs) / n)
     fsig = np.sqrt(sum(c.norm_sq() for t in idxs

@@ -280,6 +280,12 @@ class FourierField:
         """Parseval L^2 norm squared with the tr(c c^dagger) matrix norm."""
         return _norm_sq(self.coeffs)
 
+    def full_field(self) -> "FourierField":
+        """The field itself.  Kept only for the benchmark's
+        ``perfbench/workloads.py:317``; goes with ROADMAP item 12's
+        benchmark change."""
+        return self
+
 
 def _per_row(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Per-row factors ``x`` shaped to scale the rows of ``coeffs``."""
@@ -312,40 +318,17 @@ def _components(f: FourierField) -> np.ndarray:
 # curvature
 
 
-@dataclass(frozen=True)
-class CurvatureField:
-    """A degree-2 curvature as one field.  The constant flux part
-    2 pi i m_{jk} e^{jk} of a nontrivial bundle sits in its zero mode."""
-
-    field: FourierField
-
-    def __post_init__(self):
-        if self.field.degree != 2:
-            raise ValueError("curvature must have degree 2")
-
-    @property
-    def dim(self) -> int:
-        return self.field.dim
-
-    @property
-    def group_rank(self) -> int:
-        return self.field.group_rank
-
-    def full_field(self) -> FourierField:
-        return self.field
-
-
-def curvature(A: FourierField) -> CurvatureField:
+def curvature(A: FourierField) -> FourierField:
     """F = dA + A ^ A for a globally defined (topologically trivial) potential.
 
     The quadratic term is a mode convolution truncated at twice the cutoff.
     """
     if A.degree != 1:
         raise ValueError("potential must be a 1-form")
-    return CurvatureField(A.d() + A.wedge(A, cutoff=2 * A.cutoff))
+    return A.d() + A.wedge(A, cutoff=2 * A.cutoff)
 
 
-def constant_curvature_u1(m) -> CurvatureField:
+def constant_curvature_u1(m) -> FourierField:
     """Abelian connection with constant curvature 2 pi i sum m_{jk} e^{jk}.
 
     The flux matrix must be integer-valued and antisymmetric: these are the
@@ -362,20 +345,15 @@ def constant_curvature_u1(m) -> CurvatureField:
         raise ValueError("flux must be antisymmetric")
     j, k = np.nonzero(np.triu(flux))
     # the sum, like every field sum, turns a -0.0 part into +0.0
-    return CurvatureField(FourierField.zero(4, 2, 1, 0) + _zero_mode(
-        4, 2, 1, (1 << j) | (1 << k), TWO_PI_I * np.array(flux)[j, k]))
+    return FourierField.zero(4, 2, 1, 0) + _zero_mode(
+        4, 2, 1, (1 << j) | (1 << k), TWO_PI_I * np.array(flux)[j, k])
 
 
-def topological_charge(F: CurvatureField) -> float:
+def topological_charge(F: FourierField) -> float:
     """(1/8 pi^2) integral of tr(F ^ F); exact mode arithmetic."""
-    if F.dim != 4:
-        raise ValueError("charge is defined for 4D fields")
-    return _full_charge(F.full_field())
-
-
-def _full_charge(full: FourierField) -> float:
-    """topological_charge from the full 4D curvature field."""
-    FF = full.wedge(full, cutoff=2 * full.cutoff + 1)
+    if F.dim != 4 or F.degree != 2:
+        raise ValueError("charge is defined for 4D 2-forms")
+    FF = F.wedge(F, cutoff=2 * F.cutoff + 1)
     return float(np.real(FF.trace().integrate_top())) / (8.0 * np.pi ** 2)
 
 
@@ -383,25 +361,23 @@ def _full_charge(full: FourierField) -> float:
 # the 7D lift
 
 
-def lift_to_7d(F: CurvatureField, fib: TorusFibration) -> CurvatureField:
+def lift_to_7d(F: FourierField, fib: TorusFibration) -> FourierField:
     """Pull a base field up the fibration, in lattice-adapted coordinates.
 
     The fibration map is projection onto the first four coordinates there,
     so modes pad with zero fiber frequencies and index tuples are reused;
     the lift has no fiber legs and no fiber dependence by construction.
     """
-    if F.dim != 4:
-        raise ValueError("expected a base field")
+    if F.dim != 4 or F.degree != 2:
+        raise ValueError("expected a base 2-form")
     del fib  # adapted coordinates make the map the same for every spec
-    f = F.full_field()
-    return CurvatureField(FourierField(7, 2, f.group_rank, f.cutoff,
-                                       np.pad(f.freqs, ((0, 0), (0, 3))),
-                                       f.masks, f.coeffs))
+    return FourierField(7, 2, F.group_rank, F.cutoff,
+                        np.pad(F.freqs, ((0, 0), (0, 3))), F.masks, F.coeffs)
 
 
-def instanton_residual_field(F: CurvatureField, s) -> dict:
-    """L^2 residuals of the instanton conditions for a 7D Fourier field:
+def instanton_residual_field(F: FourierField, s) -> dict:
+    """L^2 residuals of the instanton conditions for a 7D curvature:
     the maps of ``lattice.residual_7d`` on the mode stack."""
-    if F.dim != 7:
-        raise ValueError("expected a 7D field")
-    return _instanton_residuals(_components(F.full_field()), s, 1)
+    if F.dim != 7 or F.degree != 2:
+        raise ValueError("expected a 7D 2-form")
+    return _instanton_residuals(_components(F), s, 1)

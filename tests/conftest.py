@@ -133,8 +133,7 @@ def pairing_oracle(ctx, F, v, xi) -> float:
     as an independent cross-check of obstruction_verdict's r_phi.
     """
     contracted = interior([float(x) for x in v], xi.to_double())
-    full = F.full_field()
-    val = _pairing(full, full, contracted)
+    val = _pairing(F, F, contracted)
     return -0.5 * val / EIGHT_PI_SQ
 
 
@@ -148,7 +147,7 @@ def ym_energy_4d(F) -> dict:
     """
     if F.dim != 4:
         raise ValueError("expected a 4D field")
-    en = _chirality(_components(F.full_field()))
+    en = _chirality(_components(F))
     return {"total": en["total"], "sd_part": en["sd_sq"],
             "asd_part": en["asd_sq"], "q": topological_charge(F)}
 
@@ -161,11 +160,10 @@ def energy_decomposition_7d(F, s) -> dict:
     """
     if F.dim != 7:
         raise ValueError("expected a 7D field")
-    full = F.full_field()
-    comps = _components(full)
+    comps = _components(F)
     f7sq, f14sq = (_norm_sq(np.tensordot(p, comps, axes=(1, 0)))
                    for p in (s.p7_array(), p14_array(s)))
-    FF = full.wedge(full, cutoff=2 * full.cutoff + 1)
+    FF = F.wedge(F, cutoff=2 * F.cutoff + 1)
     kappa = -float(np.real(FF.trace().wedge_const(s.phi).integrate_top()))
     lam7 = float(s.lambda7)
     lam14 = float(s.lambda14)
@@ -205,7 +203,7 @@ def asd_defect_form(F) -> np.ndarray:
     For a constant-flux abelian field these are the three matrix
     coefficients whose norms control the 7D residual of the lift.
     """
-    d = F.full_field().modes.get((0,) * F.dim, {})
+    d = F.modes.get((0,) * F.dim, {})
     z = np.zeros((F.group_rank,) * 2, dtype=complex)
     return -np.stack(_sd_asd([d.get(idx, z) for idx in lex_basis(4, 2)])[1])
 

@@ -110,12 +110,12 @@ def test_gauge_orbit_annihilation(cs_context):
 
 def test_translation_tangent_structure(cs_context):
     F7 = lifted(SD_UNIT, cs_context.fib)
-    beta = F7.full_field().contract(E1)
+    beta = F7.contract(E1)
     # no fiber legs for a base direction on a lifted field
     for d in beta.modes.values():
         for idx in d:
             assert all(i <= 4 for i in idx)
-    zero = F7.full_field().contract((0.0,) * 7)
+    zero = F7.contract((0.0,) * 7)
     assert zero.is_zero()
 
 

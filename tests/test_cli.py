@@ -6,13 +6,14 @@ import itertools
 import json
 import os
 import struct
+import time
 
 import jsonschema
 import pytest
 from hypothesis import example, given, strategies as st
 
 from g2lab import cli
-from g2lab.gauge.lattice import read_snapshot
+from g2lab.gauge.lattice import cool_to_sd, read_snapshot
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
 
@@ -404,6 +405,21 @@ def test_report_stdout_json(capsys):
     assert code == 0
     jsonschema.validate(out, load_schema("report"))
     assert out["identities"]["all_pass"]
+    # both obstruction blocks are checked through the one shared definition
+    out["obstruction"]["conformal"]["verdict"] = "unknown"
+    with pytest.raises(jsonschema.ValidationError, match="'unknown' is not one of"):
+        jsonschema.validate(out, load_schema("report"))
+
+
+def test_report_flow_block_is_the_last_history_row(capsys):
+    code, out, _ = run_cli(["report", "--seed", "42"], capsys)
+    assert code == 0
+    U = cli._flow_start((4, 4, 4, 4), "u1", "sd-flux", 0.02, 42)
+    flow = cool_to_sd(U, max_steps=2000, tol=1e-3)
+    step, asd_fraction, charge = flow["history"][-1]
+    assert out["flow"]["steps"] == step == flow["steps"]
+    assert out["flow"]["final_asd_fraction"] == asd_fraction
+    assert out["flow"]["final_charge"] == charge
 
 
 XI_TEXT = '{"dim": 7, "degree": 4, "terms": [{"idx": [1, 5, 6, 7], "c": %s}]}'
@@ -454,9 +470,10 @@ HOSTILE = {
     "lift-nan-spacing": lambda h: ["lift", "--in", h.nan_spacing(), "--out", h.out],
     "residual-in-a-directory": lambda h: ["residual", "--in", str(h.root)],
     "cs-field-a-directory": lambda h: ["cs", "--field", str(h.root)],
-    "flow-out-in-a-missing-directory": lambda h: FLOW + ["--out", h.missing],
+    "flow-out-in-a-missing-directory": lambda h: ["flow", "--out", h.missing],
     "lift-out-in-a-missing-directory": lambda h: ["lift", "--in", h.four, "--out", h.missing],
     "report-out-in-a-missing-directory": lambda h: ["report", "--out", h.missing],
+    "report-out-a-directory": lambda h: ["report", "--out", str(h.root)],
 }
 
 
@@ -487,13 +504,23 @@ class HostileFiles:
         return str(path)
 
 
+# an --out that cannot be written is found before any work: validating a
+# command line takes about 2 ms, while the default 6^4 su2 flow cools for
+# about 0.2 s and report runs for about 0.05 s before they would write
+OUTPUT_CHECK_BOUND_S = 0.02
+
+
 @pytest.mark.parametrize("case", sorted(HOSTILE))
 def test_hostile_input_is_a_validation_error(pipeline, tmp_path, case, capsys):
     files = HostileFiles(pipeline, tmp_path)
+    start = time.perf_counter()
     code, out, err = run_cli(HOSTILE[case](files), capsys)
+    elapsed = time.perf_counter() - start
     assert code == 1 and out is None and not os.path.exists(files.out)
     jsonschema.validate(err, load_schema("error"))
     assert err["error"]["code"] == "validation"
+    if "-out-" in case:
+        assert elapsed < OUTPUT_CHECK_BOUND_S
 
 
 def test_form_coefficients_are_bounded_by_1e150(tmp_path, capsys):
@@ -516,6 +543,7 @@ def test_form_coefficients_are_bounded_by_1e150(tmp_path, capsys):
      "argument --noise: expected a finite number >= 0, got 'nan'"),
     (["flow", "--lattice", "4x4x4x4"], "the following arguments are required: --out"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["flow", "--group", "so3", "--out", "never.lat"], "argument --group: invalid choice"),
 ])
 def test_bad_arguments_name_the_reason(argv, reason, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -158,7 +158,7 @@ def test_flux_charge_matches_integral():
 def test_constant_flux_rejects_global_potential_representation():
     """The whole field is the zero mode 2 pi i m_jk e^{jk}: no potential."""
     m = sd_flux(1, 0, 0)
-    full = constant_curvature_u1(m).full_field()
+    full = constant_curvature_u1(m)
     assert list(full.modes) == [(0, 0, 0, 0)]
     assert {idx: c[0, 0] for idx, c in full.modes[(0, 0, 0, 0)].items()} == {
         (j + 1, k + 1): 2j * np.pi * m[j][k]
@@ -174,10 +174,21 @@ def test_flux_must_be_integer_antisymmetric_4x4():
                          "antisymmetric")):
         with pytest.raises(ValueError, match=reason):
             constant_curvature_u1(bad)
-    got, want = (constant_curvature_u1(m).full_field() for m in
+    got, want = (constant_curvature_u1(m) for m in
                  ([[float(x) for x in r] for r in sd_flux(1, 0, 0)], sd_flux(1, 0, 0)))
     for name in ("freqs", "masks", "coeffs"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("entry, dim", [
+    (lambda F: lift_to_7d(F, None), 4),
+    (topological_charge, 4),
+    (lambda F: instanton_residual_field(F, standard_structure()), 7),
+], ids=["lift_to_7d", "topological_charge", "instanton_residual_field"])
+def test_curvature_entry_points_reject_other_degrees(entry, dim):
+    """A curvature is a 2-form; a potential passed in its place is refused."""
+    with pytest.raises(ValueError, match="2-form"):
+        entry(random_field(dim, 1, 1, seed=5, cutoff=2))
 
 
 def test_ym_energy_sd_asd_split():
@@ -197,8 +208,7 @@ def test_curvature_of_potential_and_bianchi():
     A = random_field(4, 1, 2, seed=3, cutoff=2)
     F = curvature(A)
     # d F + [A, F] = 0 (Bianchi) for the computed curvature
-    full = F.full_field()
-    bianchi = full.d() + A.wedge(full) - full.wedge(A)
+    bianchi = F.d() + A.wedge(F) - F.wedge(A)
     assert bianchi.is_zero(1e-10)
     # A ^ A has no mode beyond twice the cutoff, so the truncation drops nothing
     AA = A.wedge(A, cutoff=4 * A.cutoff)
