@@ -6,6 +6,7 @@ into a base block, three mixed 1-form blocks and a fiber-fiber block; the
 instanton condition forces the last two to vanish and the base block to be
 self-dual slice-wise.  Each family is stacked into one FourierField with
 t-grid axes, so the number of field operations does not depend on the grid.
+The per-t blocks are read from one grid field per block and may share its arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from ..exterior import ConstForm
 from ..fibration import EPSILON3
 from ..g2core import OMEGA_BASE
-from .fourier import FourierField, curvature
+from .fourier import FourierField, _row_keys, curvature
 
 
 def _t_indices(t_dims):
@@ -38,7 +39,7 @@ class FiberedConnection:
     sigma: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "t_dims", tuple(int(n) for n in self.t_dims))
+        self.t_dims = tuple(int(n) for n in self.t_dims)
         if len(self.t_dims) != 3:
             raise ValueError("three fiber directions required")
         if any(n < 2 for n in self.t_dims):
@@ -69,23 +70,28 @@ def _stack(family: dict, t_dims: tuple) -> FourierField:
     """One field with t-grid axes from a map of per-point fields, at their
     largest cutoff, on the union of their rows in canonical (m, J) order."""
     fields = [family[t] for t in _t_indices(t_dims)]
-    rows, row = np.unique(np.concatenate([np.column_stack([f.freqs, f.masks])
-                                          for f in fields]),
-                          axis=0, return_inverse=True)
-    point = np.repeat(np.arange(len(fields)), [len(f.masks) for f in fields])
     f0, r = fields[0], fields[0].group_rank
-    coeffs = np.zeros((len(rows), len(fields), r, r), dtype=complex)
-    coeffs[row.ravel(), point] = np.concatenate([f.coeffs for f in fields])
+    freqs = np.concatenate([f.freqs for f in fields])
+    masks = np.concatenate([f.masks for f in fields])
+    _, first, row = np.unique(_row_keys(freqs, masks, f0.dim),
+                              return_index=True, return_inverse=True)
+    point = np.repeat(np.arange(len(fields)), [len(f.masks) for f in fields])
+    coeffs = np.zeros((len(first), len(fields), r, r), dtype=complex)
+    coeffs[row, point] = np.concatenate([f.coeffs for f in fields])
     return FourierField(f0.dim, f0.degree, r, max(f.cutoff for f in fields),
-                        rows[:, :-1], rows[:, -1],
-                        coeffs.reshape((len(rows), *t_dims, r, r)))
+                        freqs[first], masks[first],
+                        coeffs.reshape((len(first), *t_dims, r, r)))
 
 
 def _by_point(f: FourierField, t_dims: tuple) -> dict:
-    """{t: f at grid point t, without the rows that vanish there}."""
-    c = f.coeffs.reshape((len(f.masks), *t_dims) + f.coeffs.shape[-2:])
-    return {t: FourierField(f.dim, f.degree, f.group_rank, f.cutoff, f.freqs, f.masks,
-                            c[(slice(None), *t)]).prune() for t in _t_indices(t_dims)}
+    """{t: f at grid point t, without the rows that vanish there; a view if none do}."""
+    c = f.coeffs.reshape((len(f.masks), int(np.prod(t_dims))) + f.coeffs.shape[-2:])
+    live = np.abs(c).max(axis=(2, 3)) > 0
+    rows = [slice(None) if full else keep
+            for full, keep in zip(live.all(axis=0).tolist(), live.T)]
+    return {t: FourierField(f.dim, f.degree, f.group_rank, f.cutoff,
+                            f.freqs[rows[p]], f.masks[rows[p]], c[rows[p], p])
+            for p, t in enumerate(_t_indices(t_dims))}
 
 
 def _t_derivative(f: FourierField, t_dims: tuple, i: int) -> FourierField:

@@ -29,11 +29,17 @@ from .lattice import _instanton_residuals, _norm_sq
 
 TWO_PI_I = 2.0j * np.pi
 
-# row keys (m, J) -> int64: the mask in the low 7 bits, above it each
-# frequency plus an offset in 56 // dim bits, the first frequency highest
 _KEY_OFFSET = {n: 1 << (56 // n - 1) for n in range(1, 8)}
 _KEY_WEIGHTS = {n: 1 << (7 + 56 // n * np.arange(n - 1, -1, -1))
                 for n in range(1, 8)}
+
+
+def _row_keys(freqs: np.ndarray, masks: np.ndarray, dim: int) -> np.ndarray:
+    """Row keys (m, J) -> int64 that sort as the rows do lexicographically: the mask
+    in the low 7 bits, above it each m_i + offset in 56 // dim bits, m_0 highest."""
+    if len(masks) and np.abs(freqs).max() >= _KEY_OFFSET[dim]:
+        raise ValueError("frequency too large to index")
+    return (freqs + _KEY_OFFSET[dim]) @ _KEY_WEIGHTS[dim] + masks
 
 
 @dataclass(eq=False)
@@ -73,9 +79,7 @@ class FourierField:
         repeat (m, J).  Repeats are summed in row order, then rows with
         every |entry| <= tol are dropped."""
         if len(masks):
-            if np.abs(freqs).max() >= _KEY_OFFSET[self.dim]:
-                raise ValueError("frequency too large to index")
-            keys = (freqs + _KEY_OFFSET[self.dim]) @ _KEY_WEIGHTS[self.dim] + masks
+            keys = _row_keys(freqs, masks, self.dim)
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
             first = np.empty(len(keys), dtype=bool)

@@ -400,6 +400,13 @@ def test_report_schema_and_determinism(tmp_path, capsys):
     jsonschema.validate(json.load(open(a)), load_schema("report"))
 
 
+def test_obstruction_report_schemas_stay_equal():
+    """Two copies of one definition: each schema file is validated on its
+    own, with no resolver for a cross-file $ref."""
+    assert load_schema("obstruct")["properties"]["report"] \
+        == load_schema("report")["definitions"]["obstruction_report"]
+
+
 def test_report_stdout_json(capsys):
     code, out, _ = run_cli(["report", "--seed", "3"], capsys)
     assert code == 0

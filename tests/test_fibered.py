@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import su2
-from g2lab.exterior import ConstForm
+from g2lab.exterior import INDEX_OF, ConstForm
 from g2lab.g2core import OMEGA_BASE
 from g2lab.gauge.fibered import (
     FiberedConnection, block_norms, covariant_d_scalar, fibered_curvature,
@@ -77,9 +77,11 @@ def test_grid_blocks_match_per_point_formulas(monkeypatch):
         dn[i] = (t[i] - 1) % t_dims[i]
         return (grid[tuple(up)] - grid[tuple(dn)]).scale(1.0 / (2.0 / t_dims[i]))
 
+    base_sq, mixed_sq, fsig_sq = [], ([], [], []), []
     for t, A in conn.base.items():
-        got = blocks["F_base"][t]
-        assert _same_field(got, curvature(A))
+        got, want = blocks["F_base"][t], curvature(A)
+        assert _same_field(got, want)
+        base_sq.append(want.norm_sq())
         # A ^ A reaches beyond twice the cutoff; the base block drops it there
         AA = A.wedge(A, cutoff=4 * A.cutoff)
         assert np.abs(AA.freqs).max() > 2 * A.cutoff \
@@ -87,28 +89,81 @@ def test_grid_blocks_match_per_point_formulas(monkeypatch):
         for i in range(3):
             want = covariant_d_scalar(A, conn.sigma[i][t]) - d_t(conn.base, t, i)
             assert _same_field(blocks["mixed"][i][t], want)
+            mixed_sq[i].append(want.norm_sq())
         for i, j in ((0, 1), (0, 2), (1, 2)):
             si, sj = conn.sigma[i][t], conn.sigma[j][t]
             want = (d_t(conn.sigma[i], t, j) - d_t(conn.sigma[j], t, i)) \
                 + (si.wedge(sj) - sj.wedge(si)).scale(0.5)
             assert _same_field(blocks["F_sigma"][t][(i, j)], want)
+            fsig_sq.append(want.norm_sq())
+    # the norms are these per-point sums, bit for bit
+    n = len(conn.base)
+    assert block_norms(blocks) == {
+        "base": float(np.sqrt(sum(base_sq) / n)),
+        "mixed": float(np.sqrt(sum(mixed_sq[0] + mixed_sq[1] + mixed_sq[2]) / n)),
+        "f_sigma": float(np.sqrt(sum(fsig_sq) / n))}
 
-    # the number of field products does not grow with the grid
+    # neither the field products nor the dict <-> grid conversions grow
+    # with the grid
     calls = []
-    wedge = FourierField.wedge
-
-    def counted_wedge(self, *args, **kwargs):
-        calls.append(1)
-        return wedge(self, *args, **kwargs)
-
-    monkeypatch.setattr(FourierField, "wedge", counted_wedge)
+    for name in ("wedge", "prune"):
+        def counted(self, *args, _name=name, _method=getattr(FourierField, name),
+                    **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(FourierField, name, counted)
     counts = []
     for T in (4, 8):
         family = varying_su2_family((T, T, T))
         calls.clear()
         fibered_curvature(family)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append({name: calls.count(name) for name in ("wedge", "prune")})
+    assert counts[0] == counts[1] and min(counts[0].values()) > 0
+
+
+def test_per_t_blocks_share_arrays_safely():
+    """A per-t block may view its grid block's arrays; editing it through the
+    field API leaves the other blocks, the inputs and the norms as they were."""
+    conn = varying_su2_family((4, 3, 5))
+    given = [*conn.base.values(), *(f for s in conn.sigma for f in s.values())]
+    inputs = [f.copy() for f in given]
+    blocks = fibered_curvature(conn)
+    norms = block_norms(blocks)
+    every = [*blocks["F_base"].values(), *(f for m in blocks["mixed"] for f in m.values()),
+             *(f for comps in blocks["F_sigma"].values() for f in comps.values())]
+    saved = [f.copy() for f in every]
+    # a point where every row is live: its block is a view
+    view = next(f for f in blocks["F_base"].values() if not f.coeffs.flags.owndata)
+    k = every.index(view)
+    assert all(not c.flags.writeable for d in view.modes.values() for c in d.values())
+
+    def others_unchanged():
+        assert all(_same_field(f, g) for j, (f, g) in enumerate(zip(every, saved))
+                   if j != k)
+        assert all(_same_field(f, g) for f, g in zip(given, inputs))
+
+    m, idx, value = tuple(view.freqs[0]), INDEX_OF[view.masks[0]], view.coeffs[0].copy()
+    view.add_coeff(m, idx, 2.0 * value)
+    others_unchanged()
+    view.set_coeff(m, idx, value)
+    view.add_coeff((0, 0, 0, 5), (1, 2), value)
+    view.set_coeff((0, 0, 0, 5), (1, 2), 0.0 * value)
+    view.prune()
+    others_unchanged()
+    assert _same_field(view, saved[k])
+    assert block_norms(blocks) == norms
+
+
+def test_rows_beyond_the_key_range_are_refused():
+    conn = varying_su2_family((2, 2, 2))
+    A = conn.base[(1, 0, 1)]
+    # |m| = 8192 is the dimension-4 key offset; the field API refuses such a
+    # row, so it is built from arrays
+    conn.base[(1, 0, 1)] = FourierField(
+        4, 1, 2, A.cutoff, np.vstack([A.freqs, [0, -8192, 0, 0]]),
+        np.append(A.masks, 1), np.concatenate([A.coeffs, [su2([0.1, 0.0, 0.0])]]))
+    with pytest.raises(ValueError, match="frequency too large to index"):
+        fibered_curvature(conn)
 
 
 def test_pullback_connection_has_base_block_only():

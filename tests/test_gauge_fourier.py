@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import (asd_defect_form, energy_decomposition_7d, reality_defect, su2,
                       ym_energy_4d)
 from g2lab.gauge.fourier import (
-    FourierField, constant_curvature_u1, curvature,
+    FourierField, _row_keys, constant_curvature_u1, curvature,
     instanton_residual_field, lift_to_7d, topological_charge,
 )
 from g2lab.exterior import MASK_OF
@@ -133,6 +133,19 @@ def test_grid_operations_act_per_point(a0, a1, b0, b1):
 def test_add_coeff_rejects_terms_that_do_not_fit(freq, idx):
     with pytest.raises(ValueError):
         FourierField.zero(4, 1, 1, 2).add_coeff(freq, idx, 1.0)
+
+
+def test_row_keys_order_rows_lexicographically():
+    rng = np.random.default_rng(3)
+    freqs = np.concatenate([rng.integers(-3, 4, size=(200, 4)),
+                            [[8191, 0, 0, -8191], [-8191, 8191, 0, 0]]])
+    masks = rng.integers(0, 16, size=len(freqs))
+    keys = _row_keys(freqs, masks, 4)
+    assert keys.dtype == np.int64
+    assert (np.argsort(keys, kind="stable")
+            == np.lexsort([masks, *freqs.T[::-1]])).all()
+    with pytest.raises(ValueError, match="frequency too large to index"):
+        _row_keys(np.array([[0, 0, 0, -8192]]), np.array([1]), 4)
 
 
 def test_symmetrized_field_is_real():
