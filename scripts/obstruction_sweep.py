@@ -12,8 +12,8 @@ import argparse
 import sys
 
 from g2lab.chernsimons import CSContext, obstruction_verdict
+from g2lab.cli import ValidationFailure, _bounded, _check_outputs
 from g2lab.exterior import ConstForm, wedge
-from g2lab.fibration import FibrationSpec, build_fibration
 from g2lab.gauge.fourier import constant_curvature_u1, lift_to_7d
 
 FLUXES = {
@@ -36,14 +36,16 @@ XIS = {
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--out", default="sweep.csv")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_bounded(float, 0, strict=True), default=1e-9)
     a = p.parse_args(argv)
-
-    fib = build_fibration(FibrationSpec.standard())
-    ctx = CSContext(fib)
+    try:
+        _check_outputs(a.out)
+    except ValidationFailure as exc:
+        p.error(str(exc))
+    ctx = CSContext.standard()
     rows = []
     for q, flux in FLUXES.items():
-        F7 = lift_to_7d(constant_curvature_u1(flux), fib)
+        F7 = lift_to_7d(constant_curvature_u1(flux), ctx.fib)
         for name, xi in XIS.items():
             rep = obstruction_verdict(ctx, F7, xi, tol=a.tol)
             rows.append((q, name, rep.r_phi_value, rep.verdict.value))

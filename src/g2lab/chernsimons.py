@@ -206,6 +206,8 @@ def _verdict(xi: ConstForm, tol: float, measure) -> ObstructionReport:
     """Decompose xi, pick the unit base translation v maximizing |eps(v)|
     for the transverse block eps = -c_IV/2, and threshold r_phi(beta_v) at
     10 tol.  ``measure(v)`` returns (q, rho(beta_v), r_phi(beta_v))."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance {tol!r} must be finite and > 0")
     split = decompose_deformation(xi)
     eps = [-float(c) / 2.0 for c in split.c_iv]
     best = int(np.argmax([abs(e) for e in eps]))

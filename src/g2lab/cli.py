@@ -165,6 +165,11 @@ def _max_abs(form: ConstForm) -> float:
     return max((abs(float(c)) for c in form.coeffs.values()), default=0.0)
 
 
+def _identity_deviation(g) -> float:
+    """max |g_ij - delta_ij| over a 7 x 7 metric."""
+    return float(np.abs(np.array(g, dtype=float) - np.eye(7)).max())
+
+
 def identity_suite(mode: str) -> list:
     """The exact identity checks behind ``g2lab identities``.
 
@@ -186,10 +191,7 @@ def identity_suite(mode: str) -> list:
     add("coassociative-dual", _max_abs(s.star_phi - target))
 
     # the induced metric of the model form is the identity
-    g = s.metric.mat
-    add("induced-metric-identity",
-        max(abs(float(g[i][j]) - (1.0 if i == j else 0.0))
-            for i in range(7) for j in range(7)))
+    add("induced-metric-identity", _identity_deviation(s.metric.mat))
 
     # the 7-block is spanned by the vector contractions of phi
     res = 0.0
@@ -259,14 +261,12 @@ def _diagnosis(fib: TorusFibration) -> str:
 
 def cmd_fibration(args) -> int:
     fib = build_fibration(_load_spec(args.spec))
-    g = metric_from_phi(fib.phi)[0].mat
-    ortho = max(abs(float(g[i][j]) - (1.0 if i == j else 0.0))
-                for i in range(7) for j in range(7))
+    ortho = _identity_deviation(metric_from_phi(fib.phi)[0].mat)
     _emit({
         "command": "fibration",
         "generator_matrix": [[float(x) for x in row] for row in fib.ltilde],
         "phi": fib.phi.to_json_dict(),
-        "orthonormality_residual": float(ortho),
+        "orthonormality_residual": ortho,
         "diagnosis": _diagnosis(fib),
     })
     return EXIT_OK
@@ -364,10 +364,7 @@ def _read_field(path: str, ndim: int):
 
 def cmd_residual(args) -> int:
     U7 = _read_field(args.infile, ndim=7)
-    # lattice work runs in adapted coordinates, where phi is standard
-    res = residual_7d(U7, standard_structure())
-    _emit({"command": "residual", "dims": list(U7.dims),
-           "r_a": res["r_a"], "r_b": res["r_b"], "f7_norm": res["f7_norm"]})
+    _emit({"command": "residual", "dims": list(U7.dims), **residual_7d(U7)})
     return EXIT_OK
 
 
@@ -410,7 +407,7 @@ def cmd_report(args) -> int:
     # continuum lift of the unit SD flux and its residual triple
     F4 = constant_curvature_u1(_UNIT_SD_FLUX)
     F7 = lift_to_7d(F4, fib)
-    res = instanton_residual_field(F7, standard_structure())
+    res = instanton_residual_field(F7)
 
     # Chern-Simons constancy probe on the lifted field
     v = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

@@ -379,9 +379,9 @@ def lift_to_7d(F: FourierField, fib: TorusFibration) -> FourierField:
                         np.pad(F.freqs, ((0, 0), (0, 3))), F.masks, F.coeffs)
 
 
-def instanton_residual_field(F: FourierField, s) -> dict:
-    """L^2 residuals of the instanton conditions for a 7D curvature:
-    the maps of ``lattice.residual_7d`` on the mode stack."""
+def instanton_residual_field(F: FourierField) -> dict:
+    """L^2 residuals of the instanton conditions for a 7D curvature: the maps
+    of ``lattice.residual_7d``, in the same adapted frame, on the mode stack."""
     if F.dim != 7 or F.degree != 2:
         raise ValueError("expected a 7D 2-form")
-    return _instanton_residuals(_components(F), s, 1)
+    return _instanton_residuals(_components(F), 1)

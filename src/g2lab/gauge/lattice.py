@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exterior import ConstForm, interior, lex_basis, wedge
+from ..g2core import standard_structure
 from ..rng import SplitMix64
 
 _MAGIC = b"G2LAT001"
@@ -41,6 +42,8 @@ class LatticeGaugeField:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        if min(self.dims) < 1:
+            raise ValueError(f"lattice extents {list(self.dims)} must be >= 1")
         if self.group not in _RANK:
             raise ValueError(f"unknown group {self.group!r}")
         r = _RANK[self.group]
@@ -441,10 +444,11 @@ def _wedge_table(form: ConstForm, degree: int) -> np.ndarray:
     return np.array(rows, dtype=float).T
 
 
-def _instanton_residuals(F: np.ndarray, s, n: int) -> dict:
+def _instanton_residuals(F: np.ndarray, n: int) -> dict:
     """RMS over the n columns of a 21-component 2-form stack ``F`` of the
     three instanton residuals: r_a of F ^ star_phi, r_b of F - T(F)/lambda14
     and f7_norm of p7 F, with T = p7 (lambda7 - lambda14) + lambda14."""
+    s = standard_structure()
     p7 = s.p7_array()
     T = p7 * (float(s.lambda7) - float(s.lambda14)) + float(s.lambda14) * np.eye(21)
     maps = {"r_a": _wedge_table(s.star_phi, 2),
@@ -453,15 +457,14 @@ def _instanton_residuals(F: np.ndarray, s, n: int) -> dict:
             for k, M in maps.items()}
 
 
-def residual_7d(U: LatticeGaugeField, s) -> dict:
-    """Per-site RMS instanton residuals of a 7D lattice field.
-
-    Builds the 21-component clover curvature at every site and applies the
-    structure's projectors; r_a comes from the constant map F -> F ^ star_phi.
-    """
+def residual_7d(U: LatticeGaugeField) -> dict:
+    """Per-site RMS instanton residuals of a 7D lattice field: the clover
+    curvature under the projectors of ``standard_structure()``.  The lattice
+    generators are orthonormal, so in these adapted coordinates phi is the
+    standard 3-form whatever the twist."""
     if U.ndim != 7:
         raise ValueError("expected a 7D field")
-    return _instanton_residuals(_clover_stack(U, _PLANES7), s, U.n_sites())
+    return _instanton_residuals(_clover_stack(U, _PLANES7), U.n_sites())
 
 
 def _cs_integral(U: LatticeGaugeField, F: np.ndarray, v,

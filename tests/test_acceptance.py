@@ -92,18 +92,17 @@ def test_spectrum_and_kappa_weight_identity():
 
 def test_lifting_sd_exact_asd_matches_defect(standard_fibration):
     t0 = time.monotonic()
-    s = standard_structure()
     sd_nine = [sd_flux(1, 0, 0), sd_flux(-1, 0, 0), sd_flux(0, 1, 0),
                sd_flux(0, -1, 0), sd_flux(0, 0, 1), sd_flux(0, 0, -1),
                sd_flux(1, 1, 0), sd_flux(1, 0, 1), sd_flux(0, 1, 1)]
     for m in sd_nine:
         F7 = lift_to_7d(constant_curvature_u1(m), standard_fibration)
-        res = instanton_residual_field(F7, s)
+        res = instanton_residual_field(F7)
         assert max(res.values()) < 1e-12
     for m in (asd_flux(1, 0, 0), asd_flux(0, 1, 0), asd_flux(0, 0, 1)):
         F4 = constant_curvature_u1(m)
         F7 = lift_to_7d(F4, standard_fibration)
-        res = instanton_residual_field(F7, s)
+        res = instanton_residual_field(F7)
         O = asd_defect_form(F4)
         nO = float(np.sqrt(sum(np.real(np.trace(o @ o.conj().T))
                                for o in O)))
@@ -258,7 +257,7 @@ def test_lattice_cooling_and_lift():
     assert en["asd_fraction"] < 1e-3
     assert abs(clover_charge(field) + 1.0) < 0.1
     U7 = lift_lattice_7d(field, (4, 4, 4))
-    res = residual_7d(U7, standard_structure())
+    res = residual_7d(U7)
     assert res["f7_norm"] <= 2.0 * asd_residual_4d(field)
     assert time.monotonic() - t0 < 300.0
 

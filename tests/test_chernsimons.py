@@ -202,6 +202,20 @@ def test_obstruction_truth_table(cs_context):
                                                         abs=1e-9)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_verdicts_refuse_a_tolerance_that_is_not_positive_and_finite(cs_context, tol):
+    """A nan tolerance would pass every verdict as "survives", and a negative
+    one would call the charge-0 field obstructed under the conformal class."""
+    from g2lab.gauge.lattice import constant_flux_field, lift_lattice_7d
+    xi = ConstForm.basis(7, (1, 2, 3, 4), 1.0)
+    F7 = lifted(ZERO_FLUX, cs_context.fib)
+    U7 = lift_lattice_7d(constant_flux_field((2, 2, 2, 2), ZERO_FLUX, "u1"), (2, 2, 2))
+    with pytest.raises(ValueError, match="tolerance"):
+        obstruction_verdict(cs_context, F7, xi, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        obstruction_verdict_lattice(cs_context, U7, xi, tol=tol)
+
+
 def test_lattice_quadrature_matches_continuum(cs_context):
     from g2lab.gauge.lattice import constant_flux_field, lift_lattice_7d
     U7 = lift_lattice_7d(constant_flux_field((8, 8, 8, 8), SD_UNIT, "u1"),

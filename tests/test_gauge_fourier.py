@@ -196,7 +196,7 @@ def test_flux_must_be_integer_antisymmetric_4x4():
 @pytest.mark.parametrize("entry, dim", [
     (lambda F: lift_to_7d(F, None), 4),
     (topological_charge, 4),
-    (lambda F: instanton_residual_field(F, standard_structure()), 7),
+    (instanton_residual_field, 7),
 ], ids=["lift_to_7d", "topological_charge", "instanton_residual_field"])
 def test_curvature_entry_points_reject_other_degrees(entry, dim):
     """A curvature is a 2-form; a potential passed in its place is refused."""
@@ -234,17 +234,16 @@ def test_charge_of_trivial_sector_vanishes():
 
 
 def test_lift_residuals_sd_and_asd(standard_fibration):
-    s = standard_structure()
     for a, b, c in itertools.product((-1, 0, 1), repeat=3):
         F7 = lift_to_7d(constant_curvature_u1(sd_flux(a, b, c)),
                         standard_fibration)
-        res = instanton_residual_field(F7, s)
+        res = instanton_residual_field(F7)
         assert max(res.values()) < 1e-12
     # anti-self-dual single planes: residual is governed by the defect form
     asd = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
     F4 = constant_curvature_u1(asd)
     F7 = lift_to_7d(F4, standard_fibration)
-    res = instanton_residual_field(F7, s)
+    res = instanton_residual_field(F7)
     O = asd_defect_form(F4)
     nO = float(np.sqrt(sum(np.real(np.trace(o @ o.conj().T)) for o in O)))
     assert res["r_a"] == pytest.approx(nO, abs=1e-10)

@@ -16,7 +16,7 @@ from g2lab.gauge.lattice import (
 )
 from g2lab.chernsimons import Verdict, obstruction_verdict_lattice, rho_lattice
 from g2lab.exterior import ConstForm, wedge
-from g2lab.g2core import OMEGA_BAR_BASE, OMEGA_BASE, standard_structure
+from g2lab.g2core import OMEGA_BAR_BASE, OMEGA_BASE
 from g2lab.gauge.lattice import (
     _PLANE_SIGNS, _PLANES4, _charge, _chirality, _dag, _expm_ah, _mul,
     _project_algebra, _sd_asd, _shift,
@@ -62,8 +62,8 @@ def test_gauge_invariance_of_observables(group, cs_context):
     en0 = chirality_energies(U)
     # a lift with noise on every link, so rho is not zero by symmetry
     U7 = add_link_noise(lift_lattice_7d(U, (2, 2, 2)), 0.1, seed=12)
-    s, v = standard_structure(), (0.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0)
-    res0, rho0 = residual_7d(U7, s), rho_lattice(cs_context, U7, v)
+    v = (0.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0)
+    res0, rho0 = residual_7d(U7), rho_lattice(cs_context, U7, v)
     assert abs(rho0) > 1e-6
     xi = wedge(ConstForm.basis(7, (1,), -2.0), ConstForm.basis(7, (5, 6, 7)))
     rep0 = obstruction_verdict_lattice(cs_context, U7, xi)
@@ -77,7 +77,7 @@ def test_gauge_invariance_of_observables(group, cs_context):
         assert abs(en["asd_sq"] - en0["asd_sq"]) < 1e-8
         assert abs(en["total"] - en0["total"]) < 1e-8
         V7 = random_gauge_transform(U7, seed=seed + 1)
-        assert residual_7d(V7, s) == pytest.approx(res0, rel=1e-12)
+        assert residual_7d(V7) == pytest.approx(res0, rel=1e-12)
         assert rho_lattice(cs_context, V7, v) == pytest.approx(rho0, rel=1e-10)
 
 
@@ -227,15 +227,24 @@ def test_lift_and_7d_residual_ratio():
                              [0, 0, 0, -1], [0, 0, 1, 0]], "u1")
     U7 = lift_lattice_7d(U, (3, 3, 3))
     assert U7.ndim == 7
-    res = residual_7d(U7, standard_structure())
+    res = residual_7d(U7)
     asd4 = asd_residual_4d(U)
     assert res["f7_norm"] == pytest.approx(np.sqrt(2.0 / 3.0) * asd4, rel=1e-10)
     # an SD flux lifts with residual at discretization level only
     V7 = lift_lattice_7d(constant_flux_field((6, 6, 6, 6), SD_UNIT, "u1"),
                          (3, 3, 3))
-    resV = residual_7d(V7, standard_structure())
+    resV = residual_7d(V7)
     assert resV["f7_norm"] < 2 * asd_residual_4d(
         constant_flux_field((6, 6, 6, 6), SD_UNIT, "u1")) + 1e-12
+
+
+def test_zero_lattice_extents_are_refused():
+    """An empty lattice has no sites to average over: residual_7d would
+    divide by a site count of 0."""
+    with pytest.raises(ValueError, match="extents"):
+        LatticeGaugeField((0, 2, 2, 2), "u1", np.ones((4, 0, 2, 2, 2, 1, 1), complex))
+    with pytest.raises(ValueError, match="extents"):
+        lift_lattice_7d(identity_field((2, 2, 2, 2), "su2"), (0, 2, 2))
 
 
 def test_snapshot_roundtrip(tmp_path):
