@@ -1,9 +1,10 @@
 """Lattice gauge fields on periodic hypercubic lattices.
 
-Links live on (site, direction) pairs as U(1) phases or SU(2) matrices;
-curvature is measured by the clover-averaged plaquette, and the cooling
-flow drives the anti-self-dual energy to zero while the (quasi-conserved)
-topological charge selects the sector.
+Links live on (site, direction) pairs as U(1) phases or SU(2) matrices,
+stored entry-major (i, j, direction, *sites); plane stacks and snapshots are
+matrix-last.  Curvature is measured by the clover-averaged plaquette, and the
+cooling flow drives the anti-self-dual energy to zero while the
+(quasi-conserved) topological charge selects the sector.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class CoolingDivergence(RuntimeError):
 class LatticeGaugeField:
     dims: tuple
     group: str
-    links: np.ndarray      # (d, *dims, r, r) complex
+    links: np.ndarray      # (r, r, d, *dims) complex
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
@@ -46,8 +47,7 @@ class LatticeGaugeField:
             raise ValueError(f"lattice extents {list(self.dims)} must be >= 1")
         if self.group not in _RANK:
             raise ValueError(f"unknown group {self.group!r}")
-        r = _RANK[self.group]
-        want = (len(self.dims), *self.dims, r, r)
+        want = (self.rank, self.rank, len(self.dims), *self.dims)
         if self.links.shape != want:
             raise ValueError(f"links shape {self.links.shape} != {want}")
 
@@ -68,8 +68,8 @@ class LatticeGaugeField:
 
 def identity_field(dims, group: str) -> LatticeGaugeField:
     r = _RANK[group]
-    links = np.zeros((len(dims), *dims, r, r), dtype=complex)
-    links[...] = np.eye(r)
+    links = np.zeros((r, r, len(dims), *dims), dtype=complex)
+    links[range(r), range(r)] = 1.0
     return LatticeGaugeField(tuple(dims), group, links)
 
 
@@ -79,35 +79,43 @@ def _shift_index(extent: int, n: int) -> np.ndarray:
 
 
 def _shift(a: np.ndarray, axis, n: int) -> np.ndarray:
-    """The site array (*dims, r, r) ``a`` read at x + n e_axis (each axis of a
-    tuple): np.roll(a, -n, axis) as a gather, without roll's per-call setup."""
+    """The site array (r, r, *dims) ``a`` read at x + n e_axis (each axis of a
+    tuple): np.roll(a, -n, 2 + axis) as a gather, without roll's setup."""
     for ax in axis if isinstance(axis, tuple) else (axis,):
-        a = np.take(a, _shift_index(a.shape[ax], n), axis=ax)
+        a = np.take(a, _shift_index(a.shape[2 + ax], n), axis=2 + ax)
     return a
 
 
+# entry-major (r, r, ...) <-> matrix-last (..., r, r) views, 4x cheaper than np.moveaxis
+_matrix_last = functools.partial(np.einsum, "ij...->...ij")
+_entry_major = functools.partial(np.einsum, "...ij->ij...")
+
+
 def _dag(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
+    return np.conj(np.swapaxes(a, 0, 1))
 
 
 def _mul(*factors: np.ndarray) -> np.ndarray:
-    """factors[0] @ factors[1] @ ... over broadcast sites.  Batched matmul is
-    slow on tiny matrices, so rank 1 multiplies elementwise and rank 2 writes
-    out the four entries (Creutz, Phys. Rev. D 21, 2308 (1980))."""
-    if factors[0].shape[-1] == 1:
+    """factors[0] @ factors[1] @ ... (two or more) over broadcast sites.
+    Batched matmul is slow on tiny matrices, so rank 1 multiplies elementwise
+    and rank 2 writes out the four entries (Creutz, Phys. Rev. D 21, 2308
+    (1980)); the last product goes straight into the output's slabs."""
+    if len(factors[0]) == 1:
         return functools.reduce(np.multiply, factors)
-    a = [[factors[0][..., i, j] for j in (0, 1)] for i in (0, 1)]
-    for b in factors[1:]:
-        a = [[a[i][0] * b[..., 0, j] + a[i][1] * b[..., 1, j] for j in (0, 1)]
-             for i in (0, 1)]
-    return np.stack(a[0] + a[1], axis=-1).reshape(*a[0][0].shape, 2, 2)
+    a, b = factors[0], factors[-1]
+    for f in factors[1:-1]:
+        a = [[a[i][0] * f[0, j] + a[i][1] * f[1, j] for j in (0, 1)] for i in (0, 1)]
+    out = np.empty((2, 2, *np.broadcast_shapes(a[0][0].shape, b.shape[2:])), complex)
+    for i, j in itertools.product((0, 1), repeat=2):
+        np.add(np.multiply(a[i][0], b[0, j], out=out[i, j]), a[i][1] * b[1, j], out=out[i, j])
+    return out
 
 
 def _plane_links(U: LatticeGaugeField, mu: int, nu: int) -> tuple:
     """The four factors a, b, c, d of P_{mu nu}(x) = a b c d: U_mu(x),
     U_nu(x+mu), U_mu(x+nu)^+ and U_nu(x)^+ at every site."""
-    u = U.links
-    return u[mu], _shift(u[nu], mu, 1), _dag(_shift(u[mu], nu, 1)), _dag(u[nu])
+    um, un = U.links[:, :, mu], U.links[:, :, nu]
+    return um, _shift(un, mu, 1), _dag(_shift(um, nu, 1)), _dag(un)
 
 
 def plaquette_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
@@ -118,8 +126,8 @@ def plaquette_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
 def _project_algebra(m: np.ndarray, rank: int) -> np.ndarray:
     g = 0.5 * (m - _dag(m))
     if rank > 1:
-        t = 0.5 * (g[..., 0, 0] - g[..., 1, 1])
-        g[..., 0, 0], g[..., 1, 1] = t, -t
+        t = 0.5 * (g[0, 0] - g[1, 1])
+        g[0, 0], g[1, 1] = t, -t
     return g
 
 
@@ -152,20 +160,20 @@ _BASE_PLANES = [_PLANES7.index(p) for p in _PLANES4]
 
 
 def _clover_stack(U: LatticeGaugeField, planes) -> np.ndarray:
-    """clover_field of every (mu, nu) in ``planes``, stacked on axis 0.
+    """clover_field of every (mu, nu) in ``planes``, matrix-last on axis 0.
 
     The one clover pass behind every lattice curvature observable."""
     F = np.empty((len(planes), *U.dims, U.rank, U.rank), dtype=complex)
     for k, (mu, nu) in enumerate(planes):
-        F[k] = clover_field(U, mu, nu)
+        F[k] = _matrix_last(clover_field(U, mu, nu))
     return F
 
 
 def _charge(U: LatticeGaugeField, f) -> float:
     """(1/8 pi^2) sum tr(F^F) from the six base planes ``f`` (_PLANES4)."""
-    f01, f02, f03, f12, f13, f23 = f
+    f01, f02, f03, f12, f13, f23 = (_entry_major(x) for x in f)
     dens = _mul(f01, f23) - _mul(f02, f13) + _mul(f03, f12)
-    total = float(np.real(np.trace(dens, axis1=-2, axis2=-1)).sum())
+    total = float(np.real(np.trace(dens)).sum())
     if U.ndim > 4:
         # lifted fields repeat each base slice across the fiber volume
         total /= float(np.prod(U.dims[4:]))
@@ -235,27 +243,25 @@ def constant_flux_field(dims, flux, group: str = "u1") -> LatticeGaugeField:
             theta[k] += 2.0 * np.pi * fjk * grids[j] / (nj * nk)
             theta[j] -= np.where(grids[j] == nj - 1,
                                  2.0 * np.pi * fjk * grids[k] / nk, 0.0)
-    if group == "u1":
-        links = np.exp(1j * theta)[..., None, None]
-    else:
-        ph = np.exp(1j * theta)
-        links = np.zeros((4, *dims, 2, 2), dtype=complex)
-        links[..., 0, 0] = ph
-        links[..., 1, 1] = np.conj(ph)
+    ph, z = np.exp(1j * theta), np.zeros(theta.shape, complex)
+    links = ph[None, None] if group == "u1" else np.array([[ph, z], [z, np.conj(ph)]])
     return LatticeGaugeField(tuple(dims), group, links)
 
 
 def add_link_noise(U: LatticeGaugeField, amplitude: float, seed: int) -> LatticeGaugeField:
-    """Multiply every link by exp(noise) with seeded Lie-algebra noise."""
+    """Multiply every link by exp(noise) with seeded Lie-algebra noise, drawn
+    in snapshot order; ValueError if a noised link is not finite."""
     rng = SplitMix64(seed)
+    # copied first, so the noised links sit below the temporaries on the heap
     out = U.copy()
-    flat = out.links.reshape(-1, U.rank, U.rank)
+    flat = out.links.reshape(U.rank, U.rank, -1)
     if U.group == "u1":
-        angles = np.array(rng.gausses(flat.shape[0])) * amplitude
-        flat[:, 0, 0] *= np.exp(1j * angles)
+        flat *= np.exp(1j * (np.array(rng.gausses(flat.shape[2])) * amplitude))
     else:
-        coef = np.array(rng.gausses(3 * flat.shape[0])).reshape(-1, 3) * amplitude
-        flat[:] = _mul(_expm_ah(su2(coef[:, ::-1])), flat)
+        coef = np.array(rng.gausses(3 * flat.shape[2])).reshape(-1, 3) * amplitude
+        flat[:] = _mul(_expm_ah(_entry_major(su2(coef[:, ::-1]))), flat)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"link noise of amplitude {amplitude!r} gives non-finite links")
     return out
 
 
@@ -264,13 +270,13 @@ def random_gauge_transform(U: LatticeGaugeField, seed: int) -> LatticeGaugeField
     rng = SplitMix64(seed)
     n = U.n_sites()
     if U.group == "u1":
-        g = np.exp(1j * 2 * np.pi * np.array(rng.uniforms(n))).reshape(*U.dims, 1, 1)
+        g = np.exp(1j * 2 * np.pi * np.array(rng.uniforms(n))).reshape(1, 1, *U.dims)
     else:
         coef = np.array(rng.gausses(3 * n)).reshape(-1, 3)
-        g = _expm_ah(su2(coef[:, ::-1])).reshape(*U.dims, 2, 2)
+        g = _expm_ah(_entry_major(su2(coef[:, ::-1]))).reshape(2, 2, *U.dims)
     out = U.copy()
     for mu in range(U.ndim):
-        out.links[mu] = _mul(g, out.links[mu], _dag(_shift(g, mu, 1)))
+        out.links[:, :, mu] = _mul(g, out.links[:, :, mu], _dag(_shift(g, mu, 1)))
     return out
 
 
@@ -292,12 +298,12 @@ def su2(g) -> np.ndarray:
 
 def _expm_ah(X: np.ndarray) -> np.ndarray:
     """Exponential of anti-Hermitian traceless 2x2 (or plain exp for 1x1)."""
-    if X.shape[-1] == 1:
+    if len(X) == 1:
         return np.exp(X)
-    a, b, c = np.imag(X[..., 0, 0]), np.real(X[..., 0, 1]), np.imag(X[..., 0, 1])
+    a, b, c = np.imag(X[0, 0]), np.real(X[0, 1]), np.imag(X[0, 1])
     th = np.sqrt(a * a + b * b + c * c)
     sinc = np.where(th > 1e-30, np.sin(np.maximum(th, 1e-30)) / np.maximum(th, 1e-30), 1.0)
-    return np.cos(th)[..., None, None] * np.eye(2) + sinc[..., None, None] * X
+    return np.cos(th) * np.eye(2).reshape(2, 2, *(1,) * th.ndim) + sinc * X
 
 
 def reunitarize(U: LatticeGaugeField) -> None:
@@ -305,13 +311,13 @@ def reunitarize(U: LatticeGaugeField) -> None:
     matrix: the normalised quaternion part [[a, b], [-conj b, conj a]]."""
     u = U.links
     if U.group == "u1":
-        u[..., 0, 0] /= np.abs(u[..., 0, 0])
+        u[0, 0] /= np.abs(u[0, 0])
         return
-    a = 0.5 * (u[..., 0, 0] + np.conj(u[..., 1, 1]))
-    b = 0.5 * (u[..., 0, 1] - np.conj(u[..., 1, 0]))
+    a = 0.5 * (u[0, 0] + np.conj(u[1, 1]))
+    b = 0.5 * (u[0, 1] - np.conj(u[1, 0]))
     n = np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
-    u[..., 0, 0], u[..., 0, 1] = a / n, b / n
-    u[..., 1, 0], u[..., 1, 1] = -np.conj(u[..., 0, 1]), np.conj(u[..., 0, 0])
+    u[0, 0], u[0, 1] = a / n, b / n
+    u[1, 0], u[1, 1] = -np.conj(u[0, 1]), np.conj(u[0, 0])
 
 
 # plane -> (its component in the ASD part of _sd_asd, its sign there); the
@@ -327,7 +333,7 @@ def plaquette_chirality_energies(U: LatticeGaugeField) -> dict:
     This is the functional the cooling flow descends exactly, so its value
     is guaranteed monotone along accepted steps.
     """
-    return _chirality([_project_algebra(plaquette_field(U, mu, nu), U.rank)
+    return _chirality([_matrix_last(_project_algebra(plaquette_field(U, mu, nu), U.rank))
                        for mu, nu in _PLANES4])
 
 
@@ -341,13 +347,13 @@ def _plane_sweep(U: LatticeGaugeField) -> tuple:
     for (mu, nu), (k, s) in _PLANE_SIGNS.items():
         links = a, b, c, d = _plane_links(U, mu, nu)
         p, dd = P.pop((mu, nu)), _dag(D[k])
-        F[(mu, nu)] = _clover(U.rank, mu, nu, links, p)
+        F[(mu, nu)] = _matrix_last(_clover(U.rank, mu, nu, links, p))
         # U_mu(x): leading factor of P(x), daggered third factor of P(x-nu)
-        out[mu] += s * _mul(p, dd)
-        out[mu] -= s * _shift(_mul(d, dd, p, U.links[nu]), nu, -1)
+        out[:, :, mu] += s * _mul(p, dd)
+        out[:, :, mu] -= s * _shift(_mul(d, dd, p, U.links[:, :, nu]), nu, -1)
         # U_nu(x): second factor of P(x-mu), daggered last factor of P(x)
-        out[nu] += s * _shift(_mul(b, c, d, dd, a), mu, -1)
-        out[nu] -= s * _mul(dd, p)
+        out[:, :, nu] += s * _shift(_mul(b, c, d, dd, a), mu, -1)
+        out[:, :, nu] -= s * _mul(dd, p)
     # sign: Re tr(X M) = -<X, Pi(M)> for anti-Hermitian X, so the descent
     # update U <- exp(-tau G) U needs G = -Pi(M)
     return _charge(U, [F[p] for p in _PLANES4]), -_project_algebra(out, U.rank)
@@ -380,6 +386,8 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
         raise ValueError("cooling runs on 4D lattices")
     work = U.copy()
     en = plaquette_chirality_energies(work)
+    if not math.isfinite(en["total"]):
+        raise ValueError("cooling needs finite links: the start field's energy is not finite")
     history, steps, plateau, tau = [], 0, False, np.inf
     while steps < max_steps and not en["asd_fraction"] < tol:
         # one sweep per accepted field: its charge, and the next step's force
@@ -389,7 +397,7 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
         if fmax < 1e-14:
             plateau = True
             break
-        g2, tau = _norm_sq(force), min(tau, 0.1 / fmax)
+        g2, tau = _norm_sq(_matrix_last(force)), min(tau, 0.1 / fmax)
         for _ in range(30):
             rot = _expm_ah(-tau * force)
             trial = LatticeGaugeField(work.dims, work.group, _mul(rot, work.links))
@@ -425,13 +433,9 @@ def lift_lattice_7d(U: LatticeGaugeField, t_dims) -> LatticeGaugeField:
     t_dims = tuple(int(n) for n in t_dims)
     if len(t_dims) != 3:
         raise ValueError("three fiber directions required")
-    dims7 = U.dims + t_dims
-    r = U.rank
-    links = np.zeros((7, *dims7, r, r), dtype=complex)
-    base = U.links.reshape(4, *U.dims, 1, 1, 1, r, r)
-    links[:4] = np.broadcast_to(base, (4, *dims7, r, r))
-    links[4:] = np.eye(r)
-    return LatticeGaugeField(dims7, U.group, links)
+    V = identity_field(U.dims + t_dims, U.group)
+    V.links[:, :, :4] = U.links[..., None, None, None]
+    return V
 
 
 def _wedge_table(form: ConstForm, degree: int) -> np.ndarray:
@@ -444,17 +448,22 @@ def _wedge_table(form: ConstForm, degree: int) -> np.ndarray:
     return np.array(rows, dtype=float).T
 
 
+@functools.lru_cache(maxsize=None)
+def _residual_maps() -> dict:
+    """The three maps of _instanton_residuals, built on first use."""
+    s = standard_structure()
+    p7 = s.p7_array()
+    T = p7 * (float(s.lambda7) - float(s.lambda14)) + float(s.lambda14) * np.eye(21)
+    return {"r_a": _wedge_table(s.star_phi, 2),
+            "r_b": np.eye(21) - T / float(s.lambda14), "f7_norm": p7}
+
+
 def _instanton_residuals(F: np.ndarray, n: int) -> dict:
     """RMS over the n columns of a 21-component 2-form stack ``F`` of the
     three instanton residuals: r_a of F ^ star_phi, r_b of F - T(F)/lambda14
     and f7_norm of p7 F, with T = p7 (lambda7 - lambda14) + lambda14."""
-    s = standard_structure()
-    p7 = s.p7_array()
-    T = p7 * (float(s.lambda7) - float(s.lambda14)) + float(s.lambda14) * np.eye(21)
-    maps = {"r_a": _wedge_table(s.star_phi, 2),
-            "r_b": np.eye(21) - T / float(s.lambda14), "f7_norm": p7}
     return {k: float(np.sqrt(_norm_sq(np.tensordot(M, F, axes=(1, 0))) / n))
-            for k, M in maps.items()}
+            for k, M in _residual_maps().items()}
 
 
 def residual_7d(U: LatticeGaugeField) -> dict:
@@ -508,21 +517,16 @@ def write_snapshot(U: LatticeGaugeField, path: str) -> None:
     little-endian float64 (re, im) pairs, with a JSON manifest alongside.
     The format's spacing slot holds 1/N of the first axis; nothing reads it."""
     spacing = 1.0 / U.dims[0]
-    header = bytearray()
-    header += _MAGIC
-    header += struct.pack("<I", 1)                      # version
-    header += struct.pack("<I", U.ndim)
-    header += struct.pack(f"<{U.ndim}I", *U.dims)
-    header += struct.pack("<I", _GROUP_CODE[U.group])
-    header += struct.pack("<d", spacing)
-    data = np.ascontiguousarray(U.links, dtype=np.complex128)
+    # magic, version 1, ndim, extents, group code, spacing
+    header = _MAGIC + struct.pack(f"<2I{U.ndim}IId", 1, U.ndim, *U.dims,
+                                  _GROUP_CODE[U.group], spacing)
     with open(path, "wb") as fh:
-        fh.write(bytes(header))
-        fh.write(data.astype("<c16").tobytes())
+        fh.write(header)
+        fh.write(_matrix_last(U.links).astype("<c16").tobytes())
     manifest = {
         "format": _MAGIC.decode(), "version": 1,
         "dims": list(U.dims), "group": U.group, "spacing": spacing,
-        "link_matrices": int(np.prod(U.links.shape[:-2])),
+        "link_matrices": U.ndim * U.n_sites(),
         "rank": U.rank,
     }
     with open(path + ".json", "w") as fh:
@@ -568,5 +572,5 @@ def read_snapshot(path: str) -> LatticeGaugeField:
         raw = np.frombuffer(fh.read(16 * count), dtype="<c16")
     if not np.isfinite(raw).all():
         raise ValueError("snapshot has non-finite link entries")
-    links = raw.reshape(ndim, *dims, r, r).astype(complex)
-    return LatticeGaugeField(dims, group, links)
+    links = _entry_major(raw.reshape(ndim, *dims, r, r))
+    return LatticeGaugeField(dims, group, np.ascontiguousarray(links, complex))

@@ -30,15 +30,14 @@ def standard_structure():
 
 
 @pytest.fixture(scope="session")
-def standard_fibration():
-    from g2lab.fibration import FibrationSpec, build_fibration
-    return build_fibration(FibrationSpec.standard())
+def cs_context():
+    from g2lab.chernsimons import CSContext
+    return CSContext.standard()
 
 
 @pytest.fixture(scope="session")
-def cs_context(standard_fibration):
-    from g2lab.chernsimons import CSContext
-    return CSContext(standard_fibration)
+def standard_fibration(cs_context):
+    return cs_context.fib
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +210,8 @@ def asd_defect_form(F) -> np.ndarray:
 def unitarity_defect(U) -> float:
     """Largest entry of U U^+ - 1 over all links, and for su2 of det U - 1."""
     u = U.links
-    d = np.abs(_mul(u, _dag(u)) - np.eye(U.rank)).max()
+    d = np.abs(np.moveaxis(_mul(u, _dag(u)), (0, 1), (-2, -1)) - np.eye(U.rank)).max()
     if U.group == "su2":
-        det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
+        det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
         d = max(float(d), float(np.abs(det - 1.0).max()))
     return float(d)

@@ -9,11 +9,14 @@ import struct
 import time
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from g2lab import cli
-from g2lab.gauge.lattice import cool_to_sd, read_snapshot
+from g2lab.gauge.lattice import (
+    cool_to_sd, identity_field, lift_lattice_7d, read_snapshot, write_snapshot,
+)
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
 
@@ -160,6 +163,24 @@ def test_flow_divergence_exits_2_and_keeps_the_history(tmp_path, rising_energies
     assert csv[1].startswith("0,")
 
 
+def test_overflowing_su2_noise_exits_2_and_writes_nothing(tmp_path, capsys):
+    # exp of the noise squares its coefficients, which overflows above ~1e154
+    seven = str(tmp_path / "su2.lat")
+    write_snapshot(lift_lattice_7d(identity_field((2,) * 4, "su2"), (2, 2, 2)), seven)
+    before = sorted(os.listdir(tmp_path))
+    out = str(tmp_path / "c.lat")
+    for argv in (["flow", "--lattice", "3x3x3x3", "--group", "su2", "--noise", "1e300",
+                  "--out", out],
+                 ["cs", "--field", seven, "--probe-amplitude", "1e300"]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, doc, err = run_cli(argv, capsys)
+        assert code == 2 and doc is None
+        jsonschema.validate(err, load_schema("error"))
+        assert err["error"]["code"] == "numerical"
+        assert "non-finite links" in err["error"]["message"]
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_flow_outputs(pipeline, capsys):
     code, out, _ = run_cli(["flow", "--lattice", "4x4x4x4", "--group", "u1",
                             "--noise", "0.02",
@@ -269,7 +290,7 @@ def test_snapshot_fuzz_loads_or_is_a_validation_error(tmp_path_factory, data):
         jsonschema.validate(doc, load_schema("error"))
         assert doc["error"]["code"] == "validation"
     else:
-        assert U.links.shape[:U.ndim + 1] == (U.ndim, *U.dims)
+        assert U.links.shape == (U.rank, U.rank, U.ndim, *U.dims)
 
 
 # JSON values a form or spec file may hold by mistake, and files built from

@@ -1,5 +1,6 @@
 """Lattice gauge fields: clover observables, cooling, lifting, snapshots."""
 
+import functools
 import itertools
 import struct
 
@@ -18,8 +19,7 @@ from g2lab.chernsimons import Verdict, obstruction_verdict_lattice, rho_lattice
 from g2lab.exterior import ConstForm, wedge
 from g2lab.g2core import OMEGA_BAR_BASE, OMEGA_BASE
 from g2lab.gauge.lattice import (
-    _PLANE_SIGNS, _PLANES4, _charge, _chirality, _dag, _expm_ah, _mul,
-    _project_algebra, _sd_asd, _shift,
+    _PLANE_SIGNS, _PLANES4, _chirality, _expm_ah, _mul, _sd_asd, _shift,
 )
 from g2lab.rng import SplitMix64
 
@@ -31,7 +31,7 @@ HALF_FLUX = [[0, 0.5, 0.5, 0], [-0.5, 0, 0, -0.5],
 def test_identity_field_trivial():
     U = identity_field((4, 4, 4, 4), "su2")
     assert unitarity_defect(U) < 1e-14
-    p = plaquette_field(U, 0, 1)[0, 0, 0, 0]
+    p = _ml(plaquette_field(U, 0, 1))[0, 0, 0, 0]
     assert np.abs(p - np.eye(2)).max() == 0.0
     assert clover_charge(U) == 0.0
     en = chirality_energies(U)
@@ -83,7 +83,7 @@ def test_gauge_invariance_of_observables(group, cs_context):
 
 def test_clover_field_is_antihermitian_traceless():
     U = add_link_noise(identity_field((4, 4, 4, 4), "su2"), 0.2, seed=2)
-    f = clover_field(U, 0, 1)
+    f = _ml(clover_field(U, 0, 1))
     assert np.abs(f + np.conj(np.swapaxes(f, -1, -2))).max() < 1e-14
     assert np.abs(np.trace(f, axis1=-2, axis2=-1)).max() < 1e-14
 
@@ -116,11 +116,11 @@ def test_single_plaquette_excitation_is_topologically_trivial():
 def test_asd_force_is_gradient_of_asd_energy():
     U = add_link_noise(constant_flux_field((4, 4, 4, 4), HALF_FLUX, "su2"),
                        0.05, seed=7)
-    G = asd_force(U)
+    G = _ml(asd_force(U))
     rng = np.random.default_rng(0)
-    X = rng.normal(size=U.links.shape[:-2] + (3,))
-    # anti-Hermitian direction fields
-    H = np.zeros(U.links.shape, dtype=complex)
+    X = rng.normal(size=(U.ndim, *U.dims, 3))
+    # anti-Hermitian direction fields, (d, *dims, 2, 2)
+    H = np.zeros(G.shape, dtype=complex)
     H[..., 0, 0] = 1j * X[..., 2]
     H[..., 1, 1] = -1j * X[..., 2]
     H[..., 0, 1] = X[..., 1] + 1j * X[..., 0]
@@ -131,8 +131,8 @@ def test_asd_force_is_gradient_of_asd_energy():
         return plaquette_chirality_energies(V)["asd_sq"]
 
     Up, Um = U.copy(), U.copy()
-    Up.links = _expm_ah(eps * H) @ Up.links
-    Um.links = _expm_ah(-eps * H) @ Um.links
+    Up.links = _mul(_expm_ah(_em(eps * H)), Up.links)
+    Um.links = _mul(_expm_ah(_em(-eps * H)), Um.links)
     fd = (energy(Up) - energy(Um)) / (2 * eps)
     # the derivative along H is <H, G>, so exp(-tau G) is a descent update
     pair = float(np.real(np.trace(
@@ -211,6 +211,31 @@ def test_cooling_that_only_rises_raises_with_its_history(rising_energies):
     assert exc.value.history == [(0, frac, clover_charge(U))]
 
 
+def test_overflowing_su2_noise_is_refused():
+    # exp of the noise squares its coefficients, which overflows above ~1e154
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite links"):
+        add_link_noise(identity_field((3,) * 4, "su2"), 1e300, seed=1)
+
+
+def test_cooling_refuses_a_start_field_of_infinite_energy():
+    U = identity_field((3,) * 4, "su2")
+    U.links *= 1e100   # a plaquette is a product of four links: 1e400 overflows
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="energy is not finite"):
+        cool_to_sd(U)
+
+
+def test_residual_maps_are_built_once(monkeypatch):
+    from g2lab.gauge import lattice
+    calls, table = [], lattice._wedge_table
+    monkeypatch.setattr(lattice, "_wedge_table", lambda *a: calls.append(a) or table(*a))
+    lattice._residual_maps.cache_clear()
+    U7 = add_link_noise(lift_lattice_7d(identity_field((2,) * 4, "su2"), (2, 2, 2)), 0.1, 3)
+    assert residual_7d(U7) == residual_7d(U7)
+    assert len(calls) == 1
+
+
 def test_reunitarize_projects_back():
     U = identity_field((3, 3, 3, 3), "su2")
     U.links = U.links + 0.05 * (np.random.default_rng(1).normal(
@@ -242,7 +267,7 @@ def test_zero_lattice_extents_are_refused():
     """An empty lattice has no sites to average over: residual_7d would
     divide by a site count of 0."""
     with pytest.raises(ValueError, match="extents"):
-        LatticeGaugeField((0, 2, 2, 2), "u1", np.ones((4, 0, 2, 2, 2, 1, 1), complex))
+        LatticeGaugeField((0, 2, 2, 2), "u1", np.ones((1, 1, 4, 0, 2, 2, 2), complex))
     with pytest.raises(ValueError, match="extents"):
         lift_lattice_7d(identity_field((2, 2, 2, 2), "su2"), (0, 2, 2))
 
@@ -260,6 +285,19 @@ def test_snapshot_roundtrip(tmp_path):
     assert manifest["dims"] == list(U.dims)
     assert manifest["group"] == "su2"
     assert manifest["spacing"] == 0.25
+
+
+def test_snapshot_file_holds_the_matrix_last_links(tmp_path):
+    # format v1 is (d, *dims, r, r) row-major, whatever the in-memory layout
+    U = add_link_noise(constant_flux_field((3, 4, 2, 2), HALF_FLUX, "su2"), 0.1, seed=5)
+    path = str(tmp_path / "field.lat")
+    write_snapshot(U, path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    body = _ml(U.links).tobytes()
+    assert len(raw) == 8 + 4 * (2 + 4 + 1) + 8 + len(body)
+    assert raw.endswith(body)
+    assert read_snapshot(path).links.tobytes() == U.links.tobytes()
 
 
 def test_snapshot_header_spacing_is_ignored(tmp_path):
@@ -286,39 +324,105 @@ def test_snapshot_rejects_garbage(tmp_path):
         read_snapshot(str(p))
 
 
+# The library stores links entry-major, (r, r, d, *dims).  The references
+# below keep the matrix-last spellings, (d, *dims, r, r), that the library
+# used before, frozen here: the library's arrays, moved back with
+# np.moveaxis, must match them bit for bit.
+def _ml(a):
+    """An entry-major array as a matrix-last view."""
+    return np.moveaxis(a, (0, 1), (-2, -1))
+
+
+def _em(a):
+    """A matrix-last array as a contiguous entry-major one."""
+    return np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
+
+
+def _ml_dag(a):
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _ml_mul(*factors):
+    if factors[0].shape[-1] == 1:
+        return functools.reduce(np.multiply, factors)
+    a = [[factors[0][..., i, j] for j in (0, 1)] for i in (0, 1)]
+    for b in factors[1:]:
+        a = [[a[i][0] * b[..., 0, j] + a[i][1] * b[..., 1, j] for j in (0, 1)]
+             for i in (0, 1)]
+    return np.stack(a[0] + a[1], axis=-1).reshape(*a[0][0].shape, 2, 2)
+
+
+def _ml_project_algebra(m, rank):
+    g = 0.5 * (m - _ml_dag(m))
+    if rank > 1:
+        t = 0.5 * (g[..., 0, 0] - g[..., 1, 1])
+        g[..., 0, 0], g[..., 1, 1] = t, -t
+    return g
+
+
+def _ml_expm_ah(X):
+    if X.shape[-1] == 1:
+        return np.exp(X)
+    a, b, c = np.imag(X[..., 0, 0]), np.real(X[..., 0, 1]), np.imag(X[..., 0, 1])
+    th = np.sqrt(a * a + b * b + c * c)
+    sinc = np.where(th > 1e-30, np.sin(np.maximum(th, 1e-30)) / np.maximum(th, 1e-30), 1.0)
+    return np.cos(th)[..., None, None] * np.eye(2) + sinc[..., None, None] * X
+
+
+def _ml_reunitarize(u, rank):
+    if rank == 1:
+        u[..., 0, 0] /= np.abs(u[..., 0, 0])
+        return
+    a = 0.5 * (u[..., 0, 0] + np.conj(u[..., 1, 1]))
+    b = 0.5 * (u[..., 0, 1] - np.conj(u[..., 1, 0]))
+    n = np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
+    u[..., 0, 0], u[..., 0, 1] = a / n, b / n
+    u[..., 1, 0], u[..., 1, 1] = -np.conj(u[..., 0, 1]), np.conj(u[..., 0, 0])
+
+
+def _ml_charge(f):
+    """The clover charge of a 4D field from its six planes (_PLANES4)."""
+    f01, f02, f03, f12, f13, f23 = f
+    dens = _ml_mul(f01, f23) - _ml_mul(f02, f13) + _ml_mul(f03, f12)
+    return float(np.real(np.trace(dens, axis1=-2, axis2=-1)).sum()) / (4.0 * np.pi ** 2)
+
+
+def _roll(a, axis, n):
+    return np.roll(a, -n, axis=axis)
+
+
 # Reference spellings of the plaquette, the clover leaves and the force terms
-# with every link shifted by hand; the library must match them bit for bit.
+# with every link shifted by hand, on matrix-last links u.
 def _reference_plaquette(u, mu, nu):
-    return _mul(u[mu], _shift(u[nu], mu, 1), _dag(_shift(u[mu], nu, 1)), _dag(u[nu]))
+    return _ml_mul(u[mu], _roll(u[nu], mu, 1), _ml_dag(_roll(u[mu], nu, 1)), _ml_dag(u[nu]))
 
 
-def _reference_clover(U, mu, nu):
-    um, un = U.links[mu], U.links[nu]
-    um_mnu = _shift(um, nu, -1)          # U_mu(x - nu)
-    un_mnu = _shift(un, nu, -1)          # U_nu(x - nu)
-    um_mmu = _shift(um, mu, -1)          # U_mu(x - mu)
-    p1 = _reference_plaquette(U.links, mu, nu)
-    p2 = _mul(un, _dag(_shift(um_mmu, nu, 1)), _dag(_shift(un, mu, -1)), um_mmu)
-    p3 = _mul(_dag(um_mmu), _dag(_shift(un_mnu, mu, -1)), _shift(um_mnu, mu, -1), un_mnu)
-    p4 = _mul(_dag(un_mnu), um_mnu, _shift(un_mnu, mu, 1), _dag(um))
-    return _project_algebra(p1 + p2 + p3 + p4, U.rank) / 4.0
+def _reference_clover(u, rank, mu, nu):
+    um, un = u[mu], u[nu]
+    um_mnu = _roll(um, nu, -1)          # U_mu(x - nu)
+    un_mnu = _roll(un, nu, -1)          # U_nu(x - nu)
+    um_mmu = _roll(um, mu, -1)          # U_mu(x - mu)
+    p1 = _reference_plaquette(u, mu, nu)
+    p2 = _ml_mul(un, _ml_dag(_roll(um_mmu, nu, 1)), _ml_dag(_roll(un, mu, -1)), um_mmu)
+    p3 = _ml_mul(_ml_dag(um_mmu), _ml_dag(_roll(un_mnu, mu, -1)), _roll(um_mnu, mu, -1), un_mnu)
+    p4 = _ml_mul(_ml_dag(un_mnu), um_mnu, _roll(un_mnu, mu, 1), _ml_dag(um))
+    return _ml_project_algebra(p1 + p2 + p3 + p4, rank) / 4.0
 
 
-def _reference_asd_force(U):
-    P = {p: _reference_plaquette(U.links, *p) for p in _PLANES4}
-    D = _sd_asd([_project_algebra(P[p], U.rank) for p in _PLANES4])[1]
-    u = U.links
+def _reference_asd_force(u, rank):
+    P = {p: _reference_plaquette(u, *p) for p in _PLANES4}
+    D = _sd_asd([_ml_project_algebra(P[p], rank) for p in _PLANES4])[1]
     out = np.zeros_like(u)
     for (mu, nu), (k, s) in _PLANE_SIGNS.items():
-        p, dd = P[(mu, nu)], _dag(D[k])
-        out[mu] += s * _mul(p, dd)
-        un_dn = _shift(u[nu], nu, -1)
-        out[mu] -= s * _mul(_dag(un_dn), _shift(dd, nu, -1), _shift(p, nu, -1), un_dn)
-        um_bk = _shift(u[mu], mu, -1)
-        out[nu] += s * _mul(u[nu], _dag(_shift(um_bk, nu, 1)), _dag(_shift(u[nu], mu, -1)),
-                            _shift(dd, mu, -1), um_bk)
-        out[nu] -= s * _mul(dd, p)
-    return -_project_algebra(out, U.rank)
+        p, dd = P[(mu, nu)], _ml_dag(D[k])
+        out[mu] += s * _ml_mul(p, dd)
+        un_dn = _roll(u[nu], nu, -1)
+        out[mu] -= s * _ml_mul(_ml_dag(un_dn), _roll(dd, nu, -1), _roll(p, nu, -1), un_dn)
+        um_bk = _roll(u[mu], mu, -1)
+        out[nu] += s * _ml_mul(u[nu], _ml_dag(_roll(um_bk, nu, 1)),
+                               _ml_dag(_roll(u[nu], mu, -1)), _roll(dd, mu, -1), um_bk)
+        out[nu] -= s * _ml_mul(dd, p)
+    return -_ml_project_algebra(out, rank)
 
 
 def _noisy_field(dims, group):
@@ -333,62 +437,60 @@ def _noisy_field(dims, group):
                          ids=["4x4x4x4", "3x4x5x2", "7d-lift"])
 def test_loop_words_are_bit_identical_to_the_explicit_leaves(group, dims):
     U = _noisy_field(dims, group)
+    u = np.ascontiguousarray(_ml(U.links))
     for mu, nu in itertools.permutations(range(U.ndim), 2):
-        want = _reference_plaquette(U.links, mu, nu)
-        assert plaquette_field(U, mu, nu).tobytes() == want.tobytes()
-        assert clover_field(U, mu, nu).tobytes() == _reference_clover(U, mu, nu).tobytes()
-    assert asd_force(U).tobytes() == _reference_asd_force(U).tobytes()
+        want = _reference_plaquette(u, mu, nu)
+        assert _ml(plaquette_field(U, mu, nu)).tobytes() == want.tobytes()
+        assert (_ml(clover_field(U, mu, nu)).tobytes()
+                == _reference_clover(u, U.rank, mu, nu).tobytes())
+    assert _ml(asd_force(U)).tobytes() == _reference_asd_force(u, U.rank).tobytes()
 
 
-# The cooling loop spelled as separate passes with np.roll shifts: the force,
-# then the trial energies, then a fresh clover charge for every history row.
-# cool_to_sd's single plane sweep per field must reproduce it bit for bit.
-def _roll(a, axis, n):
-    return np.roll(a, -n, axis=axis)
-
-
+# The cooling loop spelled as separate passes with np.roll shifts on
+# matrix-last links: the force, then the trial energies, then a fresh clover
+# charge for every history row.  cool_to_sd's single plane sweep per field
+# must reproduce it bit for bit.
 def _roll_links(u, mu, nu):
-    return u[mu], _roll(u[nu], mu, 1), _dag(_roll(u[mu], nu, 1)), _dag(u[nu])
+    return u[mu], _roll(u[nu], mu, 1), _ml_dag(_roll(u[mu], nu, 1)), _ml_dag(u[nu])
 
 
-def _roll_clover_charge(U):
+def _roll_clover_charge(u, rank):
     F = []
     for mu, nu in _PLANES4:
-        a, b, c, d = _roll_links(U.links, mu, nu)
-        C = (_mul(a, b, c, d) + _roll(_mul(b, c, d, a), mu, -1)
-             + _roll(_mul(c, d, a, b), (mu, nu), -1) + _roll(_mul(d, a, b, c), nu, -1))
-        F.append(_project_algebra(C, U.rank) / 4.0)
-    return _charge(U, F)
+        a, b, c, d = _roll_links(u, mu, nu)
+        C = (_ml_mul(a, b, c, d) + _roll(_ml_mul(b, c, d, a), mu, -1)
+             + _roll(_ml_mul(c, d, a, b), (mu, nu), -1) + _roll(_ml_mul(d, a, b, c), nu, -1))
+        F.append(_ml_project_algebra(C, rank) / 4.0)
+    return _ml_charge(F)
 
 
-def _roll_energies(U):
-    return _chirality([_project_algebra(_mul(*_roll_links(U.links, *p)), U.rank)
+def _roll_energies(u, rank):
+    return _chirality([_ml_project_algebra(_ml_mul(*_roll_links(u, *p)), rank)
                        for p in _PLANES4])
 
 
-def _roll_asd_force(U):
-    u = U.links
-    P = {p: _mul(*_roll_links(u, *p)) for p in _PLANES4}
-    D = _sd_asd([_project_algebra(P[p], U.rank) for p in _PLANES4])[1]
+def _roll_asd_force(u, rank):
+    P = {p: _ml_mul(*_roll_links(u, *p)) for p in _PLANES4}
+    D = _sd_asd([_ml_project_algebra(P[p], rank) for p in _PLANES4])[1]
     out = np.zeros_like(u)
     for (mu, nu), (k, s) in _PLANE_SIGNS.items():
         a, b, c, d = _roll_links(u, mu, nu)
-        p, dd = P[(mu, nu)], _dag(D[k])
-        out[mu] += s * _mul(p, dd)
-        out[mu] -= s * _roll(_mul(d, dd, p, u[nu]), nu, -1)
-        out[nu] += s * _roll(_mul(b, c, d, dd, a), mu, -1)
-        out[nu] -= s * _mul(dd, p)
-    return -_project_algebra(out, U.rank)
+        p, dd = P[(mu, nu)], _ml_dag(D[k])
+        out[mu] += s * _ml_mul(p, dd)
+        out[mu] -= s * _roll(_ml_mul(d, dd, p, u[nu]), nu, -1)
+        out[nu] += s * _roll(_ml_mul(b, c, d, dd, a), mu, -1)
+        out[nu] -= s * _ml_mul(dd, p)
+    return -_ml_project_algebra(out, rank)
 
 
 def _roll_cool(U, max_steps, tol):
-    work = U.copy()
+    work, rank = np.ascontiguousarray(_ml(U.links)), U.rank
     tau = np.inf
-    en = _roll_energies(work)
-    history = [(0, en["asd_fraction"], _roll_clover_charge(work))]
+    en = _roll_energies(work, rank)
+    history = [(0, en["asd_fraction"], _roll_clover_charge(work, rank))]
     steps, plateau = 0, False
     while steps < max_steps and not en["asd_fraction"] < tol:
-        force = _roll_asd_force(work)
+        force = _roll_asd_force(work, rank)
         fmax = float(np.abs(force).max())
         if fmax < 1e-14:
             plateau = True
@@ -397,10 +499,10 @@ def _roll_cool(U, max_steps, tol):
         g2 = float(np.vdot(force, force).real)
         tau = min(tau, 0.1 / fmax)
         for _ in range(30):
-            rot = _expm_ah(-tau * force)
-            trial = LatticeGaugeField(work.dims, work.group, _mul(rot, work.links))
-            reunitarize(trial)
-            trial_en = _roll_energies(trial)
+            rot = _ml_expm_ah(-tau * force)
+            trial = _ml_mul(rot, work)
+            _ml_reunitarize(trial, rank)
+            trial_en = _roll_energies(trial, rank)
             c = (trial_en["asd_sq"] - en["asd_sq"] + g2 * tau) / (tau * tau)
             best = g2 / (2.0 * c) if c > 0 else np.inf
             if trial_en["asd_sq"] <= en["asd_sq"] * (1.0 + 1e-12):
@@ -413,8 +515,8 @@ def _roll_cool(U, max_steps, tol):
             raise CoolingDivergence(f"no acceptable step at iteration {steps + 1}", history)
         work, en, tau = trial, trial_en, min(max(best, tau / 2), 2 * tau)
         steps += 1
-        history.append((steps, en["asd_fraction"], _roll_clover_charge(work)))
-    return {"field": work, "history": history, "converged": en["asd_fraction"] < tol,
+        history.append((steps, en["asd_fraction"], _roll_clover_charge(work, rank)))
+    return {"links": work, "history": history, "converged": en["asd_fraction"] < tol,
             "steps": steps, "plateau": plateau}
 
 
@@ -423,17 +525,18 @@ def _assert_same_cooling(U, max_steps, tol=1e-3):
     assert got["history"] == want["history"]
     for key in ("steps", "converged", "plateau"):
         assert got[key] == want[key], key
-    assert got["field"].links.tobytes() == want["field"].links.tobytes()
+    assert _ml(got["field"].links).tobytes() == want["links"].tobytes()
     return got
 
 
 def test_shift_is_np_roll():
     a = _random_links(np.random.default_rng(6), (3, 4, 5, 2), 2)
     axes = list(range(4)) + list(itertools.permutations(range(4), 2))
+    b = _em(a)
     for axis, n in itertools.product(axes, (1, -1)):
-        got = _shift(a, axis, n)
-        assert got.tobytes() == _roll(a, axis, n).tobytes(), (axis, n)
-        assert not np.shares_memory(got, a)
+        got = _shift(b, axis, n)
+        assert _ml(got).tobytes() == _roll(a, axis, n).tobytes(), (axis, n)
+        assert not np.shares_memory(got, b)
 
 
 @pytest.mark.parametrize("group", ["u1", "su2"])
@@ -442,8 +545,9 @@ def test_shift_is_np_roll():
 def test_cooling_sweep_is_bit_identical_to_separate_passes(group, dims):
     flux, noise = (SD_UNIT, 0.05) if group == "u1" else (HALF_FLUX, 0.02)
     U = add_link_noise(constant_flux_field(dims, flux, group), noise, seed=5)
-    assert asd_force(U).tobytes() == _roll_asd_force(U).tobytes()
-    assert clover_charge(U) == _roll_clover_charge(U)
+    u = np.ascontiguousarray(_ml(U.links))
+    assert _ml(asd_force(U)).tobytes() == _roll_asd_force(u, U.rank).tobytes()
+    assert clover_charge(U) == _roll_clover_charge(u, U.rank)
     # 4^4 and 6^4 converge within 40 steps, 3x4x5x2 is stopped by max_steps
     out = _assert_same_cooling(U, max_steps=40)
     assert out["converged"] == (dims != (3, 4, 5, 2))
@@ -468,7 +572,7 @@ def _random_links(rng, shape, rank):
 def test_mul_is_matmul_to_a_few_ulps(rank, shapes):
     rng = np.random.default_rng(rank)
     factors = [_random_links(rng, s, rank) for s in shapes]
-    got, want, bound = _mul(*factors), factors[0], np.abs(factors[0])
+    got, want, bound = _ml(_mul(*map(_em, factors))), factors[0], np.abs(factors[0])
     for f in factors[1:]:
         want, bound = want @ f, bound @ np.abs(f)
     assert got.shape == want.shape
@@ -492,7 +596,8 @@ def _svd_projection(u):
 
 
 def _as_field(links):
-    return LatticeGaugeField((len(links),), "su2", links[None].copy())
+    """A 1D su2 field with the (n, 2, 2) matrices ``links`` as its links."""
+    return LatticeGaugeField((len(links),), "su2", _em(links[None]))
 
 
 def test_reunitarize_matches_svd_projection_near_su2():
@@ -507,7 +612,7 @@ def test_reunitarize_matches_svd_projection_near_su2():
     V = _as_field(U + X @ U)
     assert unitarity_defect(V) > 1e-8
     reunitarize(V)
-    assert np.abs(V.links[0] - _svd_projection(U + X @ U)).max() < 1e-14
+    assert np.abs(_ml(V.links)[0] - _svd_projection(U + X @ U)).max() < 1e-14
     assert unitarity_defect(V) < 1e-15
 
 
@@ -519,7 +624,7 @@ def test_reunitarize_is_the_nearest_su2_matrix():
     V = _as_field(M)
     reunitarize(V)
     assert unitarity_defect(V) < 1e-15
-    near = np.linalg.norm(V.links[0] - M, axis=(-2, -1))
+    near = np.linalg.norm(_ml(V.links)[0] - M, axis=(-2, -1))
     svd = np.linalg.norm(_svd_projection(M) - M, axis=(-2, -1))
     assert np.all(near <= svd * (1 + 1e-12))
 
@@ -528,7 +633,7 @@ def test_reunitarize_keeps_su2_links():
     U = _su2_links(np.random.default_rng(5), 5000)
     V = _as_field(U)
     reunitarize(V)
-    assert np.abs(V.links[0] - U).max() < 1e-15
+    assert np.abs(_ml(V.links)[0] - U).max() < 1e-15
 
 
 def _state_before(output):
