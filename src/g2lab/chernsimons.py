@@ -23,7 +23,7 @@ from .exterior import ConstForm
 from .fibration import (DeformationSplit, FibrationSpec, TorusFibration,
                         build_fibration, decompose_deformation)
 from .g2core import standard_structure
-from .gauge.fourier import FourierField, curvature, topological_charge
+from .gauge.fourier import FourierField, _pairing, curvature
 from .gauge.lattice import (_BASE_PLANES, _PLANES7, _charge, _clover_stack,
                             _cs_integral, su2)
 from .rng import SplitMix64
@@ -55,12 +55,6 @@ class CSContext:
 _STANDARD: CSContext | None = None
 
 
-def _pairing(a: FourierField, b: FourierField, four_form: ConstForm) -> float:
-    """Re of the integral of tr(a ^ b) ^ four_form over the unit torus, for a
-    form in doubles: with a = F and b = beta, rho (star_phi) or 8 pi^2 r_phi (xi)."""
-    return float(np.real(a.wedge(b).trace().wedge_const(four_form).integrate_top()))
-
-
 def cs_one_form(ctx: CSContext, F: FourierField, b: FourierField) -> float:
     """rho_A(b): the integral of tr(F_A ^ b) ^ star_phi.
 
@@ -70,7 +64,7 @@ def cs_one_form(ctx: CSContext, F: FourierField, b: FourierField) -> float:
         raise ValueError("expected 7D curvature and a 7D 1-form direction")
     if F.group_rank != b.group_rank:
         raise ValueError("group rank mismatch")
-    return _pairing(F, b, standard_structure().star_phi.to_double())
+    return _pairing(F, b, standard_structure().star_phi)
 
 
 def cs_functional(ctx: CSContext, a: FourierField) -> float:
@@ -81,7 +75,7 @@ def cs_functional(ctx: CSContext, a: FourierField) -> float:
     """
     if a.dim != 7 or a.degree != 1:
         raise ValueError("expected a 7D 1-form potential")
-    star_phi = standard_structure().star_phi.to_double()
+    star_phi = standard_structure().star_phi
     val = _pairing(a.d(), a, star_phi)
     if a.group_rank > 1:
         val += (2.0 / 3.0) * _pairing(a.wedge(a), a, star_phi)
@@ -107,7 +101,7 @@ def path_integrate(ctx: CSContext, a: FourierField, n_steps: int = 64,
         w = 1.0 + np.abs(a.freqs).sum(axis=1)
         c = FourierField(a.dim, a.degree, a.group_rank, a.cutoff,
                          a.freqs, a.masks, a.coeffs * w[:, None, None])
-    star_phi = standard_structure().star_phi.to_double()
+    star_phi = standard_structure().star_phi
 
     def rho_at(t: float) -> float:
         At = a.scale(t)
@@ -163,7 +157,7 @@ def rho_on_translation(ctx: CSContext, F: FourierField, v, offsets) -> list:
     d(v -| star_phi) = 0), so the spread over probes measures quadrature
     noise only.
     """
-    star_phi = standard_structure().star_phi.to_double()
+    star_phi = standard_structure().star_phi
     values = []
     for off in offsets:
         probe = _probe_curvature(F, off)
@@ -230,9 +224,10 @@ def obstruction_verdict(ctx: CSContext, F: FourierField, xi: ConstForm,
     """
     def measure(v):
         beta = F.contract(v)
-        return (topological_charge(_restrict_base(F)),
-                _pairing(F, beta, standard_structure().star_phi.to_double()),
-                _pairing(F, beta, xi.to_double()) / EIGHT_PI_SQ)
+        # tr(F ^ F) ^ e^567: the base charge averaged over the fiber
+        return (_pairing(F, F, ConstForm(7, 3, {(5, 6, 7): 1.0})) / EIGHT_PI_SQ,
+                _pairing(F, beta, standard_structure().star_phi),
+                _pairing(F, beta, xi) / EIGHT_PI_SQ)
     return _verdict(xi, tol, measure)
 
 
@@ -264,12 +259,3 @@ def obstruction_verdict_lattice(ctx: CSContext, U, xi: ConstForm,
                 _cs_integral(U, F, v, xi) / EIGHT_PI_SQ)
     return _verdict(xi, tol, measure)
 
-
-def _restrict_base(full: FourierField) -> FourierField:
-    """Base 4-torus field under a lifted 7D field (fiber modes must vanish)."""
-    if full.freqs[:, 4:].any():
-        raise ValueError("field is not a lift: fiber frequencies present")
-    if (full.masks >> 4).any():
-        raise ValueError("field is not a lift: fiber legs present")
-    return FourierField(4, 2, full.group_rank, full.cutoff,
-                        full.freqs[:, :4], full.masks, full.coeffs)

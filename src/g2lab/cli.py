@@ -151,7 +151,7 @@ def _check_outputs(*paths) -> None:
 
 def _parse_dims(text: str, n: int) -> tuple:
     parts = text.lower().split("x")
-    if len(parts) != n or not all(p.isdigit() and int(p) >= 2 for p in parts):
+    if len(parts) != n or not all(p.isdecimal() and int(p) >= 2 for p in parts):
         raise ValidationFailure(
             f"expected {n} lattice extents >= 2 like 6x6x6x6, got {text!r}")
     return tuple(int(p) for p in parts)

@@ -59,6 +59,18 @@ INDEX_OF = tuple(tuple(i + 1 for i in range(7) if m >> i & 1) for m in range(128
 MASK_OF = {idx: m for m, idx in enumerate(INDEX_OF)}
 
 
+def top_coefficients(left, right, form: "ConstForm") -> np.ndarray:
+    """Top-degree coefficient of e^left ^ e^right ^ form, in doubles, for
+    broadcast mask arrays: only the form's term on the complement of
+    left | right reaches the top degree."""
+    coeff = np.zeros(128)
+    coeff[[MASK_OF[idx] for idx in form.coeffs]] = [float(c) for c in form.coeffs.values()]
+    both = np.bitwise_or(left, right)
+    rest = both ^ ((1 << form.dim) - 1)
+    # 0.0 + turns the -0.0 of a sign times a zero into +0.0
+    return 0.0 + MERGE_SIGN[left, right] * MERGE_SIGN[both, rest] * coeff[rest]
+
+
 def sort_indices(seq: Sequence[int]) -> Tuple[int, Index] | None:
     """Sort ``seq`` into increasing order, returning (sign, tuple).
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ..exterior import INDEX_OF, MASK_OF, MERGE_SIGN, ConstForm, lex_basis
+from ..exterior import INDEX_OF, MASK_OF, MERGE_SIGN, ConstForm, lex_basis, top_coefficients
 from ..fibration import TorusFibration
 from .lattice import _instanton_residuals, _norm_sq
 
@@ -248,14 +248,6 @@ class FourierField:
                                _per_row(sign[row, j] * v[j], self.coeffs) * self.coeffs[row],
                                degree=self.degree - 1)
 
-    def trace(self) -> "FourierField":
-        """tr c_{m,J} as a rank-1 field; a rank-1 field is its own trace."""
-        if self.group_rank == 1:
-            return FourierField(self.dim, self.degree, 1, self.cutoff,
-                                self.freqs, self.masks, self.coeffs)
-        return self._canonical(self.freqs, self.masks,
-                               np.trace(self.coeffs, axis1=-2, axis2=-1)[..., None, None])
-
     def wedge_const(self, a: ConstForm) -> "FourierField":
         """Wedge with a constant scalar-coefficient form on the right: the
         wedge with the zero-mode field a times the identity."""
@@ -265,20 +257,6 @@ class FourierField:
                            [MASK_OF[i] for i in a.coeffs],
                            [float(c) for c in a.coeffs.values()])
         return self._product(const, None, self.cutoff, 0.0)
-
-    def integrate_top(self) -> complex:
-        """Integral over the unit torus of the top-degree component.
-
-        Only the zero mode survives; returns the trace of its coefficient at
-        the top index (scalar for group_rank 1).
-        """
-        if self.degree != self.dim or self.coeffs.ndim > 3:
-            raise ValueError("integrand must be a single top-degree form")
-        row = np.flatnonzero(~self.freqs.any(axis=1))   # every mask is the top one
-        if not row.size:
-            return 0.0
-        c = self.coeffs[row[0]]
-        return complex(np.trace(c)) if self.group_rank > 1 else complex(c[0, 0])
 
     def norm_sq(self) -> float:
         """Parseval L^2 norm squared with the tr(c c^dagger) matrix norm."""
@@ -353,12 +331,23 @@ def constant_curvature_u1(m) -> FourierField:
         4, 2, 1, (1 << j) | (1 << k), TWO_PI_I * np.array(flux)[j, k])
 
 
+def _pairing(a: FourierField, b: FourierField, form: ConstForm) -> float:
+    """Re of the integral of tr(a ^ b) ^ form over the unit torus, for a constant
+    form: by Parseval only rows at opposite frequencies meet, each pair weighted by
+    the top coefficient of its masks and the form (rho, 8 pi^2 r_phi, 8 pi^2 q)."""
+    if not a.dim == b.dim == form.dim == a.degree + b.degree + form.degree \
+            or a.coeffs.ndim > 3 or b.coeffs.ndim > 3:
+        raise ValueError("expected single fields whose degrees fill the dimension")
+    i, j = np.nonzero((a.freqs[:, None] == -b.freqs).all(axis=2))
+    w = top_coefficients(a.masks[i], b.masks[j], form)
+    return float((w * np.einsum("nab,nba->n", a.coeffs[i], b.coeffs[j])).sum().real)
+
+
 def topological_charge(F: FourierField) -> float:
     """(1/8 pi^2) integral of tr(F ^ F); exact mode arithmetic."""
     if F.dim != 4 or F.degree != 2:
         raise ValueError("charge is defined for 4D 2-forms")
-    FF = F.wedge(F, cutoff=2 * F.cutoff + 1)
-    return float(np.real(FF.trace().integrate_top())) / (8.0 * np.pi ** 2)
+    return _pairing(F, F, ConstForm(4, 0, {(): 1.0})) / (8.0 * np.pi ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exterior import ConstForm, interior, lex_basis, wedge
-from ..g2core import standard_structure
+from ..exterior import MERGE_SIGN, ConstForm, interior, lex_basis, top_coefficients
+from ..g2core import OMEGA_BASE, standard_structure
 from ..rng import SplitMix64
 
 _MAGIC = b"G2LAT001"
@@ -157,6 +157,9 @@ def _clover(rank: int, mu: int, nu: int, links, p: np.ndarray) -> np.ndarray:
 _PLANES4 = tuple(itertools.combinations(range(4), 2))
 _PLANES7 = tuple(itertools.combinations(range(7), 2))
 _BASE_PLANES = [_PLANES7.index(p) for p in _PLANES4]
+# the index masks of the 21 planes and of the seven covectors e^c
+_MASKS2 = np.array([1 << mu | 1 << nu for mu, nu in _PLANES7])
+_BITS = 1 << np.arange(7)
 
 
 def _clover_stack(U: LatticeGaugeField, planes) -> np.ndarray:
@@ -255,11 +258,13 @@ def add_link_noise(U: LatticeGaugeField, amplitude: float, seed: int) -> Lattice
     # copied first, so the noised links sit below the temporaries on the heap
     out = U.copy()
     flat = out.links.reshape(U.rank, U.rank, -1)
-    if U.group == "u1":
-        flat *= np.exp(1j * (np.array(rng.gausses(flat.shape[2])) * amplitude))
-    else:
-        coef = np.array(rng.gausses(3 * flat.shape[2])).reshape(-1, 3) * amplitude
-        flat[:] = _mul(_expm_ah(_entry_major(su2(coef[:, ::-1]))), flat)
+    # a huge amplitude overflows here; the finiteness check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if U.group == "u1":
+            flat *= np.exp(1j * (np.array(rng.gausses(flat.shape[2])) * amplitude))
+        else:
+            coef = np.array(rng.gausses(3 * flat.shape[2])).reshape(-1, 3) * amplitude
+            flat[:] = _mul(_expm_ah(_entry_major(su2(coef[:, ::-1]))), flat)
     if not np.isfinite(flat).all():
         raise ValueError(f"link noise of amplitude {amplitude!r} gives non-finite links")
     return out
@@ -320,11 +325,10 @@ def reunitarize(U: LatticeGaugeField) -> None:
     u[1, 0], u[1, 1] = -np.conj(u[0, 1]), np.conj(u[0, 0])
 
 
-# plane -> (its component in the ASD part of _sd_asd, its sign there); the
-# order is the order in which asd_force accumulates
-_PLANE_SIGNS = {(0, 1): (0, 1.0), (2, 3): (0, -1.0),
-                (0, 2): (1, 1.0), (1, 3): (1, 1.0),
-                (0, 3): (2, 1.0), (1, 2): (2, -1.0)}
+# plane -> (its component in the ASD part of _sd_asd, its sign there): the
+# terms of the omega triple, in the order in which asd_force accumulates
+_PLANE_SIGNS = {(i - 1, j - 1): (k, float(c))
+                for k, w in enumerate(OMEGA_BASE) for (i, j), c in w.coeffs.items()}
 
 
 def plaquette_chirality_energies(U: LatticeGaugeField) -> dict:
@@ -438,23 +442,16 @@ def lift_lattice_7d(U: LatticeGaugeField, t_dims) -> LatticeGaugeField:
     return V
 
 
-def _wedge_table(form: ConstForm, degree: int) -> np.ndarray:
-    """Matrix of eta -> eta ^ form from lexicographic ``degree``-forms to
-    lexicographic (degree + form.degree)-forms."""
-    n = form.dim
-    out = lex_basis(n, degree + form.degree)
-    rows = [wedge(ConstForm.basis(n, idx, 1.0), form).coeff_vector(out)
-            for idx in lex_basis(n, degree)]
-    return np.array(rows, dtype=float).T
-
-
 @functools.lru_cache(maxsize=None)
 def _residual_maps() -> dict:
     """The three maps of _instanton_residuals, built on first use."""
     s = standard_structure()
     p7 = s.p7_array()
     T = p7 * (float(s.lambda7) - float(s.lambda14)) + float(s.lambda14) * np.eye(21)
-    return {"r_a": _wedge_table(s.star_phi, 2),
+    # row J (missing e^c, lex order) of eta ^ star_phi: sign(c, J) top(e^c ^ eta ^ star_phi)
+    bits = _BITS[::-1, None]
+    r_a = 0.0 + MERGE_SIGN[bits, 127 ^ bits] * top_coefficients(bits, _MASKS2, s.star_phi)
+    return {"r_a": r_a,
             "r_b": np.eye(21) - T / float(s.lambda14), "f7_norm": p7}
 
 
@@ -490,10 +487,8 @@ def _cs_integral(U: LatticeGaugeField, F: np.ndarray, v,
     if U.ndim != 7:
         raise ValueError("expected a 7D lattice field")
     v = [float(x) for x in v]
-    covectors = [ConstForm.basis(7, (c,), 1.0) for c in range(1, 8)]
     # M[k, c] = top(eta_k ^ e^c ^ four_form), B[c, l] = e^c part of v -| eta_l
-    M = np.stack([_wedge_table(wedge(e, four_form), 2)[0] for e in covectors],
-                 axis=1)
+    M = top_coefficients(_MASKS2[:, None], _BITS, four_form)
     B = np.array([interior(v, ConstForm.basis(7, idx, 1.0)).coeff_vector(
         lex_basis(7, 1)) for idx in lex_basis(7, 2)], dtype=float).T
     scale = np.array([U.dims[i] * U.dims[j] for i, j in _PLANES7], dtype=float)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import settings, HealthCheck
 
-from g2lab.chernsimons import EIGHT_PI_SQ, _pairing
+from g2lab.chernsimons import EIGHT_PI_SQ
 from g2lab.exterior import (DimensionMismatch, hodge, interior, is_exact,
                             lex_basis, mat_minor_det, wedge)
 from g2lab.g2core import metric_from_phi, standard_structure as _standard
-from g2lab.gauge.fourier import _components, topological_charge
+from g2lab.gauge.fourier import _components, _pairing, topological_charge
 from g2lab.gauge.lattice import (  # noqa: F401  (su2 is imported by the tests)
     _chirality, _dag, _mul, _norm_sq, _sd_asd, su2,
 )
@@ -136,6 +136,14 @@ def pairing_oracle(ctx, F, v, xi) -> float:
     return -0.5 * val / EIGHT_PI_SQ
 
 
+def convolution_pairing(a, b, form) -> float:
+    """Re of the integral of tr(a ^ b) ^ form by mode convolution: the trace
+    of the zero-mode top coefficient of the whole product a ^ b ^ form."""
+    zero = a.wedge(b).wedge_const(form).modes.get((0,) * a.dim, {})
+    top = zero.get(tuple(range(1, a.dim + 1)))
+    return 0.0 if top is None else float(np.trace(top).real)
+
+
 def ym_energy_4d(F) -> dict:
     """Yang-Mills energy split into SD and ASD parts, plus the charge.
 
@@ -162,8 +170,7 @@ def energy_decomposition_7d(F, s) -> dict:
     comps = _components(F)
     f7sq, f14sq = (_norm_sq(np.tensordot(p, comps, axes=(1, 0)))
                    for p in (s.p7_array(), p14_array(s)))
-    FF = F.wedge(F, cutoff=2 * F.cutoff + 1)
-    kappa = -float(np.real(FF.trace().wedge_const(s.phi).integrate_top()))
+    kappa = -_pairing(F, F, s.phi)
     lam7 = float(s.lambda7)
     lam14 = float(s.lambda14)
     return {

@@ -164,16 +164,18 @@ def test_flow_divergence_exits_2_and_keeps_the_history(tmp_path, rising_energies
 
 
 def test_overflowing_su2_noise_exits_2_and_writes_nothing(tmp_path, capsys):
-    # exp of the noise squares its coefficients, which overflows above ~1e154
+    # exp of su2 noise squares its coefficients, which overflows above ~1e154;
+    # u1 noise overflows when the draws are scaled by 1e308
     seven = str(tmp_path / "su2.lat")
     write_snapshot(lift_lattice_7d(identity_field((2,) * 4, "su2"), (2, 2, 2)), seven)
     before = sorted(os.listdir(tmp_path))
     out = str(tmp_path / "c.lat")
     for argv in (["flow", "--lattice", "3x3x3x3", "--group", "su2", "--noise", "1e300",
                   "--out", out],
-                 ["cs", "--field", seven, "--probe-amplitude", "1e300"]):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, doc, err = run_cli(argv, capsys)
+                 ["cs", "--field", seven, "--probe-amplitude", "1e300"],
+                 ["flow", "--lattice", "3x3x3x3", "--group", "u1", "--noise", "1e308",
+                  "--out", out]):
+        code, doc, err = run_cli(argv, capsys)
         assert code == 2 and doc is None
         jsonschema.validate(err, load_schema("error"))
         assert err["error"]["code"] == "numerical"
@@ -483,6 +485,9 @@ HOSTILE = {
     "flow-noise-negative": lambda h: FLOW + ["--noise", "-0.1", "--out", h.out],
     "flow-tol-zero": lambda h: FLOW + ["--tol", "0", "--out", h.out],
     "flow-steps-negative": lambda h: FLOW + ["--steps", "-3", "--out", h.out],
+    "flow-lattice-superscript": lambda h: ["flow", "--lattice", "¹x4x4x4", "--out", h.out],
+    "lift-tgrid-superscript": lambda h: ["lift", "--in", h.four, "--tgrid", "²x2x2",
+                                         "--out", h.out],
     "cs-probe-amplitude-nan": lambda h: ["cs", "--field", h.seven, "--probe-amplitude", "nan"],
     "cs-probe-offsets-negative": lambda h: ["cs", "--field", h.seven, "--probe-offsets", "-1"],
     "residual-nan-link": lambda h: ["residual", "--in", h.nan_link()],

@@ -1,16 +1,19 @@
 """Properties of the sparse constant-coefficient exterior algebra."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from g2lab.exterior import (
     INDEX_OF, MASK_OF, MERGE_SIGN, ConstForm, DimensionMismatch, Metric,
     NotPositiveDefinite, Orientation, hodge, interior, lex_basis, mat_det,
-    mat_inverse, merge_indices, pullback_linear, sort_indices, wedge,
+    mat_inverse, merge_indices, pullback_linear, sort_indices, top_coefficients,
+    wedge,
 )
 from g2lab.gauge.fourier import FourierField
 
@@ -217,6 +220,22 @@ def test_merge_sign_table_matches_sort_indices():
                 assert INDEX_OF[a | b] == ref[1]
                 assert merge_indices(INDEX_OF[a], INDEX_OF[b]) == ref
     assert all(MASK_OF[INDEX_OF[m]] == m for m in range(128))
+
+
+@given(forms())
+def test_top_coefficients_read_the_top_of_the_wedge(form):
+    """For every pair of masks, the top coefficient of e^left ^ e^right ^ form;
+    zero unless the degrees add up to the dimension."""
+    masks = np.arange(1 << DIM)
+    got = top_coefficients(masks[:, None], masks, form)
+    top = tuple(range(1, DIM + 1))
+    for left, right in itertools.product(range(1 << DIM), repeat=2):
+        idx_l, idx_r = INDEX_OF[left], INDEX_OF[right]
+        if len(idx_l) + len(idx_r) + form.degree != DIM:
+            assert got[left, right] == 0.0
+            continue
+        want = wedge(wedge(ConstForm.basis(DIM, idx_l), ConstForm.basis(DIM, idx_r)), form)
+        assert got[left, right] == float(want.coeffs.get(top, 0))
 
 
 def zero_mode(a: ConstForm) -> FourierField:

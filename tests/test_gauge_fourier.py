@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (asd_defect_form, energy_decomposition_7d, reality_defect, su2,
-                      ym_energy_4d)
+from conftest import (asd_defect_form, convolution_pairing, energy_decomposition_7d,
+                      reality_defect, su2, ym_energy_4d)
 from g2lab.gauge.fourier import (
-    FourierField, _row_keys, constant_curvature_u1, curvature,
+    FourierField, _pairing, _row_keys, constant_curvature_u1, curvature,
     instanton_residual_field, lift_to_7d, topological_charge,
 )
-from g2lab.exterior import MASK_OF
+from g2lab.exterior import MASK_OF, ConstForm, lex_basis
 from g2lab.g2core import standard_structure
 from g2lab.rng import SplitMix64
 
@@ -112,7 +112,7 @@ def test_grid_operations_act_per_point(a0, a1, b0, b1):
     assert a.coeffs.shape[1:-2] == b.coeffs.shape[1:-2] == (2,)
     ops = [lambda f, g: f.wedge(g), lambda f, g: f.d(),
            lambda f, g: f.contract((0.5, -1.0, 0.0, 2.0)),
-           lambda f, g: f.trace(), lambda f, g: f + g,
+           lambda f, g: f + g,
            lambda f, g: f.symmetrized()]
     for op in ops:
         out = op(a, b)
@@ -121,6 +121,58 @@ def test_grid_operations_act_per_point(a0, a1, b0, b1):
             assert (got.degree, got.group_rank, got.cutoff) \
                 == (want.degree, want.group_rank, want.cutoff)
             assert terms(got) == terms(want)
+
+
+def every_index_field(dim, degree, rank, seed):
+    """A real field with a random coefficient at every index of three
+    frequencies (one of them zero) and, after symmetrizing, their negatives."""
+    rng = SplitMix64(seed)
+    freqs = [(0,) * dim] + [tuple(int(rng.uniform() * 3) - 1 for _ in range(dim))
+                            for _ in range(2)]
+    f = FourierField.zero(dim, degree, rank, 2)
+    for m in freqs:
+        for idx in lex_basis(dim, degree):
+            g = [rng.gauss() for _ in range(3)]
+            f.add_coeff(m, idx, g[0] + 1j * g[1] if rank == 1 else su2(g))
+    return f.symmetrized()
+
+
+def random_form(dim, degree, seed):
+    rng = SplitMix64(seed)
+    return ConstForm(dim, degree, {idx: rng.gauss() for idx in lex_basis(dim, degree)})
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("form_degree", [4, 3])
+def test_parseval_pairing_matches_the_convolution(rank, form_degree):
+    """Pairing rows at opposite frequencies gives the zero-mode top coefficient
+    of the whole product, for fields with every index at every mode."""
+    a = every_index_field(7, 2, rank, seed=10 * rank + form_degree)
+    b = every_index_field(7, 5 - form_degree, rank, seed=20 * rank + form_degree)
+    form = random_form(7, form_degree, seed=form_degree)
+    bound = 1e-12 * np.sqrt(a.norm_sq() * b.norm_sq()) * max(map(abs, form.coeffs.values()))
+    want = convolution_pairing(a, b, form)
+    assert abs(want) > 1e3 * bound
+    assert _pairing(a, b, form) == pytest.approx(want, abs=bound, rel=0)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_topological_charge_matches_the_convolution(rank):
+    F = every_index_field(4, 2, rank, seed=rank)
+    want = convolution_pairing(F, F, ConstForm(4, 0, {(): 1.0})) / (8 * np.pi ** 2)
+    bound = 1e-12 * F.norm_sq() / (8 * np.pi ** 2)
+    assert abs(want) > 1e3 * bound
+    assert topological_charge(F) == pytest.approx(want, abs=bound, rel=0)
+
+
+def test_pairing_refuses_grid_fields_and_degree_mismatches():
+    F = every_index_field(4, 2, 1, seed=3)
+    one = ConstForm(4, 0, {(): 1.0})
+    grid = on_grid([F, F.scale(2.0)])
+    for a, b, form in [(grid, F, one), (F, grid, one), (F, F.d(), one),
+                       (F, F, ConstForm(4, 1, {(1,): 1.0})), (F, F, ConstForm(5, 1, {}))]:
+        with pytest.raises(ValueError):
+            _pairing(a, b, form)
 
 
 @pytest.mark.parametrize("freq, idx", [

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from g2lab.gauge.lattice import (
     read_snapshot, residual_7d, reunitarize, write_snapshot,
 )
 from g2lab.chernsimons import Verdict, obstruction_verdict_lattice, rho_lattice
-from g2lab.exterior import ConstForm, wedge
-from g2lab.g2core import OMEGA_BAR_BASE, OMEGA_BASE
+from g2lab.exterior import ConstForm, lex_basis, top_coefficients, wedge
+from g2lab.g2core import OMEGA_BAR_BASE, OMEGA_BASE, standard_structure
 from g2lab.gauge.lattice import (
-    _PLANE_SIGNS, _PLANES4, _chirality, _expm_ah, _mul, _sd_asd, _shift,
+    _BITS, _MASKS2, _PLANE_SIGNS, _PLANES4, _chirality, _expm_ah, _mul,
+    _residual_maps, _sd_asd, _shift,
 )
 from g2lab.rng import SplitMix64
 
@@ -213,8 +215,7 @@ def test_cooling_that_only_rises_raises_with_its_history(rising_energies):
 
 def test_overflowing_su2_noise_is_refused():
     # exp of the noise squares its coefficients, which overflows above ~1e154
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="non-finite links"):
+    with pytest.raises(ValueError, match="non-finite links"):
         add_link_noise(identity_field((3,) * 4, "su2"), 1e300, seed=1)
 
 
@@ -228,12 +229,33 @@ def test_cooling_refuses_a_start_field_of_infinite_energy():
 
 def test_residual_maps_are_built_once(monkeypatch):
     from g2lab.gauge import lattice
-    calls, table = [], lattice._wedge_table
-    monkeypatch.setattr(lattice, "_wedge_table", lambda *a: calls.append(a) or table(*a))
+    calls, table = [], lattice.top_coefficients
+    monkeypatch.setattr(lattice, "top_coefficients", lambda *a: calls.append(a) or table(*a))
     lattice._residual_maps.cache_clear()
     U7 = add_link_noise(lift_lattice_7d(identity_field((2,) * 4, "su2"), (2, 2, 2)), 0.1, 3)
     assert residual_7d(U7) == residual_7d(U7)
     assert len(calls) == 1
+
+
+def wedge_table(form, degree):
+    """The matrix of eta -> eta ^ form from lexicographic ``degree``-forms to
+    lexicographic forms of the product's degree, by ConstForm wedges."""
+    out = lex_basis(form.dim, degree + form.degree)
+    return np.array([wedge(ConstForm.basis(form.dim, idx, 1.0), form).coeff_vector(out)
+                     for idx in lex_basis(form.dim, degree)], dtype=float).T
+
+
+def test_pairing_tables_are_the_constform_tables():
+    """M[k, c] = top(eta_k ^ e^c ^ form) of the site contraction and the map
+    eta -> eta ^ star_phi of r_a, to the byte (signed zeros included)."""
+    star_phi = standard_structure().star_phi
+    xi = ConstForm(7, 4, {(1, 2, 3, 4): 3.0, (1, 5, 6, 7): Fraction(-2),
+                          (2, 3, 5, 7): -0.7, (3, 4, 6, 7): 1e-3})
+    for form in (star_phi, xi):
+        M = np.stack([wedge_table(wedge(ConstForm.basis(7, (c,), 1.0), form), 2)[0]
+                      for c in range(1, 8)], axis=1)
+        assert top_coefficients(_MASKS2[:, None], _BITS, form).tobytes() == M.tobytes()
+    assert _residual_maps()["r_a"].tobytes() == wedge_table(star_phi, 2).tobytes()
 
 
 def test_reunitarize_projects_back():
