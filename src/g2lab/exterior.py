@@ -148,20 +148,42 @@ def mat_identity(n: int, exact: bool = True):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _scaled(m) -> tuple:
+    """An exact matrix as (rows of Python ints, e) with m = rows / e."""
+    e = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (e // x.denominator) for x in row] for row in m], e
+
+
+def _int_det(a: list) -> int:
+    """Determinant of a square int matrix by Bareiss's elimination, in place."""
+    n, prev, sign = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                return 0
+            a[k], a[r], sign = a[r], a[k], -sign
+        p, top = a[k][k], a[k]
+        for row in a[k + 1:]:
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - row[k] * top[j]) // prev
+        prev = p
+    return sign * a[-1][-1]
+
+
 def mat_det(m) -> object:
-    """Determinant by fraction-free-ish Gaussian elimination (exact or float);
-    written out for 2x2, the minors of the 5-form Hodge stars."""
+    """Determinant; 2x2 written out (the minors of 5-form Hodge stars).  Exact
+    input: Bareiss in ints over one denominator, reduced once at the end."""
     n = len(m)
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if all(is_exact(x) for row in m for x in row):
+        a, e = _scaled(m)
+        return _int_det(a) if e == 1 else Fraction(_int_det(a), e ** n)
     a = [list(row) for row in m]
     det = a[0][0] - a[0][0] + 1  # one, in the scalar type of the matrix
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             return det * 0
         if piv != col:
@@ -277,12 +299,14 @@ class ConstForm:
         clean = {}
         for idx, c in self.coeffs.items():
             idx = tuple(idx)
-            if len(idx) != self.degree:
-                raise DegreeMismatch(f"key {idx} has wrong degree")
-            if any(not (1 <= i <= self.dim) for i in idx):
-                raise DimensionMismatch(f"key {idx} outside 1..{self.dim}")
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"key {idx} not strictly increasing")
+            # one lookup passes an increasing key in 1..dim; others get checked
+            if MASK_OF.get(idx, -1) >> self.dim or len(idx) != self.degree:
+                if len(idx) != self.degree:
+                    raise DegreeMismatch(f"key {idx} has wrong degree")
+                if any(not (1 <= i <= self.dim) for i in idx):
+                    raise DimensionMismatch(f"key {idx} outside 1..{self.dim}")
+                if any(a >= b for a, b in zip(idx, idx[1:])):
+                    raise ValueError(f"key {idx} not strictly increasing")
             if c != 0:
                 clean[idx] = c
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
@@ -452,11 +476,17 @@ def pullback_linear(M, a: ConstForm) -> ConstForm:
         raise DimensionMismatch(f"matrix has {n} rows, form dim {a.dim}")
     if a.degree == 0:
         return ConstForm(m, 0, dict(a.coeffs))
+    coeffs = a.coeffs
+    exact = all(is_exact(x) for r in rows for x in r) and all(map(is_exact, coeffs.values()))
+    if exact:
+        # M = N / e, c_I = p_I / q: int minors, one division per coefficient
+        rows, e = _scaled(rows)
+        q = math.lcm(*(c.denominator for c in coeffs.values()))
+        coeffs = {idx: c.numerator * (q // c.denominator) for idx, c in coeffs.items()}
     out: dict = {}
     for jdx in increasing_tuples(m, a.degree):
         total = 0
-        for idx, c in a.coeffs.items():
+        for idx, c in coeffs.items():
             total = total + c * mat_minor_det(rows, idx, jdx)
-        if total != 0:
-            out[jdx] = total
+        out[jdx] = Fraction(total, q * e ** a.degree) if exact else total
     return ConstForm(m, a.degree, out)

@@ -62,10 +62,7 @@ class FibrationSpec:
 
     @staticmethod
     def standard() -> "FibrationSpec":
-        one = Fraction(1)
-        zero = Fraction(0)
-        eye3 = [[one if i == j else zero for j in range(3)] for i in range(3)]
-        return FibrationSpec(_FLAT_ETA, eye3, [[zero] * 4 for _ in range(3)])
+        return FibrationSpec(_FLAT_ETA, mat_identity(3), [[Fraction(0)] * 4 for _ in range(3)])
 
     @staticmethod
     def from_json_dict(d: dict) -> "FibrationSpec":
@@ -192,13 +189,14 @@ class DeformationSplit:
         }
 
     def reassemble(self) -> ConstForm:
-        half = Fraction(1, 2)
         beta = [[0] * 6 for _ in range(3)]
         for k in range(3):
             for r, triple in zip((self.r_plus, self.r_minus), _CHIRAL_COLS):
                 for l in range(3):
                     for col, w in triple[l]:
-                        beta[k][col] += r[k][l] * half * w
+                        beta[k][col] += r[k][l] * w
+        # halved once per entry: exact on ints and on doubles
+        beta = [[x * Fraction(1, 2) for x in row] for row in beta]
         blocks = ([[self.c_i]], self.c_ii, beta, [self.c_iv])
         return ConstForm(7, 4, {idx: sign * blocks[b][row][col]
                                 for idx, (b, row, col, sign) in _SPLIT.items()})

@@ -19,6 +19,7 @@ from .exterior import (
     ExactnessError,
     Metric,
     Orientation,
+    _scaled,
     hodge,
     interior,
     is_exact,
@@ -125,7 +126,6 @@ def metric_from_phi(phi: ConstForm):
         orient = Orientation(-1)
     else:
         raise UnstableForm("bilinear form is indefinite")
-    detB = np.linalg.det(Bf)
     if exact:
         try:
             scale = _ninth_root(mat_det(B))
@@ -133,19 +133,16 @@ def metric_from_phi(phi: ConstForm):
         except ExactnessError:
             exact = False
     if not exact:
-        scale = _ninth_root(detB)
+        scale = _ninth_root(np.linalg.det(Bf))
         g = Metric(7, (Bf / scale).tolist())
     return g, orient
 
 
 def _t_matrix(phi: ConstForm, g: Metric, o: Orientation):
     """21x21 matrix of eta -> star(eta ^ phi) in the lexicographic basis."""
-    cols = []
-    for idx in LAMBDA2_BASIS:
-        img = hodge(wedge(ConstForm.basis(7, idx), phi), g, o)
-        cols.append(img.coeff_vector(LAMBDA2_BASIS))
-    # cols[j][i] = component i of T(basis j)
-    return [[cols[j][i] for j in range(21)] for i in range(21)]
+    cols = [hodge(wedge(ConstForm.basis(7, idx), phi), g, o).coeff_vector(LAMBDA2_BASIS)
+            for idx in LAMBDA2_BASIS]
+    return [list(row) for row in zip(*cols)]  # row i = component i of each T(basis j)
 
 
 @dataclass(frozen=True)
@@ -155,28 +152,28 @@ class G2Structure:
     star_phi: ConstForm
     lambda7: object
     lambda14: object
-    p7: tuple
+    p7: tuple          # the projector onto Lambda^2_7 is p7 / p7_den:
+    p7_den: object     # integer numerators and denominator, or doubles and 1.0
 
     def apply_p7(self, eta: ConstForm) -> ConstForm:
-        return _apply_matrix(self.p7, eta)
+        if eta.degree != 2 or eta.dim != 7:
+            raise ValueError("expected a 2-form on R^7")
+        vec = eta.coeff_vector(LAMBDA2_BASIS)
+        if is_exact(self.p7_den) and all(map(is_exact, vec)):
+            # eta = m / e in ints: one division per output coefficient
+            e = math.lcm(*(x.denominator for x in vec))
+            m = [(j, x.numerator * (e // x.denominator)) for j, x in enumerate(vec) if x]
+            out = [Fraction(sum(row[j] * x for j, x in m), e * self.p7_den) for row in self.p7]
+        else:
+            out = [sum((a * x for a, x in zip(row, vec) if x != 0), start=0)
+                   for row in self.p7_array().tolist()]
+        return ConstForm(7, 2, dict(zip(LAMBDA2_BASIS, out)))
 
     def apply_p14(self, eta: ConstForm) -> ConstForm:
         return eta - self.apply_p7(eta)
 
     def p7_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.p7])
-
-
-def _apply_matrix(mat, eta: ConstForm) -> ConstForm:
-    if eta.degree != 2 or eta.dim != 7:
-        raise ValueError("expected a 2-form on R^7")
-    vec = eta.coeff_vector(LAMBDA2_BASIS)
-    out = {}
-    for i, idx in enumerate(LAMBDA2_BASIS):
-        val = sum((mat[i][j] * vec[j] for j in range(21) if vec[j] != 0), start=0)
-        if val != 0:
-            out[idx] = val
-    return ConstForm(7, 2, out)
+        return np.array(self.p7, dtype=float) / self.p7_den
 
 
 def eigen_split(phi: ConstForm) -> G2Structure:
@@ -208,37 +205,29 @@ def eigen_split(phi: ConstForm) -> G2Structure:
     lam_hi = float(np.mean(evals[evals >= mid]))
     lam7, lam14 = (lam_lo, lam_hi) if n_lo == 7 else (lam_hi, lam_lo)
 
-    exact = all(is_exact(x) for row in T for x in row)
-    if exact:
+    split = None
+    if all(is_exact(x) for row in T for x in row):
         l7 = Fraction(round(lam7 * 2), 2)
         l14 = Fraction(round(lam14 * 2), 2)
-        if _exact_spectrum_ok(T, l7, l14):
-            lam7, lam14 = l7, l14
-        else:
-            exact = False
-    if exact:
-        denom = lam7 - lam14
-        p7 = [[(T[i][j] - (lam14 if i == j else 0)) / denom for j in range(21)]
-              for i in range(21)]
+        split = _exact_p7(T, l7, l14)
+    if split:
+        lam7, lam14 = l7, l14
+        p7, den = split
     else:
-        p7 = ((Tf - lam14 * np.eye(21)) / (lam7 - lam14)).tolist()
+        p7, den = ((Tf - lam14 * np.eye(21)) / (lam7 - lam14)).tolist(), 1.0
     return G2Structure(
-        phi=phi, metric=g, star_phi=hodge(phi, g, orient),
-        lambda7=lam7, lambda14=lam14, p7=tuple(tuple(r) for r in p7),
+        phi=phi, metric=g, star_phi=hodge(phi, g, orient), lambda7=lam7,
+        lambda14=lam14, p7=tuple(tuple(r) for r in p7), p7_den=den,
     )
 
 
-def _exact_spectrum_ok(T, l7, l14) -> bool:
-    """(T - l7)(T - l14) == 0 certifies the spectrum exactly.  Checked in
-    Python ints, both factors scaled by the lcm d of every denominator."""
-    d = math.lcm(l7.denominator, l14.denominator,
-                 *(Fraction(x).denominator for row in T for x in row))
-
-    def scaled(lam):
-        return [[int(d * (x - lam if i == j else x)) for j, x in enumerate(row)]
-                for i, row in enumerate(T)]
-
-    left, right = scaled(l7), scaled(l14)
+def _exact_p7(T, l7, l14) -> tuple | None:
+    """(T - l7)(T - l14) == 0, checked in Python ints over one common
+    denominator, certifies the spectrum exactly; then p7 = (T - l14) /
+    (l7 - l14) is returned as (integer numerators, denominator), else None."""
+    *N, (d7, d14) = _scaled([*T, [l7, l14]])[0]
+    left, right = ([[x - dl * (i == j) for j, x in enumerate(row)] for i, row in enumerate(N)]
+                   for dl in (d7, d14))
     for row in left:
         acc = [0] * len(T)
         for a, r in zip(row, right):
@@ -246,8 +235,8 @@ def _exact_spectrum_ok(T, l7, l14) -> bool:
                 for j, b in enumerate(r):
                     acc[j] += a * b
         if any(acc):
-            return False
-    return True
+            return None
+    return right, d7 - d14
 
 
 _STANDARD: G2Structure | None = None
@@ -256,10 +245,11 @@ _STANDARD: G2Structure | None = None
 def standard_structure() -> G2Structure:
     """The exact G2 structure of ``standard_phi()``, shared and read-only.
 
-    Built on first use (``eigen_split`` in Fraction arithmetic, the costly
-    step of every lattice-adapted integral) and returned as the same object
-    on every later call.  Callers must not mutate it: the coefficient dicts
-    of its forms are shared by the whole process.
+    Built on first use (``eigen_split`` exactly, in Python ints over common
+    denominators: the costly step of every lattice-adapted integral) and
+    returned as the same object on every later call.  Callers must not
+    mutate it: the coefficient dicts of its forms are shared by the whole
+    process.
     """
     global _STANDARD
     if _STANDARD is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exterior import MERGE_SIGN, ConstForm, interior, lex_basis, top_coefficients
+from ..exterior import MERGE_SIGN, ConstForm, top_coefficients
 from ..g2core import OMEGA_BASE, standard_structure
 from ..rng import SplitMix64
 
@@ -160,6 +160,9 @@ _BASE_PLANES = [_PLANES7.index(p) for p in _PLANES4]
 # the index masks of the 21 planes and of the seven covectors e^c
 _MASKS2 = np.array([1 << mu | 1 << nu for mu, nu in _PLANES7])
 _BITS = 1 << np.arange(7)
+# _INTERIOR[i, c, l]: the e^c coefficient of e_i -| eta_l (eta_l = +-e^ic)
+_INTERIOR = np.where(_BITS[:, None, None] | _BITS[:, None] == _MASKS2,
+                     MERGE_SIGN[_BITS[:, None, None], _BITS[:, None]], 0)
 
 
 def _clover_stack(U: LatticeGaugeField, planes) -> np.ndarray:
@@ -489,8 +492,7 @@ def _cs_integral(U: LatticeGaugeField, F: np.ndarray, v,
     v = [float(x) for x in v]
     # M[k, c] = top(eta_k ^ e^c ^ four_form), B[c, l] = e^c part of v -| eta_l
     M = top_coefficients(_MASKS2[:, None], _BITS, four_form)
-    B = np.array([interior(v, ConstForm.basis(7, idx, 1.0)).coeff_vector(
-        lex_basis(7, 1)) for idx in lex_basis(7, 2)], dtype=float).T
+    B = np.tensordot(v, _INTERIOR, 1)
     scale = np.array([U.dims[i] * U.dims[j] for i, j in _PLANES7], dtype=float)
     T = (M @ B) * np.outer(scale, scale)
     total = np.einsum("kl,k...ab,l...ba->", T, F, F, optimize=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import settings, HealthCheck
+from hypothesis import settings, HealthCheck, strategies as st
 
 from g2lab.chernsimons import EIGHT_PI_SQ
 from g2lab.exterior import (DimensionMismatch, hodge, interior, is_exact,
@@ -42,6 +42,24 @@ def standard_fibration(cs_context):
 
 # ---------------------------------------------------------------------------
 # Oracles: independent formulas that the tests compare g2lab's pipeline with.
+
+
+#: exact scalars for the integer kernels: p/q with q of either sign, and ints
+exact_scalars = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(-6, 6).filter(bool)),
+    st.integers(-5, 5))
+
+
+def leibniz_det(m):
+    """det m = sum over permutations s of sign(s) prod_i m[i][s(i)], in the
+    scalar type of m: no elimination, no pivots."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        term = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        for row, col in enumerate(perm):
+            term = term * m[row][col]
+        total = total + term
+    return total
 
 
 def form_inner(a, b, g=None):
@@ -193,8 +211,8 @@ def rising_energies(monkeypatch):
 def p14_array(s) -> np.ndarray:
     """The projector 1 - p7 onto Lambda^2_14 of the G2 structure ``s``,
     taken in the structure's arithmetic and then as floats."""
-    return np.array([[float((i == j) - x) for j, x in enumerate(row)]
-                     for i, row in enumerate(s.p7)])
+    return np.array([[float((i == j) - Fraction(x) / s.p7_den)
+                      for j, x in enumerate(row)] for i, row in enumerate(s.p7)])
 
 
 def reality_defect(a) -> float:

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from g2lab.exterior import (
-    INDEX_OF, MASK_OF, MERGE_SIGN, ConstForm, DimensionMismatch, Metric,
-    NotPositiveDefinite, Orientation, hodge, interior, lex_basis, mat_det,
-    mat_inverse, merge_indices, pullback_linear, sort_indices, top_coefficients,
-    wedge,
+    INDEX_OF, MASK_OF, MERGE_SIGN, ConstForm, DegreeMismatch, DimensionMismatch,
+    Metric, NotPositiveDefinite, Orientation, hodge, interior, is_exact, lex_basis,
+    mat_det, mat_inverse, mat_minor_det, merge_indices, pullback_linear,
+    sort_indices, top_coefficients, wedge,
 )
 from g2lab.gauge.fourier import FourierField
 
-from conftest import form_inner
+from conftest import exact_scalars, form_inner, leibniz_det
 
 DIM = 5
 EUCLID = Metric.identity(DIM)
@@ -202,6 +202,99 @@ def test_matrix_helpers_exact():
     assert mat_det(m) == 1
     inv = mat_inverse(m)
     assert inv[0][0] == 1 and inv[0][1] == -1
+
+
+@st.composite
+def exact_matrices(draw, rows=None, cols=None):
+    """Exact matrices up to 7 x 7; square ones may get a zero leading pivot
+    (so elimination must swap rows) or a repeated row (so they are singular)."""
+    n = draw(st.integers(1, 7)) if rows is None else rows
+    m = draw(st.integers(1, 7)) if cols is None else cols
+    a = [draw(st.lists(exact_scalars, min_size=m, max_size=m)) for _ in range(n)]
+    if n == m and draw(st.booleans()):
+        a[0][0] = 0
+    if n == m > 1 and draw(st.booleans()):
+        a[-1] = list(a[draw(st.integers(0, n - 2))])
+    return a
+
+
+@given(exact_matrices(), st.data())
+def test_exact_determinants_match_leibniz(a, data):
+    n = len(a)
+    if n == len(a[0]):
+        det = mat_det(a)
+        assert det == leibniz_det(a) and is_exact(det)
+    rows = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=min(n, len(a[0])),
+                              unique=True).map(sorted))
+    cols = data.draw(st.lists(st.integers(1, len(a[0])), min_size=len(rows),
+                              max_size=len(rows), unique=True).map(sorted))
+    minor = mat_minor_det(a, tuple(rows), tuple(cols))
+    assert minor == leibniz_det([[a[r - 1][c - 1] for c in cols] for r in rows])
+    assert is_exact(minor)
+
+
+def test_exact_determinant_swaps_rows_at_a_zero_pivot():
+    """A 7 x 7 rational matrix whose first column starts with two zeros, so
+    elimination must swap in the third row; and one with a repeated row."""
+    a = [[Fraction((i * 3 + j * 5) % 7 - 3, (i + j) % 4 - 5) for j in range(7)]
+         for i in range(7)]
+    a[0][0] = 0
+    a[1][:2] = [0, 0]
+    assert mat_det(a) == leibniz_det(a) != 0
+    assert mat_det(a[:6] + [a[2]]) == 0
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    exact_matrices(rows=n), st.integers(0, n))), st.data())
+def test_exact_pullback_is_cauchy_binet(case, data):
+    """(M^* a)_J = sum_I a_I det M[I, J], each minor a Leibniz sum."""
+    M, k = case
+    n, m = len(M), len(M[0])
+    basis = lex_basis(n, k)
+    coeffs = data.draw(st.dictionaries(st.sampled_from(basis), exact_scalars, max_size=4))
+    a = ConstForm(n, k, coeffs)
+    got = pullback_linear(M, a)
+    want = {jdx: sum((c * leibniz_det([[M[r - 1][col - 1] for col in jdx] for r in idx])
+                      for idx, c in a.coeffs.items()), start=0)
+            for jdx in lex_basis(m, k)}
+    assert got == ConstForm(m, k, want)
+    assert all(map(is_exact, got.coeffs.values()))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(exact_scalars, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_exact_metric_check_reads_the_leading_minors(a):
+    """Metric(S) for S symmetric is refused exactly when a leading principal
+    minor is not positive, and the message names the first such minor."""
+    n = len(a)
+    sym = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    minors = [leibniz_det([row[:k] for row in sym[:k]]) for k in range(1, n + 1)]
+    bad = next((k for k, d in enumerate(minors, 1) if not d > 0), None)
+    if bad is None:
+        assert Metric(n, sym).det() == minors[-1]
+    else:
+        with pytest.raises(NotPositiveDefinite) as err:
+            Metric(n, sym)
+        assert str(err.value) == f"leading minor {bad} is {minors[bad - 1]}"
+
+
+@pytest.mark.parametrize("dim,degree,key,error", [
+    (4, 2, (1,), DegreeMismatch),
+    (4, 2, (1, 2, 3), DegreeMismatch),
+    (4, 2, (3, 5), DimensionMismatch),
+    (4, 2, (0, 1), DimensionMismatch),
+    (7, 1, (8,), DimensionMismatch),
+    (4, 2, (2, 1), ValueError),
+    (4, 2, (1, 1), ValueError),
+    (7, 3, (1, 3, 2), ValueError),
+])
+def test_constform_key_errors(dim, degree, key, error):
+    """A key that fails the one-lookup validation still gets today's error:
+    degree first, then the index range, then strict increase."""
+    with pytest.raises(error) as err:
+        ConstForm(dim, degree, {key: 1})
+    assert type(err.value) is error
+    assert str(key) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

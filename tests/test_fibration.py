@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from g2lab.exterior import (ConstForm, Metric, interior, lex_basis, mat_det,
+from g2lab.exterior import (ConstForm, Metric, interior, is_exact, lex_basis, mat_det,
                             mat_inverse, pullback_linear, wedge)
 from g2lab.fibration import FibrationSpec, build_fibration, decompose_deformation
-from g2lab.g2core import (_exact_spectrum_ok, _t_matrix, eigen_split,
+from g2lab.g2core import (_exact_p7, _t_matrix, eigen_split,
                           metric_from_phi, standard_phi, standard_star_phi,
                           standard_structure)
 
@@ -113,9 +113,9 @@ def test_twisted_structure_is_the_pulled_back_standard_one(spec):
     assert type(s.lambda7) is Fraction and type(s.lambda14) is Fraction
     assert (s.lambda7, s.lambda14) == (-2, 1)
     p7 = np.array(s.p7, dtype=object)
-    assert (p7.dot(p7) == p7).all()
+    assert (p7.dot(p7) == s.p7_den * p7).all()
     T = _t_matrix(s.phi, s.metric, orientation)
-    assert not _exact_spectrum_ok(T, Fraction(-2), Fraction(3, 2))
+    assert _exact_p7(T, Fraction(-2), Fraction(3, 2)) is None
 
 
 def test_float_twisted_structure_has_the_model_spectrum():
@@ -138,8 +138,8 @@ def test_split_roundtrip_is_exact(terms):
     for idx, c in terms:
         coeffs[idx] = coeffs.get(idx, Fraction(0)) + c
     xi = ConstForm(7, 4, {k: v for k, v in coeffs.items() if v != 0})
-    sp = decompose_deformation(xi)
-    assert (sp.reassemble() - xi).is_zero()
+    back = decompose_deformation(xi).reassemble()
+    assert (back - xi).is_zero() and all(map(is_exact, back.coeffs.values()))
 
 
 @given(st.lists(st.tuples(st.sampled_from(lex_basis(7, 4)), rationals),

@@ -7,18 +7,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from g2lab import cli, g2core
 from g2lab.chernsimons import CSContext, obstruction_verdict, path_integrate
 from g2lab.exterior import (ConstForm, hodge, interior, is_exact, lex_basis,
                             wedge)
+from g2lab.fibration import FibrationSpec, build_fibration
 from g2lab.g2core import (
     UnstableForm, eigen_split, metric_from_phi, standard_phi,
     standard_star_phi,
 )
 from g2lab.gauge.fourier import FourierField, constant_curvature_u1, lift_to_7d
 
-from conftest import energy_report, instanton_residual
+from conftest import energy_report, exact_scalars, instanton_residual
 
 
 def test_coassociative_dual_closed_form(standard_structure):
@@ -68,6 +70,50 @@ def test_spectral_eigenvalues(standard_structure):
     assert lam7 * lam14 < 0
     expected = np.sort(np.array([lam7] * 7 + [lam14] * 14))
     assert np.abs(vals - expected).max() < 1e-10
+
+
+@pytest.fixture(scope="module")
+def twisted_structure():
+    """The exact structure of a twisted rational fibration: p7 has a
+    denominator other than -3."""
+    std = FibrationSpec.standard()
+    alpha = [[Fraction(3, 5), 0, 0, 0], [0, Fraction(-7, 2), 0, 0], [0, 0, 0, Fraction(4, 3)]]
+    s = eigen_split(build_fibration(FibrationSpec(std.eta, std.l_basis, alpha)).phi)
+    assert s.p7_den not in (-3, 1.0)
+    return s
+
+
+two_forms = st.dictionaries(st.sampled_from(lex_basis(7, 2)), exact_scalars,
+                            max_size=6).map(lambda c: ConstForm(7, 2, c))
+
+
+@given(two_forms)
+def test_exact_p7_is_the_fraction_matrix_product(standard_structure, twisted_structure, eta):
+    """apply_p7 on rational 2-forms equals the plain Fraction product
+    (p7 / p7_den) vec, and its coefficients stay exact."""
+    for s in (standard_structure, twisted_structure):
+        assert all(type(n) is int for row in s.p7 for n in row) and type(s.p7_den) is int
+        vec = eta.coeff_vector(lex_basis(7, 2))
+        want = [sum((Fraction(n, s.p7_den) * x for n, x in zip(row, vec)), start=0)
+                for row in s.p7]
+        got = s.apply_p7(eta)
+        assert got == ConstForm(7, 2, dict(zip(lex_basis(7, 2), want)))
+        assert all(map(is_exact, got.coeffs.values()))
+        assert all(map(is_exact, s.apply_p14(eta).coeffs.values()))
+
+
+def test_p7_doubles_are_the_rounded_fractions(standard_structure, twisted_structure):
+    """p7_array() and apply_p7 on a float 2-form read each entry as the
+    double nearest p7 / p7_den."""
+    eta = ConstForm(7, 2, {idx: 0.1 * k - 0.7 for k, idx in enumerate(lex_basis(7, 2))})
+    for s in (standard_structure, twisted_structure):
+        want = [[float(Fraction(n, s.p7_den)) for n in row] for row in s.p7]
+        assert s.p7_array().tolist() == want
+        got = s.apply_p7(eta)
+        assert all(type(c) is float for c in got.coeffs.values())
+        assert got == ConstForm(7, 2, {
+            idx: sum((a * x for a, x in zip(row, eta.coeff_vector(lex_basis(7, 2)))), start=0)
+            for idx, row in zip(lex_basis(7, 2), want)})
 
 
 def test_seven_block_is_contraction_span(standard_structure):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import unitarity_defect
 from g2lab.gauge.lattice import (
@@ -17,11 +18,11 @@ from g2lab.gauge.lattice import (
     read_snapshot, residual_7d, reunitarize, write_snapshot,
 )
 from g2lab.chernsimons import Verdict, obstruction_verdict_lattice, rho_lattice
-from g2lab.exterior import ConstForm, lex_basis, top_coefficients, wedge
+from g2lab.exterior import ConstForm, interior, lex_basis, top_coefficients, wedge
 from g2lab.g2core import OMEGA_BAR_BASE, OMEGA_BASE, standard_structure
 from g2lab.gauge.lattice import (
-    _BITS, _MASKS2, _PLANE_SIGNS, _PLANES4, _chirality, _expm_ah, _mul,
-    _residual_maps, _sd_asd, _shift,
+    _BITS, _INTERIOR, _MASKS2, _PLANE_SIGNS, _PLANES4, _chirality, _expm_ah,
+    _mul, _residual_maps, _sd_asd, _shift,
 )
 from g2lab.rng import SplitMix64
 
@@ -256,6 +257,17 @@ def test_pairing_tables_are_the_constform_tables():
                       for c in range(1, 8)], axis=1)
         assert top_coefficients(_MASKS2[:, None], _BITS, form).tobytes() == M.tobytes()
     assert _residual_maps()["r_a"].tobytes() == wedge_table(star_phi, 2).tobytes()
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3),
+                min_size=7, max_size=7))
+@example([0.0] + [-1.0] * 6)  # a zero beside negatives: the sum of -0.0 terms
+def test_interior_table_is_the_constform_table(v):
+    """B[c, l], the e^c part of v -| eta_l, as _cs_integral reads it from
+    _INTERIOR, equals 21 ConstForm interior products to the byte."""
+    B = np.array([interior(v, ConstForm.basis(7, idx, 1.0)).coeff_vector(lex_basis(7, 1))
+                  for idx in lex_basis(7, 2)], dtype=float).T
+    assert np.tensordot(v, _INTERIOR, 1).tobytes() == B.tobytes()
 
 
 def test_reunitarize_projects_back():
