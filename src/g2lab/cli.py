@@ -554,9 +554,14 @@ _COMMANDS = {
 }
 
 
+_PARSER: argparse.ArgumentParser | None = None   # built on the first run
+
+
 def run(argv=None) -> int:
+    global _PARSER
     try:
-        args = build_parser().parse_args(argv)
+        _PARSER = _PARSER or build_parser()
+        args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit:  # --help printed its text
         return EXIT_OK

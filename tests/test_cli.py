@@ -6,6 +6,8 @@ import itertools
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -506,9 +508,17 @@ HOSTILE = {
     "flow-noise-inf": lambda h: FLOW + ["--noise", "inf", "--out", h.out],
     "flow-noise-negative": lambda h: FLOW + ["--noise", "-0.1", "--out", h.out],
     "flow-tol-zero": lambda h: FLOW + ["--tol", "0", "--out", h.out],
+    "flow-tol-inf": lambda h: FLOW + ["--tol", "inf", "--out", h.out],
     "flow-steps-negative": lambda h: FLOW + ["--steps", "-3", "--out", h.out],
     "flow-lattice-superscript": lambda h: ["flow", "--lattice", "¹x4x4x4", "--out", h.out],
+    "flow-lattice-three-extents": lambda h: ["flow", "--lattice", "4x4x4", "--out", h.out],
+    "flow-lattice-zero-extent": lambda h: ["flow", "--lattice", "0x4x4x4", "--out", h.out],
+    "flow-lattice-letters": lambda h: ["flow", "--lattice", "axbxcxd", "--out", h.out],
     "lift-tgrid-superscript": lambda h: ["lift", "--in", h.four, "--tgrid", "²x2x2",
+                                         "--out", h.out],
+    "lift-tgrid-zero-extent": lambda h: ["lift", "--in", h.four, "--tgrid", "0x2x2",
+                                         "--out", h.out],
+    "lift-tgrid-two-extents": lambda h: ["lift", "--in", h.four, "--tgrid", "2x2",
                                          "--out", h.out],
     "cs-probe-amplitude-nan": lambda h: ["cs", "--field", h.seven, "--probe-amplitude", "nan"],
     "cs-probe-offsets-negative": lambda h: ["cs", "--field", h.seven, "--probe-offsets", "-1"],
@@ -526,6 +536,7 @@ HOSTILE = {
     "residual-in-a-directory": lambda h: ["residual", "--in", str(h.root)],
     "cs-field-a-directory": lambda h: ["cs", "--field", str(h.root)],
     "flow-out-in-a-missing-directory": lambda h: ["flow", "--out", h.missing],
+    "flow-out-a-directory": lambda h: ["flow", "--out", str(h.root)],
     "lift-out-in-a-missing-directory": lambda h: ["lift", "--in", h.four, "--out", h.missing],
     "report-out-in-a-missing-directory": lambda h: ["report", "--out", h.missing],
     "report-out-a-directory": lambda h: ["report", "--out", str(h.root)],
@@ -614,3 +625,24 @@ def test_bad_arguments_name_the_reason(argv, reason, capsys):
 def test_help_exits_zero(capsys):
     assert cli.run(["flow", "--help"]) == 0
     assert "--noise" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_per_process(pipeline, monkeypatch, capsys):
+    """``run`` builds its parser on its first call only, and a parse leaves
+    nothing behind in it: a default ``--seed`` after ``--seed 5`` prints what
+    a fresh process prints."""
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cs = ["cs", "--field", pipeline["seven"], "--probe-offsets", "1"]
+    assert cli.run(cs + ["--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert cli.run(cs) == 0
+    again = capsys.readouterr().out
+    assert cli.run(["residual", "--in", pipeline["seven"]]) == 0
+    assert built == [1]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = subprocess.run([sys.executable, "-m", "g2lab.cli", *cs], env=env,
+                           capture_output=True, text=True, check=True)
+    assert again == fresh.stdout
