@@ -54,15 +54,20 @@ def test_obstruction_sweep_reads_the_standard_context(tmp_path, monkeypatch):
     assert all(ctx is chernsimons.CSContext.standard() for ctx in seen)
 
 
+def readme_recipe():
+    """The argv of each ``g2lab`` line in the README's Experiments block."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Experiments", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("g2lab ")]
+
+
 def test_readme_cooling_recipe(tmp_path, monkeypatch, capsys):
     """The ``g2lab`` lines of the README's Experiments block run as written:
     ``flow`` writes its descent history, ``lift`` the 7D field, and
     ``residual`` reads a finite f7_norm from it."""
-    with open(os.path.join(ROOT, "README.md")) as fh:
-        section = fh.read().split("## Experiments", 1)[1]
-    block = section.split("```sh", 1)[1].split("```", 1)[0]
-    recipe = [shlex.split(line)[1:] for line in block.splitlines()
-              if line.startswith("g2lab ")]
+    recipe = readme_recipe()
     monkeypatch.chdir(tmp_path)
     assert [argv[0] for argv in recipe] == ["flow", "lift", "residual"]
     docs = []
@@ -79,28 +84,42 @@ def test_readme_cooling_recipe(tmp_path, monkeypatch, capsys):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Verdicts that fail the test if a rejected run reaches them."""
+    """Cooling and verdicts that fail the test if a rejected run reaches them."""
     def refuse(*args, **kwargs):
         raise AssertionError("a rejected argument reached the work")
+    monkeypatch.setattr(cli, "cool_to_sd", refuse)
     monkeypatch.setattr(chernsimons, "obstruction_verdict", refuse)
 
 
-HOSTILE = {   # id: sweep arguments; {tmp} is the test's own directory
+HOSTILE = {   # id: arguments made bad; {tmp} is the test's own directory
     "sweep-tol-nan": ["--tol", "nan"],
     "sweep-tol-inf": ["--tol", "inf"],
     "sweep-tol-zero": ["--tol", "0"],
     "sweep-tol-negative": ["--tol", "-1"],
     "sweep-out-in-missing-dir": ["--out", "{tmp}/missing/s.csv"],
     "sweep-out-is-a-dir": ["--out", "{tmp}"],
+    # the README's cooling line, ``g2lab flow``, with one argument made bad
+    "cooling-noise-nan": ["--noise", "nan"],
+    "cooling-noise-negative": ["--noise", "-0.1"],
+    "cooling-tol-zero": ["--tol", "0"],
+    "cooling-steps-negative": ["--steps", "-1"],
+    "cooling-out-in-missing-dir": ["--out", "{tmp}/missing/c.lat"],
 }
 
 
 @pytest.mark.parametrize("case", HOSTILE)
 def test_scripts_reject_bad_arguments_before_any_work(case, tmp_path, capsys, no_work):
-    out = str(tmp_path / "out.csv")
-    argv = ["--out", out] + [a.format(tmp=tmp_path) for a in HOSTILE[case]]
-    with pytest.raises(SystemExit) as exc:
-        load("obstruction_sweep").main(argv)
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
-    assert not os.path.exists(out)
+    """The sweep exits 2 with argparse's reason on stderr; the README's
+    ``g2lab flow`` line exits 1 with a JSON validation error. Neither writes
+    a file."""
+    argv = ["--out", str(tmp_path / "out.csv")] + [a.format(tmp=tmp_path) for a in HOSTILE[case]]
+    if case.startswith("cooling-"):
+        assert cli.run(readme_recipe()[0] + argv) == cli.EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["code"] == "validation"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            load("obstruction_sweep").main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
