@@ -153,7 +153,7 @@ def _parse_dims(text: str, n: int) -> tuple:
     parts = text.lower().split("x")
     if len(parts) != n or not all(p.isdecimal() and int(p) >= 2 for p in parts):
         raise ValidationFailure(
-            f"expected {n} lattice extents >= 2 like 6x6x6x6, got {text!r}")
+            f"expected {n} lattice extents >= 2 like {'x'.join('6' * n)}, got {text!r}")
     return tuple(int(p) for p in parts)
 
 
@@ -340,8 +340,8 @@ def _write_history_csv(path: str, history) -> None:
 
 def cmd_lift(args) -> int:
     _check_outputs(args.out)
-    U = _read_field(args.infile, ndim=4)
     t_dims = _parse_dims(args.tgrid, 3)
+    U = _read_field(args.infile, ndim=4)
     U7 = lift_lattice_7d(U, t_dims)
     write_snapshot(U7, args.out)
     _emit({"command": "lift",

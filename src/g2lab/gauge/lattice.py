@@ -138,15 +138,16 @@ def clover_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
     part; approximates a^2 F_{mu nu} to O(a^4) with exact antisymmetry.
     """
     links = _plane_links(U, mu, nu)
-    return _clover(U.rank, mu, nu, links, _mul(*links))
+    return _clover(U.rank, mu, nu, links, _mul(*links), _mul(*links[1:]))
 
 
-def _clover(rank: int, mu: int, nu: int, links, p: np.ndarray) -> np.ndarray:
-    """clover_field from the plane's links a, b, c, d and its plaquette p = abcd."""
+def _clover(rank: int, mu: int, nu: int, links, p: np.ndarray, bcd: np.ndarray) -> np.ndarray:
+    """clover_field from the plane's links a, b, c, d, its plaquette p = abcd
+    and the partial product bcd."""
     a, b, c, d = links
     # the leaves are the cyclic words abcd, bcda, cdab, dabc: the plaquettes
     # at x, x - mu, x - mu - nu and x - nu, each read from its corner at x
-    C = (p + _shift(_mul(b, c, d, a), mu, -1)
+    C = (p + _shift(_mul(bcd, a), mu, -1)
          + _shift(_mul(c, d, a, b), (mu, nu), -1) + _shift(_mul(d, a, b, c), nu, -1))
     # the factors are powers of 2, so this is (C - C^+)/8 to the bit
     return _project_algebra(C, rank) / 4.0
@@ -208,7 +209,13 @@ def _sd_asd(f) -> tuple:
 
 
 def _chirality(f) -> dict:
-    sd, asd = (0.5 * sum(_norm_sq(a) for a in part) for part in _sd_asd(f))
+    return _energies(_sd_asd(f))
+
+
+def _energies(parts) -> dict:
+    """|F+|^2, |F-|^2, their total and the ASD fraction from the two parts
+    that _sd_asd returns."""
+    sd, asd = (0.5 * sum(_norm_sq(a) for a in part) for part in parts)
     total = sd + asd
     return {"sd_sq": sd, "asd_sq": asd, "total": total,
             "asd_fraction": asd / total if total > 0 else 0.0}
@@ -334,33 +341,39 @@ _PLANE_SIGNS = {(i - 1, j - 1): (k, float(c))
                 for k, w in enumerate(OMEGA_BASE) for (i, j), c in w.coeffs.items()}
 
 
+def _measure(U: LatticeGaugeField) -> tuple:
+    """The single-plaquette chirality energies of the base planes, the six
+    plaquettes P by plane and the ASD part D of their projections: what a
+    cooling trial measures, and what the sweep of an accepted field reuses."""
+    P = {p: plaquette_field(U, *p) for p in _PLANES4}
+    parts = _sd_asd([_matrix_last(_project_algebra(P[p], U.rank)) for p in _PLANES4])
+    return _energies(parts), P, [_entry_major(x) for x in parts[1]]
+
+
 def plaquette_chirality_energies(U: LatticeGaugeField) -> dict:
     """|F+|^2 and |F-|^2 from single-plaquette (not clover) curvature.
 
     This is the functional the cooling flow descends exactly, so its value
     is guaranteed monotone along accepted steps.
     """
-    return _chirality([_matrix_last(_project_algebra(plaquette_field(U, mu, nu), U.rank))
-                       for mu, nu in _PLANES4])
+    return _measure(U)[0]
 
 
-def _plane_sweep(U: LatticeGaugeField) -> tuple:
-    """The clover charge of U and its ASD force: the plaquettes are built
-    first, for the ASD part D, then each base plane's four links once more,
-    for the clover leaves and the force terms."""
-    P = {p: plaquette_field(U, *p) for p in _PLANES4}
-    D = _sd_asd([_project_algebra(P[p], U.rank) for p in _PLANES4])[1]
-    out, F = np.zeros_like(U.links), {}
+def _plane_sweep(U: LatticeGaugeField, P: dict, D) -> tuple:
+    """The clover charge of U and its ASD force, from _measure's plaquettes P
+    and ASD part D, which the sweep empties: each base plane's four links are
+    built once more, for the clover leaves and the force terms."""
+    out, F, dd = np.zeros_like(U.links), {}, [_dag(D.pop(0)) for _ in range(3)]
     for (mu, nu), (k, s) in _PLANE_SIGNS.items():
         links = a, b, c, d = _plane_links(U, mu, nu)
-        p, dd = P.pop((mu, nu)), _dag(D[k])
-        F[(mu, nu)] = _matrix_last(_clover(U.rank, mu, nu, links, p))
+        p, bcd = P.pop((mu, nu)), _mul(b, c, d)
+        F[(mu, nu)] = _matrix_last(_clover(U.rank, mu, nu, links, p, bcd))
         # U_mu(x): leading factor of P(x), daggered third factor of P(x-nu)
-        out[:, :, mu] += s * _mul(p, dd)
-        out[:, :, mu] -= s * _shift(_mul(d, dd, p, U.links[:, :, nu]), nu, -1)
+        out[:, :, mu] += s * _mul(p, dd[k])
+        out[:, :, mu] -= s * _shift(_mul(d, dd[k], p, U.links[:, :, nu]), nu, -1)
         # U_nu(x): second factor of P(x-mu), daggered last factor of P(x)
-        out[:, :, nu] += s * _shift(_mul(b, c, d, dd, a), mu, -1)
-        out[:, :, nu] -= s * _mul(dd, p)
+        out[:, :, nu] += s * _shift(_mul(bcd, dd[k], a), mu, -1)
+        out[:, :, nu] -= s * _mul(dd[k], p)
     # sign: Re tr(X M) = -<X, Pi(M)> for anti-Hermitian X, so the descent
     # update U <- exp(-tau G) U needs G = -Pi(M)
     return _charge(U, [F[p] for p in _PLANES4]), -_project_algebra(out, U.rank)
@@ -373,7 +386,7 @@ def asd_force(U: LatticeGaugeField) -> np.ndarray:
     plaquettes; the chain rule contributes four terms per (link, plane)
     since each link sits in two plaquettes of each containing plane.
     """
-    return _plane_sweep(U)[1]
+    return _plane_sweep(U, *_measure(U)[1:])[1]
 
 
 def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
@@ -392,13 +405,13 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
     if U.ndim != 4:
         raise ValueError("cooling runs on 4D lattices")
     work = U.copy()
-    en = plaquette_chirality_energies(work)
+    en, P, D = _measure(work)
     if not math.isfinite(en["total"]):
         raise ValueError("cooling needs finite links: the start field's energy is not finite")
     history, steps, plateau, tau = [], 0, False, np.inf
     while steps < max_steps and not en["asd_fraction"] < tol:
         # one sweep per accepted field: its charge, and the next step's force
-        charge, force = _plane_sweep(work)
+        charge, force = _plane_sweep(work, P, D)
         history.append((steps, en["asd_fraction"], charge))
         fmax = float(np.abs(force).max())
         if fmax < 1e-14:
@@ -409,12 +422,13 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
             rot = _expm_ah(-tau * force)
             trial = LatticeGaugeField(work.dims, work.group, _mul(rot, work.links))
             reunitarize(trial)
-            trial_en = plaquette_chirality_energies(trial)
+            trial_en, P, D = _measure(trial)
             c = (trial_en["asd_sq"] - en["asd_sq"] + g2 * tau) / (tau * tau)
             best = g2 / (2.0 * c) if c > 0 else np.inf
             if trial_en["asd_sq"] <= en["asd_sq"] * (1.0 + 1e-12):
                 break
             tau = min(max(best, tau / 10), tau / 2)
+            del P, D  # drop a rejected trial's plaquettes: one field's at a time
         else:
             if en["asd_sq"] < 1e-20 or fmax < 1e-9 * max(en["asd_sq"], 1.0):
                 plateau = True

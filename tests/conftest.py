@@ -201,11 +201,20 @@ def energy_decomposition_7d(F, s) -> dict:
 @pytest.fixture
 def rising_energies(monkeypatch):
     """Make every ASD energy that cooling measures larger than the one before,
-    keeping the real ASD fraction, so that no trial step is ever accepted."""
+    keeping the real ASD fraction, so that no trial step is ever accepted.
+    Cooling that stops at its first step measures the start field and 30
+    trials, and the fixture checks that it saw at least those."""
     from g2lab.gauge import lattice
-    measure, calls = lattice.plaquette_chirality_energies, itertools.count(1)
-    monkeypatch.setattr(lattice, "plaquette_chirality_energies",
-                        lambda U: {**measure(U), "asd_sq": float(next(calls))})
+    measure, calls = lattice._measure, []
+
+    def rising(U):
+        en, P, D = measure(U)
+        calls.append(U)
+        return {**en, "asd_sq": float(len(calls))}, P, D
+
+    monkeypatch.setattr(lattice, "_measure", rising)
+    yield
+    assert len(calls) >= 31, f"saw {len(calls)} measurements, not the start field and 30 trials"
 
 
 def p14_array(s) -> np.ndarray:

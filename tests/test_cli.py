@@ -580,16 +580,31 @@ def _work_before_the_output_check(*args, **kwargs):
     raise AssertionError("work ran before the output path was checked")
 
 
+def _read_before_the_tgrid_check(*args, **kwargs):
+    raise AssertionError("the input snapshot was read before --tgrid was checked")
+
+
+# cases whose whole message is pinned
+HOSTILE_MESSAGES = {
+    "lift-tgrid-two-extents": "expected 3 lattice extents >= 2 like 6x6x6, got '2x2'",
+}
+
+
 @pytest.mark.parametrize("case", sorted(HOSTILE))
 def test_hostile_input_is_a_validation_error(pipeline, tmp_path, case, capsys, monkeypatch):
     files = HostileFiles(pipeline, tmp_path)
     if "-out-" in case:
         for name in WORK_BEFORE_OUTPUT[case.split("-")[0]]:
             monkeypatch.setattr(cli, name, _work_before_the_output_check)
+    if case.startswith("lift-tgrid-"):
+        # a malformed grid is refused before any link of the input is read
+        monkeypatch.setattr(cli, "read_snapshot", _read_before_the_tgrid_check)
     code, out, err = run_cli(HOSTILE[case](files), capsys)
     assert code == 1 and out is None and not os.path.exists(files.out)
     jsonschema.validate(err, load_schema("error"))
     assert err["error"]["code"] == "validation"
+    if case in HOSTILE_MESSAGES:
+        assert err["error"]["message"] == HOSTILE_MESSAGES[case]
 
 
 def test_form_coefficients_are_bounded_by_1e150(tmp_path, capsys):

@@ -164,19 +164,20 @@ def test_cooling_monotone_and_converges():
 def test_cooling_never_raises_the_asd_energy(group, n, seed, monkeypatch):
     # the flow only promises that |F-|^2 does not rise: the ASD fraction of
     # these u1 histories does rise once.  Each accepted field is swept once,
-    # so its |F-|^2 is the energy evaluation recorded for that field.
+    # so its |F-|^2 is the energy measured for that field.
     from g2lab.gauge import lattice
     energies, swept = {}, []
-    measure, sweep = lattice.plaquette_chirality_energies, lattice._plane_sweep
-    monkeypatch.setattr(lattice, "plaquette_chirality_energies",
+    measure, sweep = lattice._measure, lattice._plane_sweep
+    monkeypatch.setattr(lattice, "_measure",
                         lambda U: energies.setdefault(id(U), (U, measure(U)))[1])
     monkeypatch.setattr(lattice, "_plane_sweep",
-                        lambda U: swept.append(U) or sweep(U))
+                        lambda U, P, D: swept.append(U) or sweep(U, P, D))
     flux = SD_UNIT if group == "u1" else HALF_FLUX
     U = add_link_noise(constant_flux_field((n,) * 4, flux, group), 0.05, seed)
     out = cool_to_sd(U, max_steps=5000, tol=1e-3)
     assert out["converged"] and len(swept) == out["steps"]
-    asd = [energies[id(V)][1]["asd_sq"] for V in swept + [out["field"]]]
+    assert len(energies) >= out["steps"] + 1, "the spy missed cooling's measurements"
+    asd = [energies[id(V)][1][0]["asd_sq"] for V in swept + [out["field"]]]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(asd, asd[1:]))
 
 
@@ -187,15 +188,31 @@ def test_cooling_needs_few_trials_per_accepted_step(group, n, seed, halving_step
     # the step and every accepted step grew the next by 1.5 (1.74-1.78 trials
     # per accepted step)
     from g2lab.gauge import lattice
-    calls, measure = [], lattice.plaquette_chirality_energies
-    monkeypatch.setattr(lattice, "plaquette_chirality_energies",
-                        lambda U: calls.append(U) or measure(U))
+    calls, measure = [], lattice._measure
+    monkeypatch.setattr(lattice, "_measure", lambda U: calls.append(U) or measure(U))
     flux = SD_UNIT if group == "u1" else HALF_FLUX
     U = add_link_noise(constant_flux_field((n,) * 4, flux, group), 0.05, seed)
     out = cool_to_sd(U, max_steps=5000, tol=1e-3)
+    assert len(calls) >= out["steps"] + 1, "the spy missed cooling's measurements"
     trials = len(calls) - 1  # the first call measures the start field
     assert out["converged"] and out["steps"] <= halving_steps
     assert trials <= 1.4 * out["steps"]
+
+
+@pytest.mark.parametrize("group, flux", [("u1", SD_UNIT), ("su2", HALF_FLUX)])
+def test_cooling_builds_each_fields_plaquettes_once(group, flux, monkeypatch):
+    # every trial is reunitarized once and measured once; an accepted trial's
+    # plaquettes feed the next sweep, so no plane is built a second time
+    from g2lab.gauge import lattice
+    plaquettes, trials = [], []
+    build, project = lattice.plaquette_field, lattice.reunitarize
+    monkeypatch.setattr(lattice, "plaquette_field",
+                        lambda U, mu, nu: plaquettes.append(U) or build(U, mu, nu))
+    monkeypatch.setattr(lattice, "reunitarize", lambda U: trials.append(U) or project(U))
+    U = add_link_noise(constant_flux_field((4,) * 4, flux, group), 0.05, seed=7)
+    out = cool_to_sd(U, max_steps=5000, tol=1e-3)
+    assert out["converged"] and len(trials) >= out["steps"] > 0
+    assert len(plaquettes) == 6 * (1 + len(trials))
 
 
 @pytest.mark.parametrize("group", ["u1", "su2"])
