@@ -483,10 +483,11 @@ def pullback_linear(M, a: ConstForm) -> ConstForm:
         rows, e = _scaled(rows)
         q = math.lcm(*(c.denominator for c in coeffs.values()))
         coeffs = {idx: c.numerator * (q // c.denominator) for idx, c in coeffs.items()}
+    det = _int_det if exact else mat_det
     out: dict = {}
     for jdx in increasing_tuples(m, a.degree):
         total = 0
         for idx, c in coeffs.items():
-            total = total + c * mat_minor_det(rows, idx, jdx)
+            total = total + c * det([[rows[i - 1][j - 1] for j in jdx] for i in idx])
         out[jdx] = Fraction(total, q * e ** a.degree) if exact else total
     return ConstForm(m, a.degree, out)

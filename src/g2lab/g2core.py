@@ -15,17 +15,18 @@ from fractions import Fraction
 import numpy as np
 
 from .exterior import (
+    INDEX_OF,
+    MASK_OF,
+    MERGE_SIGN,
     ConstForm,
     ExactnessError,
     Metric,
     Orientation,
     _scaled,
     hodge,
-    interior,
     is_exact,
     lex_basis,
     mat_det,
-    mat_identity,
     wedge,
 )
 
@@ -95,6 +96,35 @@ def _ninth_root(x) -> object:
     return math.copysign(abs(float(x)) ** (1.0 / 9.0), float(x))
 
 
+def _b_matrix(phi: ConstForm) -> list:
+    """metric_from_phi's B_ij = -(1/6) top((e_i -| phi) ^ (e_j -| phi) ^ phi),
+    read against -e^{1..7} so that the standard 3-form has orientation +1.
+    Products run over (mask, value) pairs in key order, signed by MERGE_SIGN,
+    and add up as wedge adds them, so doubles keep wedge's bytes; an exact
+    phi runs in ints over one denominator q."""
+    masks, vals = [MASK_OF[k] for k in phi.coeffs], list(phi.coeffs.values())
+    exact = all(map(is_exact, vals))
+    (vals,), q = _scaled([vals]) if exact else ([[float(c) for c in vals]], 1)
+    coeff, sign = dict(zip(masks, vals)), MERGE_SIGN.tolist()
+    # e_i -| phi as (2-mask, value) pairs
+    contr = [[(m ^ b, sign[b][m ^ b] * c) for m, c in zip(masks, vals) if m & b]
+             for b in (1, 2, 4, 8, 16, 32, 64)]
+    B = [[None] * 7 for _ in range(7)]
+    for i, j in itertools.combinations_with_replacement(range(7), 2):
+        four = {}
+        for (ma, ca), (mb, cb) in itertools.product(contr[i], contr[j]):
+            if sign[ma][mb]:
+                four[ma | mb] = four.get(ma | mb, 0) + sign[ma][mb] * ca * cb
+        top = 0
+        for m in sorted(four, key=INDEX_OF.__getitem__):
+            if four[m] and 127 ^ m in coeff:
+                top = top + sign[m][127 ^ m] * four[m] * coeff[127 ^ m]
+        # wedge drops a zero top coefficient, so it reads as +0.0
+        B[i][j] = B[j][i] = (Fraction(-top, 6 * q ** 3) if exact
+                             else -top * (1.0 / 6.0) if top else 0.0)
+    return B
+
+
 def metric_from_phi(phi: ConstForm):
     """Metric and orientation induced by a stable 3-form.
 
@@ -105,16 +135,8 @@ def metric_from_phi(phi: ConstForm):
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("expected a 3-form on R^7")
-    exact = all(is_exact(c) for c in phi.coeffs.values())
-    one_sixth = Fraction(1, 6) if exact else (1.0 / 6.0)
-    contr = [interior(e, phi) for e in mat_identity(7, exact)]
-    top = (1, 2, 3, 4, 5, 6, 7)
-    # Sign convention: the top coefficient is read against -e^{1..7}; this is
-    # the choice that realizes orientation +1 for the standard 3-form, so the
-    # coassociative 4-form reproduces the model expression on the nose.
-    B = [[None] * 7 for _ in range(7)]
-    for i, j in itertools.combinations_with_replacement(range(7), 2):
-        B[i][j] = B[j][i] = -(wedge(wedge(contr[i], contr[j]), phi)[top]) * one_sixth
+    B = _b_matrix(phi)
+    exact = is_exact(B[0][0])
     Bf = np.array([[float(x) for x in row] for row in B])
     evals = np.linalg.eigvalsh(Bf)
     tr = abs(np.trace(Bf))

@@ -138,19 +138,30 @@ def clover_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
     part; approximates a^2 F_{mu nu} to O(a^4) with exact antisymmetry.
     """
     links = _plane_links(U, mu, nu)
-    return _clover(U.rank, mu, nu, links, _mul(*links), _mul(*links[1:]))
+    return _clover(U.rank, mu, nu, links, _mul(*links))
 
 
-def _clover(rank: int, mu: int, nu: int, links, p: np.ndarray, bcd: np.ndarray) -> np.ndarray:
-    """clover_field from the plane's links a, b, c, d, its plaquette p = abcd
-    and the partial product bcd."""
-    a, b, c, d = links
-    # the leaves are the cyclic words abcd, bcda, cdab, dabc: the plaquettes
-    # at x, x - mu, x - mu - nu and x - nu, each read from its corner at x
-    C = (p + _shift(_mul(bcd, a), mu, -1)
-         + _shift(_mul(c, d, a, b), (mu, nu), -1) + _shift(_mul(d, a, b, c), nu, -1))
+def _clover(rank: int, mu: int, nu: int, links, p: np.ndarray, bcd=None) -> np.ndarray:
+    """clover_field from the plane's links a, b, c, d and its plaquette
+    p = abcd; rank 2 takes the partial product bcd when it is given."""
+    if rank == 1:
+        # U(1) leaves commute: each is the plaquette at x - mu, x - mu - nu
+        # or x - nu (Sheikholeslami & Wohlert, Nucl. Phys. B 259, 572 (1985))
+        pm = _shift(p, mu, -1)
+        C = p + pm
+        C += _shift(pm, nu, -1)
+        C += _shift(p, nu, -1)
+    else:
+        a, b, c, d = links
+        # the leaves are the cyclic words abcd, bcda, cdab, dabc: the plaquettes
+        # at x, x - mu, x - mu - nu and x - nu, each read from its corner at x
+        C = p + _shift(_mul(_mul(b, c, d) if bcd is None else bcd, a), mu, -1)
+        C += _shift(_mul(c, d, a, b), (mu, nu), -1)
+        C += _shift(_mul(d, a, b, c), nu, -1)
     # the factors are powers of 2, so this is (C - C^+)/8 to the bit
-    return _project_algebra(C, rank) / 4.0
+    F = _project_algebra(C, rank)
+    F /= 4.0
+    return F
 
 
 # (mu, nu) planes in lexicographic order: the six of the first four
@@ -368,12 +379,15 @@ def _plane_sweep(U: LatticeGaugeField, P: dict, D) -> tuple:
         links = a, b, c, d = _plane_links(U, mu, nu)
         p, bcd = P.pop((mu, nu)), _mul(b, c, d)
         F[(mu, nu)] = _matrix_last(_clover(U.rank, mu, nu, links, p, bcd))
+        # s = +-1, so adding s X is adding or subtracting X
+        add, sub = (np.add, np.subtract) if s > 0 else (np.subtract, np.add)
+        om, on = out[:, :, mu], out[:, :, nu]
         # U_mu(x): leading factor of P(x), daggered third factor of P(x-nu)
-        out[:, :, mu] += s * _mul(p, dd[k])
-        out[:, :, mu] -= s * _shift(_mul(d, dd[k], p, U.links[:, :, nu]), nu, -1)
+        add(om, _mul(p, dd[k]), out=om)
+        sub(om, _shift(_mul(d, dd[k], p, U.links[:, :, nu]), nu, -1), out=om)
         # U_nu(x): second factor of P(x-mu), daggered last factor of P(x)
-        out[:, :, nu] += s * _shift(_mul(bcd, dd[k], a), mu, -1)
-        out[:, :, nu] -= s * _mul(dd[k], p)
+        add(on, _shift(_mul(bcd, dd[k], a), mu, -1), out=on)
+        sub(on, _mul(dd[k], p), out=on)
     # sign: Re tr(X M) = -<X, Pi(M)> for anti-Hermitian X, so the descent
     # update U <- exp(-tau G) U needs G = -Pi(M)
     return _charge(U, [F[p] for p in _PLANES4]), -_project_algebra(out, U.rank)
@@ -437,8 +451,10 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
         work, en, tau = trial, trial_en, min(max(best, tau / 2), 2 * tau)
         steps += 1
     else:
-        # stopped by tol or max_steps: the last field needs no force
-        history.append((steps, en["asd_fraction"], clover_charge(work)))
+        # stopped by tol or max_steps: the last field needs no force, and its
+        # clover reads the plaquettes that measured it
+        F = [_matrix_last(_clover(work.rank, *q, _plane_links(work, *q), P[q])) for q in _PLANES4]
+        history.append((steps, en["asd_fraction"], _charge(work, F)))
     return {"field": work, "history": history, "converged": en["asd_fraction"] < tol,
             "steps": steps, "plateau": plateau}
 

@@ -8,7 +8,7 @@ from hypothesis import settings, HealthCheck, strategies as st
 
 from g2lab.chernsimons import EIGHT_PI_SQ
 from g2lab.exterior import (DimensionMismatch, hodge, interior, is_exact,
-                            lex_basis, mat_minor_det, wedge)
+                            lex_basis, mat_identity, mat_minor_det, wedge)
 from g2lab.g2core import metric_from_phi, standard_structure as _standard
 from g2lab.gauge.fourier import _components, _pairing, topological_charge
 from g2lab.gauge.lattice import (  # noqa: F401  (su2 is imported by the tests)
@@ -60,6 +60,19 @@ def leibniz_det(m):
             term = term * m[row][col]
         total = total + term
     return total
+
+
+def wedge_b_matrix(phi):
+    """B_ij = -(1/6) top((e_i -| phi) ^ (e_j -| phi) ^ phi), read against
+    -e^{1..7}, by ConstForm interior products and two wedges per entry."""
+    exact = all(is_exact(c) for c in phi.coeffs.values())
+    one_sixth = Fraction(1, 6) if exact else (1.0 / 6.0)
+    contr = [interior(e, phi) for e in mat_identity(7, exact)]
+    top = (1, 2, 3, 4, 5, 6, 7)
+    B = [[None] * 7 for _ in range(7)]
+    for i, j in itertools.combinations_with_replacement(range(7), 2):
+        B[i][j] = B[j][i] = -(wedge(wedge(contr[i], contr[j]), phi)[top]) * one_sixth
+    return B
 
 
 def form_inner(a, b, g=None):

@@ -2,12 +2,13 @@
 
 import contextlib
 import io
+import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from g2lab import cli, g2core
 from g2lab.chernsimons import CSContext, obstruction_verdict, path_integrate
@@ -20,7 +21,7 @@ from g2lab.g2core import (
 )
 from g2lab.gauge.fourier import FourierField, constant_curvature_u1, lift_to_7d
 
-from conftest import energy_report, exact_scalars, instanton_residual
+from conftest import energy_report, exact_scalars, instanton_residual, wedge_b_matrix
 
 
 def test_coassociative_dual_closed_form(standard_structure):
@@ -52,6 +53,38 @@ def test_metric_equivariance_under_scaling():
 def test_unstable_form_rejected():
     with pytest.raises((UnstableForm, ValueError)):
         metric_from_phi(ConstForm.basis(7, (1, 2, 3)))
+
+
+# doubles that cancel, and tiny ones whose products underflow to signed zeros
+b_floats = st.sampled_from([1.0, -1.0, 2.0, 0.5, 0.1, 1e-170, -1e-160]) | st.floats(-1e3, 1e3)
+three_forms = st.dictionaries(st.sampled_from(lex_basis(7, 3)), exact_scalars, min_size=1) | \
+    st.dictionaries(st.sampled_from(lex_basis(7, 3)), b_floats | exact_scalars, min_size=1)
+# the exact phi of a twisted rational fibration: 28 terms, denominators up to 3717
+_TWISTED = build_fibration(FibrationSpec(
+    FibrationSpec.standard().eta,
+    [[2, Fraction(1, 3), 0], [0, 1, Fraction(1, 2)], [Fraction(-1, 5), 0, 1]],
+    [[Fraction(3, 5), 0, Fraction(1, 7), 0], [0, Fraction(-7, 2), 0, 0],
+     [Fraction(2, 9), 0, 0, Fraction(4, 3)]])).phi
+
+
+@given(three_forms)
+@example(standard_phi().coeffs)
+@example(standard_phi().to_double().coeffs)
+@example(_TWISTED.coeffs)
+# float sums of more than two terms, whose order shows in the last bits
+@example({k: math.sqrt(i + 2) * (-1) ** i for i, k in enumerate(lex_basis(7, 3))})
+# top coefficients that cancel to +0.0
+@example({(1, 3, 7): -1.0, (1, 5, 6): -1.0, (1, 5, 7): -1.0, (2, 3, 7): 1.0,
+          (2, 4, 5): 2.0, (2, 5, 6): 1.0, (2, 5, 7): -1.0, (3, 4, 6): 0.5})
+def test_b_matrix_is_the_wedge_spelling(coeffs):
+    """metric_from_phi's B equals the ConstForm wedge spelling: == for exact
+    phi, to the byte (signed zeros included) for doubles."""
+    phi = ConstForm(7, 3, coeffs)
+    got, want = g2core._b_matrix(phi), wedge_b_matrix(phi)
+    if all(map(is_exact, phi.coeffs.values())):
+        assert got == want and all(type(x) is Fraction for row in got for x in row)
+    else:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_spectral_eigenvalues(standard_structure):

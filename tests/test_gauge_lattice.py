@@ -215,6 +215,17 @@ def test_cooling_builds_each_fields_plaquettes_once(group, flux, monkeypatch):
     assert len(plaquettes) == 6 * (1 + len(trials))
 
 
+@pytest.mark.parametrize("group, flux", [("u1", SD_UNIT), ("su2", HALF_FLUX)])
+def test_last_history_row_is_the_clover_charge_of_the_field(group, flux):
+    # a converged and a step-capped flow: the last row's charge comes from
+    # the plaquettes its trial measured, to the bit
+    U = add_link_noise(constant_flux_field((4,) * 4, flux, group), 0.05, seed=7)
+    for max_steps, converged in ((5000, True), (2, False)):
+        out = cool_to_sd(U, max_steps=max_steps, tol=1e-3)
+        assert out["converged"] is converged
+        assert repr(out["history"][-1][2]) == repr(clover_charge(out["field"]))
+
+
 @pytest.mark.parametrize("group", ["u1", "su2"])
 def test_cooling_flat_field_below_zero_tol_is_a_plateau(group):
     out = cool_to_sd(identity_field((4,) * 4, group), tol=0)
@@ -448,7 +459,21 @@ def _reference_plaquette(u, mu, nu):
     return _ml_mul(u[mu], _roll(u[nu], mu, 1), _ml_dag(_roll(u[mu], nu, 1)), _ml_dag(u[nu]))
 
 
+def _abelian_leaves(p, mu, nu):
+    """U(1) leaves commute, so the four leaves are the plaquette p read from
+    the corners x, x - mu, x - mu - nu and x - nu."""
+    return p + _roll(p, mu, -1) + _roll(p, (mu, nu), -1) + _roll(p, nu, -1)
+
+
 def _reference_clover(u, rank, mu, nu):
+    if rank == 1:
+        p = _reference_plaquette(u, mu, nu)
+        return _ml_project_algebra(_abelian_leaves(p, mu, nu), rank) / 4.0
+    return _four_word_clover(u, rank, mu, nu)
+
+
+def _four_word_clover(u, rank, mu, nu):
+    """The clover with each leaf multiplied out as its own word of links."""
     um, un = u[mu], u[nu]
     um_mnu = _roll(um, nu, -1)          # U_mu(x - nu)
     un_mnu = _roll(un, nu, -1)          # U_nu(x - nu)
@@ -497,6 +522,22 @@ def test_loop_words_are_bit_identical_to_the_explicit_leaves(group, dims):
     assert _ml(asd_force(U)).tobytes() == _reference_asd_force(u, U.rank).tobytes()
 
 
+@pytest.mark.parametrize("dims", [(4, 4, 4, 4), (3, 4, 5, 2), (4, 4, 4, 4, 2, 3, 2)],
+                         ids=["4x4x4x4", "3x4x5x2", "7d-lift"])
+def test_abelian_clover_is_the_four_word_clover_to_a_few_ulps(dims):
+    U = _noisy_field(dims, "u1")
+    u = np.ascontiguousarray(_ml(U.links))
+    # Both spellings share the leaf p.  Each other leaf is a word of four
+    # links of modulus 1, within 4 * 4 eps of its exact value in either
+    # spelling, as in test_mul_is_matmul_to_a_few_ulps; each of the three
+    # sums of leaves rounds by at most 4 eps on either side.  C - conj(C) =
+    # 2i Im C is exact, so F = i Im C / 4 adds no rounding of its own.
+    bound = (2 * 3 * 4 * 4 + 2 * 3 * 4) * np.finfo(float).eps / 4
+    for mu, nu in itertools.permutations(range(U.ndim), 2):
+        got, want = _ml(clover_field(U, mu, nu)), _four_word_clover(u, 1, mu, nu)
+        assert np.abs(got - want).max() <= bound
+
+
 # The cooling loop spelled as separate passes with np.roll shifts on
 # matrix-last links: the force, then the trial energies, then a fresh clover
 # charge for every history row.  cool_to_sd's single plane sweep per field
@@ -509,8 +550,11 @@ def _roll_clover_charge(u, rank):
     F = []
     for mu, nu in _PLANES4:
         a, b, c, d = _roll_links(u, mu, nu)
-        C = (_ml_mul(a, b, c, d) + _roll(_ml_mul(b, c, d, a), mu, -1)
-             + _roll(_ml_mul(c, d, a, b), (mu, nu), -1) + _roll(_ml_mul(d, a, b, c), nu, -1))
+        if rank == 1:
+            C = _abelian_leaves(_ml_mul(a, b, c, d), mu, nu)
+        else:
+            C = (_ml_mul(a, b, c, d) + _roll(_ml_mul(b, c, d, a), mu, -1)
+                 + _roll(_ml_mul(c, d, a, b), (mu, nu), -1) + _roll(_ml_mul(d, a, b, c), nu, -1))
         F.append(_ml_project_algebra(C, rank) / 4.0)
     return _ml_charge(F)
 
