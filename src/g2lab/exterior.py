@@ -202,24 +202,29 @@ def mat_det(m) -> object:
 
 
 def mat_inverse(m):
-    n = len(m)
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    exact = is_exact(m[0][0])
+    """Gauss-Jordan; for an exact m[0][0], Bareiss's fraction-free form on the
+    ints A = e m, which ends at d I | d A^-1, so m^-1 = e (d A^-1) / d exactly."""
+    n, exact = len(m), is_exact(m[0][0])
     if exact:
-        a = [[Fraction(x) for x in row] for row in a]
+        m, e = _scaled([[x if is_exact(x) else Fraction(x) for x in row] for row in m])
+    a, prev = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)], 1
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[piv][col] == 0:
             raise ValueError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
-        pval = a[col][col]
-        inv = (Fraction(1) / pval) if exact else 1.0 / pval
+        pval, top = a[col][col], a[col]
+        if exact:
+            a, prev = [row if row is top else [(x * pval - row[col] * y) // prev
+                                               for x, y in zip(row, top)] for row in a], pval
+            continue
+        inv = 1.0 / pval
         a[col] = [x * inv for x in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    return [[Fraction(x * e, prev) for x in r[n:]] if exact else r[n:] for r in a]
 
 
 def mat_minor_det(m, rows: Index, cols: Index):

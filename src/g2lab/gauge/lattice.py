@@ -1,10 +1,10 @@
 """Lattice gauge fields on periodic hypercubic lattices.
 
-Links live on (site, direction) pairs as U(1) phases or SU(2) matrices,
+Links live on (site, direction) pairs as U(1) phases or SU(2) matrices
+[[a, b], [-conj b, conj a]], a form kept by products, sums and real multiples,
 stored entry-major (i, j, direction, *sites); plane stacks and snapshots are
-matrix-last.  Curvature is measured by the clover-averaged plaquette, and the
-cooling flow drives the anti-self-dual energy to zero while the
-(quasi-conserved) topological charge selects the sector.
+matrix-last.  The clover-averaged plaquette measures curvature; cooling drives
+the ASD energy to zero while the (quasi-conserved) charge selects the sector.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ class CoolingDivergence(RuntimeError):
 
 @dataclass
 class LatticeGaugeField:
+    """Links (r, r, d, *dims): U(1) phases, or su2 [[a, b], [-conj b, conj a]]."""
     dims: tuple
     group: str
     links: np.ndarray      # (r, r, d, *dims) complex
@@ -96,18 +97,20 @@ def _dag(a: np.ndarray) -> np.ndarray:
 
 
 def _mul(*factors: np.ndarray) -> np.ndarray:
-    """factors[0] @ factors[1] @ ... (two or more) over broadcast sites.
-    Batched matmul is slow on tiny matrices, so rank 1 multiplies elementwise
-    and rank 2 writes out the four entries (Creutz, Phys. Rev. D 21, 2308
-    (1980)); the last product goes straight into the output's slabs."""
+    """factors[0] @ factors[1] @ ... (two or more) over broadcast sites, written
+    out (matmul is slow on tiny matrices): rank 1 elementwise, rank 2 row 0 only
+    (Creutz, PRD 21, 2308 (1980)), as [[a, b], [-conj b, conj a]] makes row 1
+    (-conj u01, conj u00); 0 - x for -x keeps an exact zero +0, as sums give it."""
     if len(factors[0]) == 1:
         return functools.reduce(np.multiply, factors)
-    a, b = factors[0], factors[-1]
+    a, b = factors[0][0], factors[-1]
     for f in factors[1:-1]:
-        a = [[a[i][0] * f[0, j] + a[i][1] * f[1, j] for j in (0, 1)] for i in (0, 1)]
-    out = np.empty((2, 2, *np.broadcast_shapes(a[0][0].shape, b.shape[2:])), complex)
-    for i, j in itertools.product((0, 1), repeat=2):
-        np.add(np.multiply(a[i][0], b[0, j], out=out[i, j]), a[i][1] * b[1, j], out=out[i, j])
+        a = [a[0] * f[0, j] + a[1] * f[1, j] for j in (0, 1)]
+    out = np.empty((2, 2, *np.broadcast_shapes(a[0].shape, b.shape[2:])), complex)
+    for j in (0, 1):
+        np.add(np.multiply(a[0], b[0, j], out=out[0, j]), a[1] * b[1, j], out=out[0, j])
+    out[1, 1].real, out[1, 0].imag = out[0, 0].real, out[0, 1].imag
+    out[1, 1].imag, out[1, 0].real = 0.0 - out[0, 0].imag, 0.0 - out[0, 1].real
     return out
 
 
@@ -562,10 +565,10 @@ def write_snapshot(U: LatticeGaugeField, path: str) -> None:
 
 
 def read_snapshot(path: str) -> LatticeGaugeField:
-    """Read a write_snapshot file.  The header is checked, and the file
-    length against it, before the links are allocated; any mismatch, a
-    spacing that is not finite and positive, or a NaN or infinite link entry,
-    raises ValueError.  The spacing is checked and then ignored."""
+    """Read a write_snapshot file.  The header, and the file length against it,
+    are checked before the links are allocated; a mismatch, a spacing not finite
+    and > 0 (checked, then ignored), a NaN or infinite link entry or an su2 link
+    not [[a, b], [-conj b, conj a]] in value raises ValueError."""
     size = os.path.getsize(path)
     with open(path, "rb") as fh:
         def unpack(fmt):
@@ -599,5 +602,7 @@ def read_snapshot(path: str) -> LatticeGaugeField:
         raw = np.frombuffer(fh.read(16 * count), dtype="<c16")
     if not np.isfinite(raw).all():
         raise ValueError("snapshot has non-finite link entries")
+    if r == 2 and ((raw[3::4] != raw[::4].conj()) | (raw[2::4] != -raw[1::4].conj())).any():
+        raise ValueError("snapshot has su2 links not of the form [[a, b], [-conj b, conj a]]")
     links = _entry_major(raw.reshape(ndim, *dims, r, r))
     return LatticeGaugeField(dims, group, np.ascontiguousarray(links, complex))

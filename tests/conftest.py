@@ -12,7 +12,7 @@ from g2lab.exterior import (DimensionMismatch, hodge, interior, is_exact,
 from g2lab.g2core import metric_from_phi, standard_structure as _standard
 from g2lab.gauge.fourier import _components, _pairing, topological_charge
 from g2lab.gauge.lattice import (  # noqa: F401  (su2 is imported by the tests)
-    _chirality, _dag, _mul, _norm_sq, _sd_asd, su2,
+    _chirality, _norm_sq, _sd_asd, su2,
 )
 
 settings.register_profile(
@@ -60,6 +60,38 @@ def leibniz_det(m):
             term = term * m[row][col]
         total = total + term
     return total
+
+
+def fraction_gauss_jordan_inverse(m):
+    """m^-1 by Gauss-Jordan in Fractions, pivoting on the largest entry and
+    normalising each pivot row; ValueError for a singular m."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def four_entry_mul(*factors):
+    """factors[0] @ factors[1] @ ... for entry-major (2, 2, *sites) arrays,
+    each of the four entries of every 2x2 product summed out on its own, in
+    _mul's order of operations: the oracle for _mul's read-off of row 1."""
+    a, b = factors[0], factors[-1]
+    for f in factors[1:-1]:
+        a = [[a[i][0] * f[0, j] + a[i][1] * f[1, j] for j in (0, 1)] for i in (0, 1)]
+    out = np.empty((2, 2, *np.broadcast_shapes(a[0][0].shape, b.shape[2:])), complex)
+    for i, j in itertools.product((0, 1), repeat=2):
+        np.add(np.multiply(a[i][0], b[0, j], out=out[i, j]), a[i][1] * b[1, j], out=out[i, j])
+    return out
 
 
 def wedge_b_matrix(phi):
@@ -256,8 +288,8 @@ def asd_defect_form(F) -> np.ndarray:
 
 def unitarity_defect(U) -> float:
     """Largest entry of U U^+ - 1 over all links, and for su2 of det U - 1."""
-    u = U.links
-    d = np.abs(np.moveaxis(_mul(u, _dag(u)), (0, 1), (-2, -1)) - np.eye(U.rank)).max()
+    u, m = U.links, np.moveaxis(U.links, (0, 1), (-2, -1))
+    d = np.abs(m @ np.conj(np.swapaxes(m, -1, -2)) - np.eye(U.rank)).max()
     if U.group == "su2":
         det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
         d = max(float(d), float(np.abs(det - 1.0).max()))

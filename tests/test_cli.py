@@ -536,6 +536,7 @@ HOSTILE = {
     "cs-probe-amplitude-nan": lambda h: ["cs", "--field", h.seven, "--probe-amplitude", "nan"],
     "cs-probe-offsets-negative": lambda h: ["cs", "--field", h.seven, "--probe-offsets", "-1"],
     "residual-nan-link": lambda h: ["residual", "--in", h.nan_link()],
+    "residual-su2-link-off-form": lambda h: ["residual", "--in", h.su2_off_form()],
     "cs-nan-link": lambda h: ["cs", "--field", h.nan_link()],
     "obstruct-nan-link": lambda h: ["obstruct", "--field", h.nan_link(),
                                     "--xi", h.text(XI_TEXT % "-2.0")],
@@ -573,6 +574,13 @@ class HostileFiles:
         header = _header(4, (4, 4, 4, 4), 1, float("nan"))
         path = self.root / "nan-spacing.lat"
         path.write_bytes(header + data[len(header):])
+        return str(path)
+
+    def su2_off_form(self):
+        """A 2^7 su2 file of all-zero links, but one link's u11 is 1, not conj u00."""
+        body = bytes(16 * 4 * 7 * 2 ** 7 - 16) + struct.pack("<dd", 1.0, 0.0)
+        path = self.root / "off-form.lat"
+        path.write_bytes(_header(7, (2,) * 7, 2) + body)
         return str(path)
 
     def nan_link(self):

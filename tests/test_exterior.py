@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from g2lab.exterior import (
     INDEX_OF, MASK_OF, MERGE_SIGN, ConstForm, DegreeMismatch, DimensionMismatch,
@@ -17,7 +17,7 @@ from g2lab.exterior import (
 )
 from g2lab.gauge.fourier import FourierField
 
-from conftest import exact_scalars, form_inner, leibniz_det
+from conftest import exact_scalars, form_inner, fraction_gauss_jordan_inverse, leibniz_det
 
 DIM = 5
 EUCLID = Metric.identity(DIM)
@@ -233,15 +233,35 @@ def test_exact_determinants_match_leibniz(a, data):
     assert is_exact(minor)
 
 
+# a 7 x 7 rational matrix whose first column starts with two zeros
+_ZERO_PIVOTS = [[Fraction((i * 3 + j * 5) % 7 - 3, (i + j) % 4 - 5) for j in range(7)]
+                for i in range(7)]
+_ZERO_PIVOTS[0][0] = 0
+_ZERO_PIVOTS[1][:2] = [0, 0]
+
+
 def test_exact_determinant_swaps_rows_at_a_zero_pivot():
-    """A 7 x 7 rational matrix whose first column starts with two zeros, so
-    elimination must swap in the third row; and one with a repeated row."""
-    a = [[Fraction((i * 3 + j * 5) % 7 - 3, (i + j) % 4 - 5) for j in range(7)]
-         for i in range(7)]
-    a[0][0] = 0
-    a[1][:2] = [0, 0]
+    """Elimination must swap the third row of _ZERO_PIVOTS in; with a
+    repeated row the determinant is zero."""
+    a = _ZERO_PIVOTS
     assert mat_det(a) == leibniz_det(a) != 0
     assert mat_det(a[:6] + [a[2]]) == 0
+
+
+@given(st.integers(1, 7).flatmap(lambda n: exact_matrices(rows=n, cols=n)))
+@example(a=_ZERO_PIVOTS)
+@example(a=_ZERO_PIVOTS[:6] + [_ZERO_PIVOTS[2]])
+def test_exact_inverse_is_the_fraction_gauss_jordan_inverse(a):
+    """mat_inverse's integer Gauss-Jordan gives the Fraction elimination's
+    inverse as Fractions, through row swaps; a singular matrix raises."""
+    try:
+        want = fraction_gauss_jordan_inverse(a)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular matrix"):
+            mat_inverse(a)
+        return
+    got = mat_inverse(a)
+    assert got == want and all(type(x) is Fraction for row in got for x in row)
 
 
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import unitarity_defect
+from conftest import four_entry_mul, unitarity_defect
 from g2lab.gauge.lattice import (
     CoolingDivergence, LatticeGaugeField, add_link_noise, asd_force,
     asd_residual_4d, chirality_energies, clover_charge, clover_field,
@@ -21,8 +21,8 @@ from g2lab.chernsimons import Verdict, obstruction_verdict_lattice, rho_lattice
 from g2lab.exterior import ConstForm, interior, lex_basis, top_coefficients, wedge
 from g2lab.g2core import OMEGA_BAR_BASE, OMEGA_BASE, standard_structure
 from g2lab.gauge.lattice import (
-    _BITS, _INTERIOR, _MASKS2, _PLANE_SIGNS, _PLANES4, _chirality, _expm_ah,
-    _mul, _residual_maps, _sd_asd, _shift,
+    _BITS, _INTERIOR, _MASKS2, _PLANE_SIGNS, _PLANES4, _PLANES7, _chirality,
+    _clover_stack, _expm_ah, _mul, _residual_maps, _sd_asd, _shift,
 )
 from g2lab.rng import SplitMix64
 
@@ -386,6 +386,20 @@ def test_snapshot_rejects_garbage(tmp_path):
         read_snapshot(str(p))
 
 
+def test_snapshot_refuses_su2_links_off_the_quaternion_form(tmp_path):
+    """su2 links must read [[a, b], [-conj b, conj a]] by value: identity
+    links, whose u10 is +0 where -conj u01 is -0, and all-zero links pass."""
+    path = str(tmp_path / "field.lat")
+    for U in (identity_field((2, 2, 2, 2), "su2"),
+              LatticeGaugeField((2, 2, 2, 2), "su2", np.zeros((2, 2, 4, 2, 2, 2, 2), complex))):
+        write_snapshot(U, path)
+        assert read_snapshot(path).links.tobytes() == U.links.tobytes()
+    U.links[1, 1, 3, 1, 0, 1, 1] = 1.0
+    write_snapshot(U, path)
+    with pytest.raises(ValueError, match="not of the form"):
+        read_snapshot(path)
+
+
 # The library stores links entry-major, (r, r, d, *dims).  The references
 # below keep the matrix-last spellings, (d, *dims, r, r), that the library
 # used before, frozen here: the library's arrays, moved back with
@@ -661,18 +675,103 @@ def _random_links(rng, shape, rank):
     return rng.normal(size=shape + (rank, rank)) + 1j * rng.normal(size=shape + (rank, rank))
 
 
+def _quaternion_links(rng, shape):
+    """Matrix-last [[a, b], [-conj b, conj a]] with complex normal a and b:
+    real multiples of SU(2) links, the 2x2 matrices that _mul multiplies."""
+    a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    return np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(*shape, 2, 2)
+
+
+def _half_flux_links(rng, shape):
+    """Entry-major diagonal links [[z, 0], [0, conj z]] drawn from the sites
+    of the su2 half-flux field, their off-diagonal zeros +0 in both rows."""
+    links = constant_flux_field((4, 4, 4, 4), HALF_FLUX, "su2").links.reshape(2, 2, -1)
+    return links[:, :, rng.integers(links.shape[2], size=shape)]
+
+
+MUL_SHAPES = [[(7,), (7,)], [(3, 1, 4), (5, 1), (1,)], [(2, 3), (3,), (2, 1), (2, 3)]]
+MUL_FACTORS = {
+    "quaternion": lambda rng, shape: _em(_quaternion_links(rng, shape)),
+    "identity": lambda rng, shape: identity_field(shape, "su2").links[:, :, 0],
+    "half-flux": _half_flux_links,
+}
+
+
 @pytest.mark.parametrize("rank", [1, 2])
-@pytest.mark.parametrize("shapes", [[(7,), (7,)], [(3, 1, 4), (5, 1), (1,)],
-                                    [(2, 3), (3,), (2, 1), (2, 3)]])
+@pytest.mark.parametrize("shapes", MUL_SHAPES)
 def test_mul_is_matmul_to_a_few_ulps(rank, shapes):
+    # rank 1 takes general complex factors, rank 2 the form [[a, b], [-conj b, conj a]]
     rng = np.random.default_rng(rank)
-    factors = [_random_links(rng, s, rank) for s in shapes]
+    factors = [_random_links(rng, s, 1) if rank == 1 else _quaternion_links(rng, s)
+               for s in shapes]
     got, want, bound = _ml(_mul(*map(_em, factors))), factors[0], np.abs(factors[0])
     for f in factors[1:]:
         want, bound = want @ f, bound @ np.abs(f)
     assert got.shape == want.shape
     # the rounding bound of a length-`rank` dot product, per product
     assert np.all(np.abs(got - want) <= 4 * len(factors) * np.finfo(float).eps * bound)
+
+
+@pytest.mark.parametrize("kind", sorted(MUL_FACTORS))
+@pytest.mark.parametrize("shapes", MUL_SHAPES)
+def test_mul_is_the_four_entry_product_to_the_bit(kind, shapes):
+    """Row 1 read off row 0 is the four-entry product, bit for bit, but for
+    the sign of an exact zero on the half-flux links: a sum of zeros takes
+    its sign from row-1 inputs that the read-off never sees, and there the
+    off-diagonal zeros are +0 in both rows, not b and -conj b.  Adding 0.0
+    turns -0 into +0 and leaves every other entry's bits."""
+    rng = np.random.default_rng(3)
+    factors = [MUL_FACTORS[kind](rng, s) for s in shapes]
+    got, want = _mul(*factors), four_entry_mul(*factors)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    if kind == "half-flux":
+        got, want = got + 0.0, want + 0.0
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lattice_pipelines_are_bit_identical_with_the_four_entry_product(monkeypatch):
+    """The 21-plane clover stacks of an su2 lift and of a noised 7D field that
+    is no lift, and a whole su2 cooling run, do not move a bit when _mul is
+    the four-entry oracle; both sides multiply links without BLAS, so the
+    comparison does not depend on the thread count."""
+    import g2lab.gauge.lattice as lattice
+
+    base = add_link_noise(constant_flux_field((4, 4, 4, 4), HALF_FLUX, "su2"), 0.05, seed=3)
+    lift = lift_lattice_7d(base, (2, 2, 2))
+    fields = (lift, add_link_noise(lift, 0.05, seed=4))
+    start = add_link_noise(constant_flux_field((4, 4, 4, 4), HALF_FLUX, "su2"), 0.02, seed=5)
+
+    def run():
+        flow = cool_to_sd(start, max_steps=40)
+        return ([_clover_stack(V, _PLANES7).tobytes() for V in fields],
+                np.array(flow["history"]).tobytes(), flow["field"].links.tobytes())
+
+    got = run()
+    monkeypatch.setattr(lattice, "_mul", four_entry_mul)
+    assert run() == got
+
+
+def _in_quaternion_form(links) -> bool:
+    """u11 == conj u00 and u10 == -conj u01 at every link, by value."""
+    return (np.array_equal(links[1, 1], np.conj(links[0, 0]))
+            and np.array_equal(links[1, 0], -np.conj(links[0, 1])))
+
+
+def test_su2_producers_return_links_in_quaternion_form(tmp_path):
+    dims = (4, 4, 4, 4)
+    U = add_link_noise(constant_flux_field(dims, HALF_FLUX, "su2"), 0.02, seed=5)
+    trial = LatticeGaugeField(dims, "su2", _mul(_expm_ah(-0.01 * asd_force(U)), U.links))
+    reunitarize(trial)
+    path = str(tmp_path / "field.lat")
+    write_snapshot(U, path)
+    fields = {"identity_field": identity_field(dims, "su2"),
+              "constant_flux_field": constant_flux_field(dims, HALF_FLUX, "su2"),
+              "add_link_noise": U, "random_gauge_transform": random_gauge_transform(U, 6),
+              "reunitarize": trial, "lift_lattice_7d": lift_lattice_7d(U, (2, 2, 2)),
+              "cool_to_sd": cool_to_sd(U, max_steps=40)["field"],
+              "read_snapshot": read_snapshot(path)}
+    for name, V in fields.items():
+        assert _in_quaternion_form(V.links), name
 
 
 def _su2_links(rng, n):
