@@ -148,6 +148,11 @@ def mat_identity(n: int, exact: bool = True):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _all_exact(m) -> bool:
+    """The matrix helpers' one exactness rule; a float entry means floats."""
+    return all(is_exact(x) for row in m for x in row)
+
+
 def _scaled(m) -> tuple:
     """An exact matrix as (rows of Python ints, e) with m = rows / e."""
     e = math.lcm(*(x.denominator for row in m for x in row))
@@ -173,15 +178,15 @@ def _int_det(a: list) -> int:
 
 def mat_det(m) -> object:
     """Determinant; 2x2 written out (the minors of 5-form Hodge stars).  Exact
-    input: Bareiss in ints over one denominator, reduced once at the end."""
+    input (_all_exact): Bareiss in ints over one denominator, reduced once."""
     n = len(m)
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if all(is_exact(x) for row in m for x in row):
+    if _all_exact(m):
         a, e = _scaled(m)
         return _int_det(a) if e == 1 else Fraction(_int_det(a), e ** n)
     a = [list(row) for row in m]
-    det = a[0][0] - a[0][0] + 1  # one, in the scalar type of the matrix
+    det = 1.0
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
@@ -191,7 +196,7 @@ def mat_det(m) -> object:
             det = -det
         pval = a[col][col]
         det = det * pval
-        inv = Fraction(1, 1) / pval if is_exact(pval) else 1.0 / pval
+        inv = 1.0 / pval
         for r in range(col + 1, n):
             f = a[r][col] * inv
             if f == 0:
@@ -202,11 +207,11 @@ def mat_det(m) -> object:
 
 
 def mat_inverse(m):
-    """Gauss-Jordan; for an exact m[0][0], Bareiss's fraction-free form on the
-    ints A = e m, which ends at d I | d A^-1, so m^-1 = e (d A^-1) / d exactly."""
-    n, exact = len(m), is_exact(m[0][0])
+    """Gauss-Jordan; for an exact m (_all_exact), Bareiss's fraction-free form on
+    the ints A = e m, which ends at d I | d A^-1, so m^-1 = e (d A^-1) / d."""
+    n, exact = len(m), _all_exact(m)
     if exact:
-        m, e = _scaled([[x if is_exact(x) else Fraction(x) for x in row] for row in m])
+        m, e = _scaled(m)
     a, prev = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)], 1
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
@@ -282,7 +287,7 @@ class Metric:
         return mat_det([list(r) for r in self.mat])
 
     def is_exact(self) -> bool:
-        return is_exact(self.mat[0][0])
+        return _all_exact(self.mat)
 
 
 def _close(a, b, tol: float = 1e-12) -> bool:
@@ -482,7 +487,7 @@ def pullback_linear(M, a: ConstForm) -> ConstForm:
     if a.degree == 0:
         return ConstForm(m, 0, dict(a.coeffs))
     coeffs = a.coeffs
-    exact = all(is_exact(x) for r in rows for x in r) and all(map(is_exact, coeffs.values()))
+    exact = _all_exact(rows) and all(map(is_exact, coeffs.values()))
     if exact:
         # M = N / e, c_I = p_I / q: int minors, one division per coefficient
         rows, e = _scaled(rows)

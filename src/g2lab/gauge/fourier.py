@@ -25,7 +25,7 @@ import numpy as np
 
 from ..exterior import INDEX_OF, MASK_OF, MERGE_SIGN, ConstForm, lex_basis, top_coefficients
 from ..fibration import TorusFibration
-from .lattice import _instanton_residuals, _norm_sq
+from .lattice import _instanton_residuals
 
 TWO_PI_I = 2.0j * np.pi
 
@@ -260,7 +260,7 @@ class FourierField:
 
     def norm_sq(self) -> float:
         """Parseval L^2 norm squared with the tr(c c^dagger) matrix norm."""
-        return _norm_sq(self.coeffs)
+        return float(np.vdot(self.coeffs, self.coeffs).real)
 
     def full_field(self) -> "FourierField":
         """The field itself.  Kept only for the benchmark's
@@ -373,4 +373,4 @@ def instanton_residual_field(F: FourierField) -> dict:
     of ``lattice.residual_7d``, in the same adapted frame, on the mode stack."""
     if F.dim != 7 or F.degree != 2:
         raise ValueError("expected a 7D 2-form")
-    return _instanton_residuals(_components(F), 1)
+    return _instanton_residuals(_components(F), 1, lambda c: float(np.vdot(c, c).real))

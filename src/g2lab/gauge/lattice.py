@@ -1,10 +1,12 @@
 """Lattice gauge fields on periodic hypercubic lattices.
 
-Links live on (site, direction) pairs as U(1) phases or SU(2) matrices
-[[a, b], [-conj b, conj a]], a form kept by products, sums and real multiples,
-stored entry-major (i, j, direction, *sites); plane stacks and snapshots are
-matrix-last.  The clover-averaged plaquette measures curvature; cooling drives
-the ASD energy to zero while the (quasi-conserved) charge selects the sector.
+Links live on (site, direction) pairs as U(1) phases u or SU(2) matrices
+[[a, b], [-conj b, conj a]], a form that products, sums and real multiples
+keep, so every array stores row 0 alone, u or (a, b), on axis 0: links are
+(r, direction, *sites), site arrays (r, *sites), plane stacks (planes, r,
+*sites); snapshots hold whole matrices.  The clover-averaged plaquette
+measures curvature; cooling drives the ASD energy to zero while the
+(quasi-conserved) charge selects the sector.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ class CoolingDivergence(RuntimeError):
 
 @dataclass
 class LatticeGaugeField:
-    """Links (r, r, d, *dims): U(1) phases, or su2 [[a, b], [-conj b, conj a]]."""
+    """Links (r, d, *dims): U(1) phases u, or su2 (a, b) of [[a, b], [-conj b, conj a]]."""
     dims: tuple
     group: str
-    links: np.ndarray      # (r, r, d, *dims) complex
+    links: np.ndarray      # (r, d, *dims) complex
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
@@ -48,7 +50,7 @@ class LatticeGaugeField:
             raise ValueError(f"lattice extents {list(self.dims)} must be >= 1")
         if self.group not in _RANK:
             raise ValueError(f"unknown group {self.group!r}")
-        want = (self.rank, self.rank, len(self.dims), *self.dims)
+        want = (self.rank, len(self.dims), *self.dims)
         if self.links.shape != want:
             raise ValueError(f"links shape {self.links.shape} != {want}")
 
@@ -68,9 +70,8 @@ class LatticeGaugeField:
 
 
 def identity_field(dims, group: str) -> LatticeGaugeField:
-    r = _RANK[group]
-    links = np.zeros((r, r, len(dims), *dims), dtype=complex)
-    links[range(r), range(r)] = 1.0
+    links = np.zeros((_RANK[group], len(dims), *dims), dtype=complex)
+    links[0] = 1.0
     return LatticeGaugeField(tuple(dims), group, links)
 
 
@@ -80,44 +81,33 @@ def _shift_index(extent: int, n: int) -> np.ndarray:
 
 
 def _shift(a: np.ndarray, axis, n: int) -> np.ndarray:
-    """The site array (r, r, *dims) ``a`` read at x + n e_axis (each axis of a
-    tuple): np.roll(a, -n, 2 + axis) as a gather, without roll's setup."""
+    """The site array (r, *dims) ``a`` read at x + n e_axis (each axis of a
+    tuple): np.roll(a, -n, 1 + axis) as a gather, without roll's setup."""
     for ax in axis if isinstance(axis, tuple) else (axis,):
-        a = np.take(a, _shift_index(a.shape[2 + ax], n), axis=2 + ax)
+        a = np.take(a, _shift_index(a.shape[1 + ax], n), axis=1 + ax)
     return a
 
 
-# entry-major (r, r, ...) <-> matrix-last (..., r, r) views, 4x cheaper than np.moveaxis
-_matrix_last = functools.partial(np.einsum, "ij...->...ij")
-_entry_major = functools.partial(np.einsum, "...ij->ij...")
-
-
-def _dag(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, 0, 1))
+def _dag(x: np.ndarray) -> np.ndarray:
+    """X^+: conj u, or (conj a, -b)."""
+    return np.concatenate((np.conj(x[:1]), -x[1:]))
 
 
 def _mul(*factors: np.ndarray) -> np.ndarray:
-    """factors[0] @ factors[1] @ ... (two or more) over broadcast sites, written
-    out (matmul is slow on tiny matrices): rank 1 elementwise, rank 2 row 0 only
-    (Creutz, PRD 21, 2308 (1980)), as [[a, b], [-conj b, conj a]] makes row 1
-    (-conj u01, conj u00); 0 - x for -x keeps an exact zero +0, as sums give it."""
+    """factors[0] @ factors[1] @ ... (two or more) over broadcast sites: u1 u2, or (Creutz,
+    PRD 21, 2308 (1980)) (a1, b1)(a2, b2) = (a1 a2 - b1 conj b2, a1 b2 + b1 conj a2)."""
     if len(factors[0]) == 1:
         return functools.reduce(np.multiply, factors)
-    a, b = factors[0][0], factors[-1]
-    for f in factors[1:-1]:
-        a = [a[0] * f[0, j] + a[1] * f[1, j] for j in (0, 1)]
-    out = np.empty((2, 2, *np.broadcast_shapes(a[0].shape, b.shape[2:])), complex)
-    for j in (0, 1):
-        np.add(np.multiply(a[0], b[0, j], out=out[0, j]), a[1] * b[1, j], out=out[0, j])
-    out[1, 1].real, out[1, 0].imag = out[0, 0].real, out[0, 1].imag
-    out[1, 1].imag, out[1, 0].real = 0.0 - out[0, 0].imag, 0.0 - out[0, 1].real
-    return out
+    a, b = factors[0]
+    for a2, b2 in factors[1:]:
+        a, b = a * a2 - b * np.conj(b2), a * b2 + b * np.conj(a2)
+    return np.stack((a, b))
 
 
 def _plane_links(U: LatticeGaugeField, mu: int, nu: int) -> tuple:
     """The four factors a, b, c, d of P_{mu nu}(x) = a b c d: U_mu(x),
     U_nu(x+mu), U_mu(x+nu)^+ and U_nu(x)^+ at every site."""
-    um, un = U.links[:, :, mu], U.links[:, :, nu]
+    um, un = U.links[:, mu], U.links[:, nu]
     return um, _shift(un, mu, 1), _dag(_shift(um, nu, 1)), _dag(un)
 
 
@@ -126,11 +116,10 @@ def plaquette_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
     return _mul(*_plane_links(U, mu, nu))
 
 
-def _project_algebra(m: np.ndarray, rank: int) -> np.ndarray:
-    g = 0.5 * (m - _dag(m))
-    if rank > 1:
-        t = 0.5 * (g[0, 0] - g[1, 1])
-        g[0, 0], g[1, 1] = t, -t
+def _project_algebra(m: np.ndarray) -> np.ndarray:
+    """The anti-Hermitian traceless part: i Im u, or (i Im a, b); a - a keeps inf as nan."""
+    g = m.copy()
+    g[0].real -= m[0].real
     return g
 
 
@@ -162,9 +151,7 @@ def _clover(rank: int, mu: int, nu: int, links, p: np.ndarray, bcd=None) -> np.n
         C += _shift(_mul(c, d, a, b), (mu, nu), -1)
         C += _shift(_mul(d, a, b, c), nu, -1)
     # the factors are powers of 2, so this is (C - C^+)/8 to the bit
-    F = _project_algebra(C, rank)
-    F /= 4.0
-    return F
+    return _project_algebra(C) / 4.0
 
 
 # (mu, nu) planes in lexicographic order: the six of the first four
@@ -181,20 +168,21 @@ _INTERIOR = np.where(_BITS[:, None, None] | _BITS[:, None] == _MASKS2,
 
 
 def _clover_stack(U: LatticeGaugeField, planes) -> np.ndarray:
-    """clover_field of every (mu, nu) in ``planes``, matrix-last on axis 0.
+    """clover_field of every (mu, nu) in ``planes``, stacked on axis 0.
 
     The one clover pass behind every lattice curvature observable."""
-    F = np.empty((len(planes), *U.dims, U.rank, U.rank), dtype=complex)
+    F = np.empty((len(planes), U.rank, *U.dims), dtype=complex)
     for k, (mu, nu) in enumerate(planes):
-        F[k] = _matrix_last(clover_field(U, mu, nu))
+        F[k] = clover_field(U, mu, nu)
     return F
 
 
 def _charge(U: LatticeGaugeField, f) -> float:
     """(1/8 pi^2) sum tr(F^F) from the six base planes ``f`` (_PLANES4)."""
-    f01, f02, f03, f12, f13, f23 = (_entry_major(x) for x in f)
+    f01, f02, f03, f12, f13, f23 = f
     dens = _mul(f01, f23) - _mul(f02, f13) + _mul(f03, f12)
-    total = float(np.real(np.trace(dens)).sum())
+    # the trace of [[a, b], [-conj b, conj a]] is 2 Re a
+    total = U.rank * float(dens[0].real.sum())
     if U.ndim > 4:
         # lifted fields repeat each base slice across the fiber volume
         total /= float(np.prod(U.dims[4:]))
@@ -209,9 +197,11 @@ def clover_charge(U: LatticeGaugeField) -> float:
     return _charge(U, _clover_stack(U, _PLANES4))
 
 
-def _norm_sq(a: np.ndarray) -> float:
-    """Sum of |a_ij|^2 over all entries: sum over sites of tr(a a^+)."""
-    return float(np.vdot(a, a).real)
+def _norm_sq(x: np.ndarray, rank: int) -> float:
+    """The sum over sites of tr(X X^+), rank |row 0|^2, in an order numpy
+    fixes (BLAS's np.vdot splits its sum by the thread count)."""
+    v = np.ascontiguousarray(x).view(float).ravel()
+    return rank * float(np.einsum("i,i->", v, v))
 
 
 def _sd_asd(f) -> tuple:
@@ -222,14 +212,10 @@ def _sd_asd(f) -> tuple:
             (f01 - f23, f02 + f13, f03 - f12))
 
 
-def _chirality(f) -> dict:
-    return _energies(_sd_asd(f))
-
-
-def _energies(parts) -> dict:
+def _energies(parts, rank: int) -> dict:
     """|F+|^2, |F-|^2, their total and the ASD fraction from the two parts
     that _sd_asd returns."""
-    sd, asd = (0.5 * sum(_norm_sq(a) for a in part) for part in parts)
+    sd, asd = (0.5 * sum(_norm_sq(a, rank) for a in part) for part in parts)
     total = sd + asd
     return {"sd_sq": sd, "asd_sq": asd, "total": total,
             "asd_fraction": asd / total if total > 0 else 0.0}
@@ -237,7 +223,7 @@ def _energies(parts) -> dict:
 
 def chirality_energies(U: LatticeGaugeField) -> dict:
     """Per-site-summed |F+|^2 and |F-|^2 from the clover field (4D part)."""
-    return _chirality(_clover_stack(U, _PLANES4))
+    return _energies(_sd_asd(_clover_stack(U, _PLANES4)), U.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +256,8 @@ def constant_flux_field(dims, flux, group: str = "u1") -> LatticeGaugeField:
             theta[k] += 2.0 * np.pi * fjk * grids[j] / (nj * nk)
             theta[j] -= np.where(grids[j] == nj - 1,
                                  2.0 * np.pi * fjk * grids[k] / nk, 0.0)
-    ph, z = np.exp(1j * theta), np.zeros(theta.shape, complex)
-    links = ph[None, None] if group == "u1" else np.array([[ph, z], [z, np.conj(ph)]])
+    ph = np.exp(1j * theta)
+    links = ph[None] if group == "u1" else np.stack((ph, np.zeros(theta.shape, complex)))
     return LatticeGaugeField(tuple(dims), group, links)
 
 
@@ -281,14 +267,14 @@ def add_link_noise(U: LatticeGaugeField, amplitude: float, seed: int) -> Lattice
     rng = SplitMix64(seed)
     # copied first, so the noised links sit below the temporaries on the heap
     out = U.copy()
-    flat = out.links.reshape(U.rank, U.rank, -1)
+    flat = out.links.reshape(U.rank, -1)
     # a huge amplitude overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         if U.group == "u1":
-            flat *= np.exp(1j * (np.array(rng.gausses(flat.shape[2])) * amplitude))
+            flat *= np.exp(1j * (np.array(rng.gausses(flat.shape[1])) * amplitude))
         else:
-            coef = np.array(rng.gausses(3 * flat.shape[2])).reshape(-1, 3) * amplitude
-            flat[:] = _mul(_expm_ah(_entry_major(su2(coef[:, ::-1]))), flat)
+            coef = np.array(rng.gausses(3 * flat.shape[1])).reshape(-1, 3) * amplitude
+            flat[:] = _mul(_expm_ah(su2(coef[:, ::-1])[:, 0].T), flat)
     if not np.isfinite(flat).all():
         raise ValueError(f"link noise of amplitude {amplitude!r} gives non-finite links")
     return out
@@ -299,13 +285,13 @@ def random_gauge_transform(U: LatticeGaugeField, seed: int) -> LatticeGaugeField
     rng = SplitMix64(seed)
     n = U.n_sites()
     if U.group == "u1":
-        g = np.exp(1j * 2 * np.pi * np.array(rng.uniforms(n))).reshape(1, 1, *U.dims)
+        g = np.exp(1j * 2 * np.pi * np.array(rng.uniforms(n))).reshape(1, *U.dims)
     else:
         coef = np.array(rng.gausses(3 * n)).reshape(-1, 3)
-        g = _expm_ah(_entry_major(su2(coef[:, ::-1]))).reshape(2, 2, *U.dims)
+        g = _expm_ah(su2(coef[:, ::-1])[:, 0].T).reshape(2, *U.dims)
     out = U.copy()
     for mu in range(U.ndim):
-        out.links[:, :, mu] = _mul(g, out.links[:, :, mu], _dag(_shift(g, mu, 1)))
+        out.links[:, mu] = _mul(g, out.links[:, mu], _dag(_shift(g, mu, 1)))
     return out
 
 
@@ -326,27 +312,24 @@ def su2(g) -> np.ndarray:
 
 
 def _expm_ah(X: np.ndarray) -> np.ndarray:
-    """Exponential of anti-Hermitian traceless 2x2 (or plain exp for 1x1)."""
+    """exp X of the Lie algebra: exp for U(1); for su(2) (i alpha, beta),
+    (cos th + sinc th i alpha, sinc th beta) with th^2 = alpha^2 + |beta|^2."""
     if len(X) == 1:
         return np.exp(X)
-    a, b, c = np.imag(X[0, 0]), np.real(X[0, 1]), np.imag(X[0, 1])
+    a, b, c = X[0].imag, X[1].real, X[1].imag
     th = np.sqrt(a * a + b * b + c * c)
     sinc = np.where(th > 1e-30, np.sin(np.maximum(th, 1e-30)) / np.maximum(th, 1e-30), 1.0)
-    return np.cos(th) * np.eye(2).reshape(2, 2, *(1,) * th.ndim) + sinc * X
+    return np.stack((np.cos(th) + sinc * X[0], sinc * X[1]))
 
 
 def reunitarize(U: LatticeGaugeField) -> None:
-    """Project links back onto the group, in place; for su2 the nearest SU(2)
-    matrix: the normalised quaternion part [[a, b], [-conj b, conj a]]."""
+    """Project links back onto the group, in place: row 0 over its norm, which
+    for su2 is the SU(2) matrix nearest a real multiple of one."""
     u = U.links
     if U.group == "u1":
-        u[0, 0] /= np.abs(u[0, 0])
-        return
-    a = 0.5 * (u[0, 0] + np.conj(u[1, 1]))
-    b = 0.5 * (u[0, 1] - np.conj(u[1, 0]))
-    n = np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
-    u[0, 0], u[0, 1] = a / n, b / n
-    u[1, 0], u[1, 1] = -np.conj(u[0, 1]), np.conj(u[0, 0])
+        u /= np.abs(u)
+    else:
+        u /= np.sqrt(u[0].real ** 2 + u[0].imag ** 2 + u[1].real ** 2 + u[1].imag ** 2)
 
 
 # plane -> (its component in the ASD part of _sd_asd, its sign there): the
@@ -360,8 +343,8 @@ def _measure(U: LatticeGaugeField) -> tuple:
     plaquettes P by plane and the ASD part D of their projections: what a
     cooling trial measures, and what the sweep of an accepted field reuses."""
     P = {p: plaquette_field(U, *p) for p in _PLANES4}
-    parts = _sd_asd([_matrix_last(_project_algebra(P[p], U.rank)) for p in _PLANES4])
-    return _energies(parts), P, [_entry_major(x) for x in parts[1]]
+    parts = _sd_asd([_project_algebra(P[p]) for p in _PLANES4])
+    return _energies(parts, U.rank), P, list(parts[1])
 
 
 def plaquette_chirality_energies(U: LatticeGaugeField) -> dict:
@@ -381,19 +364,19 @@ def _plane_sweep(U: LatticeGaugeField, P: dict, D) -> tuple:
     for (mu, nu), (k, s) in _PLANE_SIGNS.items():
         links = a, b, c, d = _plane_links(U, mu, nu)
         p, bcd = P.pop((mu, nu)), _mul(b, c, d)
-        F[(mu, nu)] = _matrix_last(_clover(U.rank, mu, nu, links, p, bcd))
+        F[(mu, nu)] = _clover(U.rank, mu, nu, links, p, bcd)
         # s = +-1, so adding s X is adding or subtracting X
         add, sub = (np.add, np.subtract) if s > 0 else (np.subtract, np.add)
-        om, on = out[:, :, mu], out[:, :, nu]
+        om, on = out[:, mu], out[:, nu]
         # U_mu(x): leading factor of P(x), daggered third factor of P(x-nu)
         add(om, _mul(p, dd[k]), out=om)
-        sub(om, _shift(_mul(d, dd[k], p, U.links[:, :, nu]), nu, -1), out=om)
+        sub(om, _shift(_mul(d, dd[k], p, U.links[:, nu]), nu, -1), out=om)
         # U_nu(x): second factor of P(x-mu), daggered last factor of P(x)
         add(on, _shift(_mul(bcd, dd[k], a), mu, -1), out=on)
         sub(on, _mul(dd[k], p), out=on)
     # sign: Re tr(X M) = -<X, Pi(M)> for anti-Hermitian X, so the descent
     # update U <- exp(-tau G) U needs G = -Pi(M)
-    return _charge(U, [F[p] for p in _PLANES4]), -_project_algebra(out, U.rank)
+    return _charge(U, [F[p] for p in _PLANES4]), -_project_algebra(out)
 
 
 def asd_force(U: LatticeGaugeField) -> np.ndarray:
@@ -434,7 +417,7 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
         if fmax < 1e-14:
             plateau = True
             break
-        g2, tau = _norm_sq(_matrix_last(force)), min(tau, 0.1 / fmax)
+        g2, tau = _norm_sq(force, work.rank), min(tau, 0.1 / fmax)
         for _ in range(30):
             rot = _expm_ah(-tau * force)
             trial = LatticeGaugeField(work.dims, work.group, _mul(rot, work.links))
@@ -456,7 +439,7 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
     else:
         # stopped by tol or max_steps: the last field needs no force, and its
         # clover reads the plaquettes that measured it
-        F = [_matrix_last(_clover(work.rank, *q, _plane_links(work, *q), P[q])) for q in _PLANES4]
+        F = [_clover(work.rank, *q, _plane_links(work, *q), P[q]) for q in _PLANES4]
         history.append((steps, en["asd_fraction"], _charge(work, F)))
     return {"field": work, "history": history, "converged": en["asd_fraction"] < tol,
             "steps": steps, "plateau": plateau}
@@ -474,7 +457,7 @@ def lift_lattice_7d(U: LatticeGaugeField, t_dims) -> LatticeGaugeField:
     if len(t_dims) != 3:
         raise ValueError("three fiber directions required")
     V = identity_field(U.dims + t_dims, U.group)
-    V.links[:, :, :4] = U.links[..., None, None, None]
+    V.links[:, :4] = U.links[..., None, None, None]
     return V
 
 
@@ -491,11 +474,12 @@ def _residual_maps() -> dict:
             "r_b": np.eye(21) - T / float(s.lambda14), "f7_norm": p7}
 
 
-def _instanton_residuals(F: np.ndarray, n: int) -> dict:
+def _instanton_residuals(F: np.ndarray, n: int, norm_sq) -> dict:
     """RMS over the n columns of a 21-component 2-form stack ``F`` of the
     three instanton residuals: r_a of F ^ star_phi, r_b of F - T(F)/lambda14
-    and f7_norm of p7 F, with T = p7 (lambda7 - lambda14) + lambda14."""
-    return {k: float(np.sqrt(_norm_sq(np.tensordot(M, F, axes=(1, 0))) / n))
+    and f7_norm of p7 F, with T = p7 (lambda7 - lambda14) + lambda14, each
+    measured by ``norm_sq``."""
+    return {k: float(np.sqrt(norm_sq(np.tensordot(M, F, axes=(1, 0))) / n))
             for k, M in _residual_maps().items()}
 
 
@@ -506,7 +490,8 @@ def residual_7d(U: LatticeGaugeField) -> dict:
     standard 3-form whatever the twist."""
     if U.ndim != 7:
         raise ValueError("expected a 7D field")
-    return _instanton_residuals(_clover_stack(U, _PLANES7), U.n_sites())
+    return _instanton_residuals(_clover_stack(U, _PLANES7), U.n_sites(),
+                                functools.partial(_norm_sq, rank=U.rank))
 
 
 def _cs_integral(U: LatticeGaugeField, F: np.ndarray, v,
@@ -518,7 +503,8 @@ def _cs_integral(U: LatticeGaugeField, F: np.ndarray, v,
     times N_mu N_nu is the curvature and the site average is the integral.
     The form algebra is a 21 x 21 table T with
     top(eta_k ^ (v -| eta_l) ^ four_form) = T[k, l]; the sites enter through
-    one contraction of T with tr(F_k F_l).
+    one contraction of T with tr(F_k F_l) = rank Re sum_r F_k[r] W_l[r], since
+    tr (a, b)(c, d) = 2 Re(a c - b conj d) for W = (c, -conj d).
     """
     if U.ndim != 7:
         raise ValueError("expected a 7D lattice field")
@@ -528,8 +514,9 @@ def _cs_integral(U: LatticeGaugeField, F: np.ndarray, v,
     B = np.tensordot(v, _INTERIOR, 1)
     scale = np.array([U.dims[i] * U.dims[j] for i, j in _PLANES7], dtype=float)
     T = (M @ B) * np.outer(scale, scale)
-    total = np.einsum("kl,k...ab,l...ba->", T, F, F, optimize=True)
-    return float(total.real) / U.n_sites()
+    W = np.concatenate((F[:, :1], -np.conj(F[:, 1:])), axis=1)
+    total = np.einsum("kl,kr...,lr...->", T, F, W, optimize=True)
+    return U.rank * float(total.real) / U.n_sites()
 
 
 def asd_residual_4d(U: LatticeGaugeField) -> float:
@@ -543,16 +530,23 @@ def asd_residual_4d(U: LatticeGaugeField) -> float:
 
 
 def write_snapshot(U: LatticeGaugeField, path: str) -> None:
-    """Binary snapshot: fixed header, then row-major complex links as
-    little-endian float64 (re, im) pairs, with a JSON manifest alongside.
-    The format's spacing slot holds 1/N of the first axis; nothing reads it."""
+    """Binary snapshot: fixed header, then the link matrices (d, *dims, r, r),
+    row-major, as little-endian float64 (re, im) pairs, su2 row 1 (-conj b,
+    conj a) with 0 - x for -x; a JSON manifest alongside.  The format's spacing
+    slot holds 1/N of the first axis; nothing reads it."""
     spacing = 1.0 / U.dims[0]
+    full = np.empty((U.rank, *U.links.shape), complex)
+    full[0] = U.links
+    if U.rank == 2:
+        a, b = U.links
+        full[1, 0].real, full[1, 0].imag = 0.0 - b.real, b.imag
+        full[1, 1].real, full[1, 1].imag = a.real, 0.0 - a.imag
     # magic, version 1, ndim, extents, group code, spacing
     header = _MAGIC + struct.pack(f"<2I{U.ndim}IId", 1, U.ndim, *U.dims,
                                   _GROUP_CODE[U.group], spacing)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(_matrix_last(U.links).astype("<c16").tobytes())
+        fh.write(np.einsum("ij...->...ij", full).astype("<c16").tobytes())
     manifest = {
         "format": _MAGIC.decode(), "version": 1,
         "dims": list(U.dims), "group": U.group, "spacing": spacing,
@@ -568,7 +562,7 @@ def read_snapshot(path: str) -> LatticeGaugeField:
     """Read a write_snapshot file.  The header, and the file length against it,
     are checked before the links are allocated; a mismatch, a spacing not finite
     and > 0 (checked, then ignored), a NaN or infinite link entry or an su2 link
-    not [[a, b], [-conj b, conj a]] in value raises ValueError."""
+    not [[a, b], [-conj b, conj a]] in value raises ValueError; row 0 is kept."""
     size = os.path.getsize(path)
     with open(path, "rb") as fh:
         def unpack(fmt):
@@ -604,5 +598,5 @@ def read_snapshot(path: str) -> LatticeGaugeField:
         raise ValueError("snapshot has non-finite link entries")
     if r == 2 and ((raw[3::4] != raw[::4].conj()) | (raw[2::4] != -raw[1::4].conj())).any():
         raise ValueError("snapshot has su2 links not of the form [[a, b], [-conj b, conj a]]")
-    links = _entry_major(raw.reshape(ndim, *dims, r, r))
+    links = np.moveaxis(raw.reshape(ndim, *dims, r, r)[..., 0, :], -1, 0)
     return LatticeGaugeField(dims, group, np.ascontiguousarray(links, complex))

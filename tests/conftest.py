@@ -11,9 +11,7 @@ from g2lab.exterior import (DimensionMismatch, hodge, interior, is_exact,
                             lex_basis, mat_identity, mat_minor_det, wedge)
 from g2lab.g2core import metric_from_phi, standard_structure as _standard
 from g2lab.gauge.fourier import _components, _pairing, topological_charge
-from g2lab.gauge.lattice import (  # noqa: F401  (su2 is imported by the tests)
-    _chirality, _norm_sq, _sd_asd, su2,
-)
+from g2lab.gauge.lattice import _sd_asd, su2  # noqa: F401  (su2 is imported by the tests)
 
 settings.register_profile(
     "ci",
@@ -81,17 +79,36 @@ def fraction_gauss_jordan_inverse(m):
     return [row[n:] for row in a]
 
 
+def _complex(re, im):
+    """re + i im with the bits of both parts, signed zeros included."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def whole_matrices(x):
+    """Row-0 arrays u or (a, b) on axis 0 as matrix-last (..., r, r) matrices,
+    su2 row 1 (-conj b, conj a) spelled with 0 - x, as snapshots hold it."""
+    if len(x) == 1:
+        return x[0][..., None, None]
+    a, b = x
+    row1 = [_complex(0.0 - b.real, b.imag), _complex(a.real, 0.0 - a.imag)]
+    return np.moveaxis(np.array([[a, b], row1]), (0, 1), (-2, -1))
+
+
 def four_entry_mul(*factors):
-    """factors[0] @ factors[1] @ ... for entry-major (2, 2, *sites) arrays,
-    each of the four entries of every 2x2 product summed out on its own, in
-    _mul's order of operations: the oracle for _mul's read-off of row 1."""
-    a, b = factors[0], factors[-1]
-    for f in factors[1:-1]:
+    """factors[0] @ factors[1] @ ... for row-0 su2 arrays (2, *sites): each
+    factor expanded to [[a, b], [-conj b, conj a]], each of the four entries
+    of every 2x2 product summed out on its own, and row 0 of the product
+    returned: the oracle for _mul's row-0 product."""
+    m = [np.moveaxis(whole_matrices(f), (-2, -1), (0, 1)) for f in factors]
+    a, b = m[0], m[-1]
+    for f in m[1:-1]:
         a = [[a[i][0] * f[0, j] + a[i][1] * f[1, j] for j in (0, 1)] for i in (0, 1)]
     out = np.empty((2, 2, *np.broadcast_shapes(a[0][0].shape, b.shape[2:])), complex)
     for i, j in itertools.product((0, 1), repeat=2):
         np.add(np.multiply(a[i][0], b[0, j], out=out[i, j]), a[i][1] * b[1, j], out=out[i, j])
-    return out
+    return out[0]
 
 
 def wedge_b_matrix(phi):
@@ -207,6 +224,11 @@ def convolution_pairing(a, b, form) -> float:
     return 0.0 if top is None else float(np.trace(top).real)
 
 
+def _vdot_norm_sq(c) -> float:
+    """The sum of |c_ij|^2 over r x r coefficients, as FourierField.norm_sq sums it."""
+    return float(np.vdot(c, c).real)
+
+
 def ym_energy_4d(F) -> dict:
     """Yang-Mills energy split into SD and ASD parts, plus the charge.
 
@@ -217,9 +239,8 @@ def ym_energy_4d(F) -> dict:
     """
     if F.dim != 4:
         raise ValueError("expected a 4D field")
-    en = _chirality(_components(F))
-    return {"total": en["total"], "sd_part": en["sd_sq"],
-            "asd_part": en["asd_sq"], "q": topological_charge(F)}
+    sd, asd = (0.5 * sum(_vdot_norm_sq(x) for x in part) for part in _sd_asd(_components(F)))
+    return {"total": sd + asd, "sd_part": sd, "asd_part": asd, "q": topological_charge(F)}
 
 
 def energy_decomposition_7d(F, s) -> dict:
@@ -231,7 +252,7 @@ def energy_decomposition_7d(F, s) -> dict:
     if F.dim != 7:
         raise ValueError("expected a 7D field")
     comps = _components(F)
-    f7sq, f14sq = (_norm_sq(np.tensordot(p, comps, axes=(1, 0)))
+    f7sq, f14sq = (_vdot_norm_sq(np.tensordot(p, comps, axes=(1, 0)))
                    for p in (s.p7_array(), p14_array(s)))
     kappa = -_pairing(F, F, s.phi)
     lam7 = float(s.lambda7)
@@ -288,9 +309,9 @@ def asd_defect_form(F) -> np.ndarray:
 
 def unitarity_defect(U) -> float:
     """Largest entry of U U^+ - 1 over all links, and for su2 of det U - 1."""
-    u, m = U.links, np.moveaxis(U.links, (0, 1), (-2, -1))
+    m = whole_matrices(U.links)
     d = np.abs(m @ np.conj(np.swapaxes(m, -1, -2)) - np.eye(U.rank)).max()
     if U.group == "su2":
-        det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
         d = max(float(d), float(np.abs(det - 1.0).max()))
     return float(d)

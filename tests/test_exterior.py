@@ -264,6 +264,34 @@ def test_exact_inverse_is_the_fraction_gauss_jordan_inverse(a):
     assert got == want and all(type(x) is Fraction for row in got for x in row)
 
 
+@st.composite
+def mixed_spd_matrices(draw):
+    """Symmetric, strictly diagonally dominant (so positive definite) n x n
+    matrices of exact scalars, each entry made a float or not at random."""
+    n = draw(st.integers(2, 5))
+    a = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        a[i][j] = a[j][i] = draw(exact_scalars) + (10 * n if i == j else 0)
+    return [[float(x) if draw(st.booleans()) else x for x in row] for row in a]
+
+
+@given(mixed_spd_matrices())
+def test_det_inverse_and_metric_share_one_exactness_rule(m):
+    """Exact means every entry exact: mat_det, mat_inverse and Metric.is_exact
+    take the exact branch for the same matrices, and a float entry sends all
+    three to the float branch."""
+    exact = all(is_exact(x) for row in m for x in row)
+    assert is_exact(mat_det(m)) == exact
+    assert {is_exact(x) for row in mat_inverse(m) for x in row} == {exact}
+    assert Metric(len(m), m).is_exact() == exact
+
+
+def test_a_float_entry_beside_an_exact_leading_entry_takes_the_float_branch():
+    m = [[1, 0.5, 0], [0.25, 2, 0], [0, 0, 1.0]]
+    assert type(mat_det(m)) is float
+    assert all(type(x) is float for row in mat_inverse(m) for x in row)
+
+
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
     exact_matrices(rows=n), st.integers(0, n))), st.data())
 def test_exact_pullback_is_cauchy_binet(case, data):

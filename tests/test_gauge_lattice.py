@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import four_entry_mul, unitarity_defect
+from conftest import four_entry_mul, unitarity_defect, whole_matrices
 from g2lab.gauge.lattice import (
     CoolingDivergence, LatticeGaugeField, add_link_noise, asd_force,
     asd_residual_4d, chirality_energies, clover_charge, clover_field,
@@ -21,8 +21,8 @@ from g2lab.chernsimons import Verdict, obstruction_verdict_lattice, rho_lattice
 from g2lab.exterior import ConstForm, interior, lex_basis, top_coefficients, wedge
 from g2lab.g2core import OMEGA_BAR_BASE, OMEGA_BASE, standard_structure
 from g2lab.gauge.lattice import (
-    _BITS, _INTERIOR, _MASKS2, _PLANE_SIGNS, _PLANES4, _PLANES7, _chirality,
-    _clover_stack, _expm_ah, _mul, _residual_maps, _sd_asd, _shift,
+    _BITS, _INTERIOR, _MASKS2, _PLANE_SIGNS, _PLANES4, _PLANES7, _clover_stack,
+    _energies, _expm_ah, _mul, _norm_sq, _residual_maps, _sd_asd, _shift,
 )
 from g2lab.rng import SplitMix64
 
@@ -112,7 +112,7 @@ def test_chirality_tables_are_the_omega_triples():
 
 def test_single_plaquette_excitation_is_topologically_trivial():
     U = identity_field((6, 6, 6, 6), "u1")
-    U.links[0, 0, 0, 0, 0, 0, 0] = np.exp(0.3j)
+    U.links[0, 0, 0, 0, 0, 0] = np.exp(0.3j)
     assert abs(clover_charge(U)) < 1e-3
 
 
@@ -329,7 +329,7 @@ def test_zero_lattice_extents_are_refused():
     """An empty lattice has no sites to average over: residual_7d would
     divide by a site count of 0."""
     with pytest.raises(ValueError, match="extents"):
-        LatticeGaugeField((0, 2, 2, 2), "u1", np.ones((1, 1, 4, 0, 2, 2, 2), complex))
+        LatticeGaugeField((0, 2, 2, 2), "u1", np.ones((1, 4, 0, 2, 2, 2), complex))
     with pytest.raises(ValueError, match="extents"):
         lift_lattice_7d(identity_field((2, 2, 2, 2), "su2"), (0, 2, 2))
 
@@ -391,27 +391,29 @@ def test_snapshot_refuses_su2_links_off_the_quaternion_form(tmp_path):
     links, whose u10 is +0 where -conj u01 is -0, and all-zero links pass."""
     path = str(tmp_path / "field.lat")
     for U in (identity_field((2, 2, 2, 2), "su2"),
-              LatticeGaugeField((2, 2, 2, 2), "su2", np.zeros((2, 2, 4, 2, 2, 2, 2), complex))):
+              LatticeGaugeField((2, 2, 2, 2), "su2", np.zeros((2, 4, 2, 2, 2, 2), complex))):
         write_snapshot(U, path)
         assert read_snapshot(path).links.tobytes() == U.links.tobytes()
-    U.links[1, 1, 3, 1, 0, 1, 1] = 1.0
-    write_snapshot(U, path)
+    # row 1 lives only in the file: set u11 of one all-zero link to 1
+    shape = (4, 2, 2, 2, 2, 2, 2)   # (d, *dims, r, r)
+    entry = np.ravel_multi_index((3, 1, 0, 1, 1, 1, 1), shape)
+    with open(path, "r+b") as fh:
+        fh.seek(-16 * (np.prod(shape) - entry), 2)
+        fh.write(struct.pack("<dd", 1.0, 0.0))
     with pytest.raises(ValueError, match="not of the form"):
         read_snapshot(path)
 
 
-# The library stores links entry-major, (r, r, d, *dims).  The references
-# below keep the matrix-last spellings, (d, *dims, r, r), that the library
-# used before, frozen here: the library's arrays, moved back with
-# np.moveaxis, must match them bit for bit.
-def _ml(a):
-    """An entry-major array as a matrix-last view."""
-    return np.moveaxis(a, (0, 1), (-2, -1))
+# The library stores row 0 of each link on the first axis, (r, d, *dims).  The
+# references below keep whole matrix-last matrices, (d, *dims, r, r), and sum
+# every entry of every product on its own: the library's arrays must match
+# the references' row 0 bit for bit.
+_ml = whole_matrices
 
 
 def _em(a):
-    """A matrix-last array as a contiguous entry-major one."""
-    return np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
+    """Row 0 of matrix-last matrices, as a contiguous row-0 array."""
+    return np.ascontiguousarray(np.moveaxis(a[..., 0, :], -1, 0))
 
 
 def _ml_dag(a):
@@ -530,10 +532,10 @@ def test_loop_words_are_bit_identical_to_the_explicit_leaves(group, dims):
     u = np.ascontiguousarray(_ml(U.links))
     for mu, nu in itertools.permutations(range(U.ndim), 2):
         want = _reference_plaquette(u, mu, nu)
-        assert _ml(plaquette_field(U, mu, nu)).tobytes() == want.tobytes()
-        assert (_ml(clover_field(U, mu, nu)).tobytes()
-                == _reference_clover(u, U.rank, mu, nu).tobytes())
-    assert _ml(asd_force(U)).tobytes() == _reference_asd_force(u, U.rank).tobytes()
+        assert plaquette_field(U, mu, nu).tobytes() == _em(want).tobytes()
+        assert (clover_field(U, mu, nu).tobytes()
+                == _em(_reference_clover(u, U.rank, mu, nu)).tobytes())
+    assert asd_force(U).tobytes() == _em(_reference_asd_force(u, U.rank)).tobytes()
 
 
 @pytest.mark.parametrize("dims", [(4, 4, 4, 4), (3, 4, 5, 2), (4, 4, 4, 4, 2, 3, 2)],
@@ -574,8 +576,8 @@ def _roll_clover_charge(u, rank):
 
 
 def _roll_energies(u, rank):
-    return _chirality([_ml_project_algebra(_ml_mul(*_roll_links(u, *p)), rank)
-                       for p in _PLANES4])
+    return _energies(_sd_asd([_em(_ml_project_algebra(_ml_mul(*_roll_links(u, *p)), rank))
+                              for p in _PLANES4]), rank)
 
 
 def _roll_asd_force(u, rank):
@@ -605,7 +607,7 @@ def _roll_cool(U, max_steps, tol):
             plateau = True
             break
         # the quadratic model of E(tau) from its exact slope -|G|^2 at 0
-        g2 = float(np.vdot(force, force).real)
+        g2 = _norm_sq(_em(force), rank)
         tau = min(tau, 0.1 / fmax)
         for _ in range(30):
             rot = _ml_expm_ah(-tau * force)
@@ -634,7 +636,7 @@ def _assert_same_cooling(U, max_steps, tol=1e-3):
     assert got["history"] == want["history"]
     for key in ("steps", "converged", "plateau"):
         assert got[key] == want[key], key
-    assert _ml(got["field"].links).tobytes() == want["links"].tobytes()
+    assert got["field"].links.tobytes() == _em(want["links"]).tobytes()
     return got
 
 
@@ -644,7 +646,7 @@ def test_shift_is_np_roll():
     b = _em(a)
     for axis, n in itertools.product(axes, (1, -1)):
         got = _shift(b, axis, n)
-        assert _ml(got).tobytes() == _roll(a, axis, n).tobytes(), (axis, n)
+        assert got.tobytes() == _em(_roll(a, axis, n)).tobytes(), (axis, n)
         assert not np.shares_memory(got, b)
 
 
@@ -655,7 +657,7 @@ def test_cooling_sweep_is_bit_identical_to_separate_passes(group, dims):
     flux, noise = (SD_UNIT, 0.05) if group == "u1" else (HALF_FLUX, 0.02)
     U = add_link_noise(constant_flux_field(dims, flux, group), noise, seed=5)
     u = np.ascontiguousarray(_ml(U.links))
-    assert _ml(asd_force(U)).tobytes() == _roll_asd_force(u, U.rank).tobytes()
+    assert asd_force(U).tobytes() == _em(_roll_asd_force(u, U.rank)).tobytes()
     assert clover_charge(U) == _roll_clover_charge(u, U.rank)
     # 4^4 and 6^4 converge within 40 steps, 3x4x5x2 is stopped by max_steps
     out = _assert_same_cooling(U, max_steps=40)
@@ -683,16 +685,15 @@ def _quaternion_links(rng, shape):
 
 
 def _half_flux_links(rng, shape):
-    """Entry-major diagonal links [[z, 0], [0, conj z]] drawn from the sites
-    of the su2 half-flux field, their off-diagonal zeros +0 in both rows."""
-    links = constant_flux_field((4, 4, 4, 4), HALF_FLUX, "su2").links.reshape(2, 2, -1)
-    return links[:, :, rng.integers(links.shape[2], size=shape)]
+    """Diagonal links (z, 0) drawn from the sites of the su2 half-flux field."""
+    links = constant_flux_field((4, 4, 4, 4), HALF_FLUX, "su2").links.reshape(2, -1)
+    return links[:, rng.integers(links.shape[1], size=shape)]
 
 
 MUL_SHAPES = [[(7,), (7,)], [(3, 1, 4), (5, 1), (1,)], [(2, 3), (3,), (2, 1), (2, 3)]]
 MUL_FACTORS = {
     "quaternion": lambda rng, shape: _em(_quaternion_links(rng, shape)),
-    "identity": lambda rng, shape: identity_field(shape, "su2").links[:, :, 0],
+    "identity": lambda rng, shape: identity_field(shape, "su2").links[:, 0],
     "half-flux": _half_flux_links,
 }
 
@@ -715,18 +716,15 @@ def test_mul_is_matmul_to_a_few_ulps(rank, shapes):
 @pytest.mark.parametrize("kind", sorted(MUL_FACTORS))
 @pytest.mark.parametrize("shapes", MUL_SHAPES)
 def test_mul_is_the_four_entry_product_to_the_bit(kind, shapes):
-    """Row 1 read off row 0 is the four-entry product, bit for bit, but for
-    the sign of an exact zero on the half-flux links: a sum of zeros takes
-    its sign from row-1 inputs that the read-off never sees, and there the
-    off-diagonal zeros are +0 in both rows, not b and -conj b.  Adding 0.0
-    turns -0 into +0 and leaves every other entry's bits."""
+    """The row-0 product is row 0 of the four-entry product, bit for bit but
+    for the sign of an exact zero: (a1 a2 - b1 conj b2) takes the sign of a
+    zero where the four entries add b1 (-conj b2).  Adding 0.0 turns -0 into
+    +0 and leaves every other entry's bits."""
     rng = np.random.default_rng(3)
     factors = [MUL_FACTORS[kind](rng, s) for s in shapes]
     got, want = _mul(*factors), four_entry_mul(*factors)
     assert got.shape == want.shape and np.array_equal(got, want)
-    if kind == "half-flux":
-        got, want = got + 0.0, want + 0.0
-    assert got.tobytes() == want.tobytes()
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_lattice_pipelines_are_bit_identical_with_the_four_entry_product(monkeypatch):
@@ -751,13 +749,9 @@ def test_lattice_pipelines_are_bit_identical_with_the_four_entry_product(monkeyp
     assert run() == got
 
 
-def _in_quaternion_form(links) -> bool:
-    """u11 == conj u00 and u10 == -conj u01 at every link, by value."""
-    return (np.array_equal(links[1, 1], np.conj(links[0, 0]))
-            and np.array_equal(links[1, 0], -np.conj(links[0, 1])))
-
-
-def test_su2_producers_return_links_in_quaternion_form(tmp_path):
+def test_su2_producers_write_snapshots_that_read_back(tmp_path):
+    # each file passes read_snapshot's check that its links are
+    # [[a, b], [-conj b, conj a]] by value, and holds the field's row 0
     dims = (4, 4, 4, 4)
     U = add_link_noise(constant_flux_field(dims, HALF_FLUX, "su2"), 0.02, seed=5)
     trial = LatticeGaugeField(dims, "su2", _mul(_expm_ah(-0.01 * asd_force(U)), U.links))
@@ -771,7 +765,8 @@ def test_su2_producers_return_links_in_quaternion_form(tmp_path):
               "cool_to_sd": cool_to_sd(U, max_steps=40)["field"],
               "read_snapshot": read_snapshot(path)}
     for name, V in fields.items():
-        assert _in_quaternion_form(V.links), name
+        write_snapshot(V, path)
+        assert np.array_equal(read_snapshot(path).links, V.links), name
 
 
 def _su2_links(rng, n):
@@ -812,10 +807,12 @@ def test_reunitarize_matches_svd_projection_near_su2():
 
 def test_reunitarize_is_the_nearest_su2_matrix():
     # off the quaternion directions the two projections differ at second
-    # order; the closed form is the one nearest the input
+    # order; the normalised quaternion part, the row 0 that a field stores,
+    # is the one nearest the input
     rng = np.random.default_rng(4)
     M = _su2_links(rng, 5000) + 1e-3 * _random_links(rng, (5000,), 2)
-    V = _as_field(M)
+    q = 0.5 * (M + np.conj(M[:, ::-1, ::-1]) * [[1, -1], [-1, 1]])
+    V = _as_field(q)
     reunitarize(V)
     assert unitarity_defect(V) < 1e-15
     near = np.linalg.norm(_ml(V.links)[0] - M, axis=(-2, -1))
