@@ -90,7 +90,10 @@ def _shift(a: np.ndarray, axis, n: int) -> np.ndarray:
 
 def _dag(x: np.ndarray) -> np.ndarray:
     """X^+: conj u, or (conj a, -b)."""
-    return np.concatenate((np.conj(x[:1]), -x[1:]))
+    out = np.empty_like(x)
+    np.conjugate(x[:1], out=out[:1])
+    np.negative(x[1:], out=out[1:])
+    return out
 
 
 def _mul(*factors: np.ndarray) -> np.ndarray:
@@ -274,7 +277,7 @@ def add_link_noise(U: LatticeGaugeField, amplitude: float, seed: int) -> Lattice
             flat *= np.exp(1j * (np.array(rng.gausses(flat.shape[1])) * amplitude))
         else:
             coef = np.array(rng.gausses(3 * flat.shape[1])).reshape(-1, 3) * amplitude
-            flat[:] = _mul(_expm_ah(su2(coef[:, ::-1])[:, 0].T), flat)
+            flat[:] = _mul(_expm_ah(_su2_row0(coef)), flat)
     if not np.isfinite(flat).all():
         raise ValueError(f"link noise of amplitude {amplitude!r} gives non-finite links")
     return out
@@ -288,7 +291,7 @@ def random_gauge_transform(U: LatticeGaugeField, seed: int) -> LatticeGaugeField
         g = np.exp(1j * 2 * np.pi * np.array(rng.uniforms(n))).reshape(1, *U.dims)
     else:
         coef = np.array(rng.gausses(3 * n)).reshape(-1, 3)
-        g = _expm_ah(su2(coef[:, ::-1])[:, 0].T).reshape(2, *U.dims)
+        g = _expm_ah(_su2_row0(coef)).reshape(2, *U.dims)
     out = U.copy()
     for mu in range(U.ndim):
         out.links[:, mu] = _mul(g, out.links[:, mu], _dag(_shift(g, mu, 1)))
@@ -309,6 +312,11 @@ def su2(g) -> np.ndarray:
     X[..., 0, 1] = g[..., 1] + 1j * g[..., 2]
     X[..., 1, 0] = -g[..., 1] + 1j * g[..., 2]
     return X
+
+
+def _su2_row0(c: np.ndarray) -> np.ndarray:
+    """Row 0 (i c2, c1 + i c0) of su2(c[:, ::-1]) for coefficient rows c (n, 3)."""
+    return np.stack((1j * c[:, 2], c[:, 1] + 1j * c[:, 0]))
 
 
 def _expm_ah(X: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 import functools
 import itertools
+import math
 import struct
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from g2lab.exterior import ConstForm, interior, lex_basis, top_coefficients, wed
 from g2lab.g2core import OMEGA_BAR_BASE, OMEGA_BASE, standard_structure
 from g2lab.gauge.lattice import (
     _BITS, _INTERIOR, _MASKS2, _PLANE_SIGNS, _PLANES4, _PLANES7, _clover_stack,
-    _energies, _expm_ah, _mul, _norm_sq, _residual_maps, _sd_asd, _shift,
+    _energies, _expm_ah, _mul, _norm_sq, _residual_maps, _sd_asd, _shift, _su2_row0, su2,
 )
 from g2lab.rng import SplitMix64
 
@@ -847,7 +849,8 @@ def test_state_before_inverts_the_mix():
         assert SplitMix64(_state_before(out)).next_u64() == out
 
 
-# seeds whose first draw is 0 (u1 clamped to 2^-64) and 1.0 (a signed zero)
+# seeds whose first uniform is 0 (clamped to 2^-64) and 1.0 (whose tail
+# argument 1 - u = 0 is clamped to 2^-64)
 PRNG_SEEDS = list(range(18)) + [_state_before(0), _state_before((1 << 64) - 1)]
 
 
@@ -863,3 +866,47 @@ def test_batch_draws_are_bit_identical_to_single_draws(seed):
         assert bits(batch.uniforms(n)) == bits([single.uniform() for _ in range(n)])
         assert batch.state == single.state
     assert SplitMix64(seed).gausses(0) == [] and len(SplitMix64(seed).uniforms(0)) == 0
+
+
+def test_draws_at_both_ends_of_the_unit_interval_are_finite_and_opposite():
+    lo, hi = SplitMix64(_state_before(0)), SplitMix64(_state_before((1 << 64) - 1))
+    assert lo.uniform() == 0.0 and hi.uniform() == 1.0
+    lo, hi = SplitMix64(_state_before(0)), SplitMix64(_state_before((1 << 64) - 1))
+    z = lo.gauss()
+    assert hi.gauss() == -z and -9.09 < z < -9.07
+
+
+def test_draws_match_the_standard_library_inverse_normal_cdf():
+    # NormalDist.inv_cdf is AS241 with the same coefficients and order; the
+    # two agree to the bit here, but a C build may contract to FMA
+    inv_cdf = NormalDist().inv_cdf
+    u = SplitMix64(1).uniforms(149644)
+    assert 0.0 < u.min() and u.max() < 1.0
+    z = np.array(SplitMix64(1).gausses(len(u)))
+    ref = np.array([inv_cdf(x) for x in u.tolist()])
+    assert np.all(np.abs(z - ref) <= 2 * np.spacing(np.abs(ref)))
+
+
+def test_only_tail_draws_call_log(monkeypatch):
+    seen, log = [], math.log
+
+    def counting_log(x):
+        seen.append(x)
+        return log(x)
+
+    u = SplitMix64(3).uniforms(10 ** 5)
+    monkeypatch.setattr(math, "log", counting_log)
+    SplitMix64(3).gausses(10 ** 5)
+    tail = u[np.abs(u - 0.5) > 0.425]
+    assert 0.14 < len(tail) / len(u) < 0.16
+    assert seen == np.minimum(tail, 1.0 - tail).tolist()
+
+
+def test_su2_noise_row_is_row_0_of_the_whole_matrix():
+    # signed zeros in every slot, then normal draws
+    c = np.random.default_rng(8).standard_normal((5000, 3))
+    c[:27] = list(itertools.product((0.0, -0.0, -1.5), repeat=3))
+    row = _su2_row0(c)
+    whole = su2(c[:, ::-1])[:, 0].T
+    assert row.tobytes() == whole.tobytes()
+    assert _expm_ah(row).tobytes() == _expm_ah(whole).tobytes()
