@@ -252,9 +252,10 @@ def obstruction_verdict_lattice(ctx: CSContext, U, xi: ConstForm,
     site-sum quadrature; the tolerance reflects discretization error.  One
     clover pass over the 21 planes serves q, rho and r_phi."""
     F = _clover_stack(U, _PLANES7)
+    base = F[_BASE_PLANES].imag if U.rank == 1 else F[_BASE_PLANES]
 
     def measure(v):
-        return (_charge(U, F[_BASE_PLANES]),
+        return (_charge(U, base),
                 _cs_integral(U, F, v, standard_structure().star_phi),
                 _cs_integral(U, F, v, xi) / EIGHT_PI_SQ)
     return _verdict(xi, tol, measure)

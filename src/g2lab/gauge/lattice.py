@@ -4,8 +4,11 @@ Links live on (site, direction) pairs as U(1) phases u or SU(2) matrices
 [[a, b], [-conj b, conj a]], a form that products, sums and real multiples
 keep, so every array stores row 0 alone, u or (a, b), on axis 0: links are
 (r, direction, *sites), site arrays (r, *sites), plane stacks (planes, r,
-*sites); snapshots hold whole matrices.  The clover-averaged plaquette
-measures curvature; cooling drives the ASD energy to zero while the
+*sites); snapshots hold whole matrices.  Inside cooling, u(1) values i y
+(the SD/ASD parts, the force, the base-plane clovers behind the charge) are
+stored as their real coefficient y, and the U(1) force is the one field
+Y = Im(P conj D) per plane read at x, x - mu and x - nu.  The clover-averaged
+plaquette measures curvature; cooling drives the ASD energy to zero while the
 (quasi-conserved) charge selects the sector.
 """
 
@@ -133,26 +136,36 @@ def clover_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
     part; approximates a^2 F_{mu nu} to O(a^4) with exact antisymmetry.
     """
     links = _plane_links(U, mu, nu)
-    return _clover(U.rank, mu, nu, links, _mul(*links))
+    F = _clover(U, mu, nu, _mul(*links), links)
+    if U.rank == 2:
+        return F
+    # i F, with the real part +0 that (C - C^+)/8 has
+    out = np.zeros(F.shape, complex)
+    out.imag = F
+    return out
 
 
-def _clover(rank: int, mu: int, nu: int, links, p: np.ndarray, bcd=None) -> np.ndarray:
-    """clover_field from the plane's links a, b, c, d and its plaquette
-    p = abcd; rank 2 takes the partial product bcd when it is given."""
-    if rank == 1:
+def _clover(U: LatticeGaugeField, mu: int, nu: int, p: np.ndarray, links=None,
+            bcd=None) -> np.ndarray:
+    """clover_field from the plane's plaquette p = abcd, u(1) as its real
+    coefficient of i; su(2) reads the plane's links a, b, c, d (built when
+    not given) and takes the partial product bcd when it is given."""
+    if U.rank == 1:
         # U(1) leaves commute: each is the plaquette at x - mu, x - mu - nu
-        # or x - nu (Sheikholeslami & Wohlert, Nucl. Phys. B 259, 572 (1985))
-        pm = _shift(p, mu, -1)
-        C = p + pm
-        C += _shift(pm, nu, -1)
-        C += _shift(p, nu, -1)
-    else:
-        a, b, c, d = links
-        # the leaves are the cyclic words abcd, bcda, cdab, dabc: the plaquettes
-        # at x, x - mu, x - mu - nu and x - nu, each read from its corner at x
-        C = p + _shift(_mul(_mul(b, c, d) if bcd is None else bcd, a), mu, -1)
-        C += _shift(_mul(c, d, a, b), (mu, nu), -1)
-        C += _shift(_mul(d, a, b, c), nu, -1)
+        # or x - nu (Sheikholeslami & Wohlert, Nucl. Phys. B 259, 572 (1985));
+        # (C - C^+)/8 is i Im C / 4, and Im C sums the leaves' Im P
+        q = p.imag
+        qm = _shift(q, mu, -1)
+        C = q + qm
+        C += _shift(qm, nu, -1)
+        C += _shift(q, nu, -1)
+        return C / 4.0
+    a, b, c, d = _plane_links(U, mu, nu) if links is None else links
+    # the leaves are the cyclic words abcd, bcda, cdab, dabc: the plaquettes
+    # at x, x - mu, x - mu - nu and x - nu, each read from its corner at x
+    C = p + _shift(_mul(_mul(b, c, d) if bcd is None else bcd, a), mu, -1)
+    C += _shift(_mul(c, d, a, b), (mu, nu), -1)
+    C += _shift(_mul(d, a, b, c), nu, -1)
     # the factors are powers of 2, so this is (C - C^+)/8 to the bit
     return _project_algebra(C) / 4.0
 
@@ -181,11 +194,16 @@ def _clover_stack(U: LatticeGaugeField, planes) -> np.ndarray:
 
 
 def _charge(U: LatticeGaugeField, f) -> float:
-    """(1/8 pi^2) sum tr(F^F) from the six base planes ``f`` (_PLANES4)."""
+    """(1/8 pi^2) sum tr(F^F) from the six base planes ``f`` (_PLANES4),
+    u(1) ones as real coefficients of i."""
     f01, f02, f03, f12, f13, f23 = f
     dens = _mul(f01, f23) - _mul(f02, f13) + _mul(f03, f12)
-    # the trace of [[a, b], [-conj b, conj a]] is 2 Re a
-    total = U.rank * float(dens[0].real.sum())
+    if U.rank == 1:
+        # tr(i f i g) = -f g; 0.0 - s keeps a zero sum +0
+        total = 0.0 - float(dens[0].sum())
+    else:
+        # the trace of [[a, b], [-conj b, conj a]] is 2 Re a
+        total = 2.0 * float(dens[0].real.sum())
     if U.ndim > 4:
         # lifted fields repeat each base slice across the fiber volume
         total /= float(np.prod(U.dims[4:]))
@@ -197,7 +215,8 @@ def clover_charge(U: LatticeGaugeField) -> float:
     first four directions; gauge invariant by construction."""
     if U.ndim < 4:
         raise ValueError("need at least 4 directions")
-    return _charge(U, _clover_stack(U, _PLANES4))
+    F = _clover_stack(U, _PLANES4)
+    return _charge(U, F.imag if U.rank == 1 else F)
 
 
 def _norm_sq(x: np.ndarray, rank: int) -> float:
@@ -288,7 +307,7 @@ def random_gauge_transform(U: LatticeGaugeField, seed: int) -> LatticeGaugeField
     rng = SplitMix64(seed)
     n = U.n_sites()
     if U.group == "u1":
-        g = np.exp(1j * 2 * np.pi * np.array(rng.uniforms(n))).reshape(1, *U.dims)
+        g = np.exp(1j * 2 * np.pi * rng.uniforms(n)).reshape(1, *U.dims)
     else:
         coef = np.array(rng.gausses(3 * n)).reshape(-1, 3)
         g = _expm_ah(_su2_row0(coef)).reshape(2, *U.dims)
@@ -320,10 +339,11 @@ def _su2_row0(c: np.ndarray) -> np.ndarray:
 
 
 def _expm_ah(X: np.ndarray) -> np.ndarray:
-    """exp X of the Lie algebra: exp for U(1); for su(2) (i alpha, beta),
-    (cos th + sinc th i alpha, sinc th beta) with th^2 = alpha^2 + |beta|^2."""
+    """exp X of the Lie algebra: exp(i x) for u(1) stored as its real x; for
+    su(2) (i alpha, beta), (cos th + sinc th i alpha, sinc th beta) with
+    th^2 = alpha^2 + |beta|^2."""
     if len(X) == 1:
-        return np.exp(X)
+        return np.exp(1j * X)
     a, b, c = X[0].imag, X[1].real, X[1].imag
     th = np.sqrt(a * a + b * b + c * c)
     sinc = np.where(th > 1e-30, np.sin(np.maximum(th, 1e-30)) / np.maximum(th, 1e-30), 1.0)
@@ -348,10 +368,11 @@ _PLANE_SIGNS = {(i - 1, j - 1): (k, float(c))
 
 def _measure(U: LatticeGaugeField) -> tuple:
     """The single-plaquette chirality energies of the base planes, the six
-    plaquettes P by plane and the ASD part D of their projections: what a
-    cooling trial measures, and what the sweep of an accepted field reuses."""
+    plaquettes P by plane and the ASD part D of their projections (u(1) ones
+    i Im P as Im P): what a cooling trial measures, and what the sweep of an
+    accepted field reuses."""
     P = {p: plaquette_field(U, *p) for p in _PLANES4}
-    parts = _sd_asd([_project_algebra(P[p]) for p in _PLANES4])
+    parts = _sd_asd([P[p].imag if U.rank == 1 else _project_algebra(P[p]) for p in _PLANES4])
     return _energies(parts, U.rank), P, list(parts[1])
 
 
@@ -366,16 +387,31 @@ def plaquette_chirality_energies(U: LatticeGaugeField) -> dict:
 
 def _plane_sweep(U: LatticeGaugeField, P: dict, D) -> tuple:
     """The clover charge of U and its ASD force, from _measure's plaquettes P
-    and ASD part D, which the sweep empties: each base plane's four links are
-    built once more, for the clover leaves and the force terms."""
-    out, F, dd = np.zeros_like(U.links), {}, [_dag(D.pop(0)) for _ in range(3)]
+    and ASD part D, which the sweep empties.  U(1) commutes, so a plane's four
+    force terms are one real field Y = Im(P conj D_k) = -Re P delta_k (D_k =
+    i delta_k) read at x, x - mu and x - nu, and the force is real; su(2)
+    builds each base plane's four links once more, for the clover leaves and
+    the force terms."""
+    abelian = U.rank == 1
+    out, F = np.zeros(U.links.shape, float if abelian else complex), {}
+    dd = [x if abelian else _dag(x) for x in D]
+    D.clear()
     for (mu, nu), (k, s) in _PLANE_SIGNS.items():
-        links = a, b, c, d = _plane_links(U, mu, nu)
-        p, bcd = P.pop((mu, nu)), _mul(b, c, d)
-        F[(mu, nu)] = _clover(U.rank, mu, nu, links, p, bcd)
+        p = P.pop((mu, nu))
         # s = +-1, so adding s X is adding or subtracting X
         add, sub = (np.add, np.subtract) if s > 0 else (np.subtract, np.add)
         om, on = out[:, mu], out[:, nu]
+        if abelian:
+            # Pi takes the four terms of M below to i Y(x) - i Y(x - nu) on
+            # U_mu and i Y(x - mu) - i Y(x) on U_nu (|U_nu|^2 = 1), so
+            # G = -Pi(M) = i g adds them for y = -Y = Re P delta_k
+            F[(mu, nu)], y = _clover(U, mu, nu, p), p.real * dd[k]
+            add(om, y - _shift(y, nu, -1), out=om)
+            add(on, _shift(y, mu, -1) - y, out=on)
+            continue
+        links = a, b, c, d = _plane_links(U, mu, nu)
+        bcd = _mul(b, c, d)
+        F[(mu, nu)] = _clover(U, mu, nu, p, links, bcd)
         # U_mu(x): leading factor of P(x), daggered third factor of P(x-nu)
         add(om, _mul(p, dd[k]), out=om)
         sub(om, _shift(_mul(d, dd[k], p, U.links[:, nu]), nu, -1), out=om)
@@ -384,7 +420,7 @@ def _plane_sweep(U: LatticeGaugeField, P: dict, D) -> tuple:
         sub(on, _mul(dd[k], p), out=on)
     # sign: Re tr(X M) = -<X, Pi(M)> for anti-Hermitian X, so the descent
     # update U <- exp(-tau G) U needs G = -Pi(M)
-    return _charge(U, [F[p] for p in _PLANES4]), -_project_algebra(out)
+    return _charge(U, [F[p] for p in _PLANES4]), out if abelian else -_project_algebra(out)
 
 
 def asd_force(U: LatticeGaugeField) -> np.ndarray:
@@ -392,7 +428,9 @@ def asd_force(U: LatticeGaugeField) -> np.ndarray:
 
     E = 1/2 sum_x sum_k |D_k(x)|^2 with D built from the projected
     plaquettes; the chain rule contributes four terms per (link, plane)
-    since each link sits in two plaquettes of each containing plane.
+    since each link sits in two plaquettes of each containing plane.  The
+    U(1) force i g comes back as its real coefficient g: the four terms are
+    Y = Im(P conj D) read at x, x - mu and x - nu.
     """
     return _plane_sweep(U, *_measure(U)[1:])[1]
 
@@ -447,7 +485,7 @@ def cool_to_sd(U: LatticeGaugeField, max_steps: int = 5000,
     else:
         # stopped by tol or max_steps: the last field needs no force, and its
         # clover reads the plaquettes that measured it
-        F = [_clover(work.rank, *q, _plane_links(work, *q), P[q]) for q in _PLANES4]
+        F = [_clover(work, *q, P[q]) for q in _PLANES4]
         history.append((steps, en["asd_fraction"], _charge(work, F)))
     return {"field": work, "history": history, "converged": en["asd_fraction"] < tol,
             "steps": steps, "plateau": plateau}

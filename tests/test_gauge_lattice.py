@@ -442,7 +442,7 @@ def _ml_project_algebra(m, rank):
 
 def _ml_expm_ah(X):
     if X.shape[-1] == 1:
-        return np.exp(X)
+        return np.exp(1j * X)
     a, b, c = np.imag(X[..., 0, 0]), np.real(X[..., 0, 1]), np.imag(X[..., 0, 1])
     th = np.sqrt(a * a + b * b + c * c)
     sinc = np.where(th > 1e-30, np.sin(np.maximum(th, 1e-30)) / np.maximum(th, 1e-30), 1.0)
@@ -503,7 +503,27 @@ def _four_word_clover(u, rank, mu, nu):
     return _ml_project_algebra(p1 + p2 + p3 + p4, rank) / 4.0
 
 
+def _abelian_force(P, u):
+    """The u(1) force i g as its real coefficient g.  U(1) commutes, so a
+    plane's four force terms are one real field, y = Re P delta_k for
+    D_k = i delta_k, read at x and x - nu on U_mu, at x - mu and x on U_nu."""
+    D = _sd_asd([P[p].imag for p in _PLANES4])[1]
+    g = np.zeros(u.shape)
+    for (mu, nu), (k, s) in _PLANE_SIGNS.items():
+        y = P[(mu, nu)].real * D[k]
+        g[mu] += s * (y - _roll(y, nu, -1))
+        g[nu] += s * (_roll(y, mu, -1) - y)
+    return g
+
+
 def _reference_asd_force(u, rank):
+    if rank == 1:
+        return _abelian_force({p: _reference_plaquette(u, *p) for p in _PLANES4}, u)
+    return _four_word_force(u, rank)
+
+
+def _four_word_force(u, rank):
+    """The force with each term multiplied out as its own word of links."""
     P = {p: _reference_plaquette(u, *p) for p in _PLANES4}
     D = _sd_asd([_ml_project_algebra(P[p], rank) for p in _PLANES4])[1]
     out = np.zeros_like(u)
@@ -556,6 +576,33 @@ def test_abelian_clover_is_the_four_word_clover_to_a_few_ulps(dims):
         assert np.abs(got - want).max() <= bound
 
 
+@pytest.mark.parametrize("dims", [(4, 4, 4, 4), (3, 4, 5, 2), (4, 4, 4, 4, 2, 3, 2)],
+                         ids=["4x4x4x4", "3x4x5x2", "7d-lift"])
+def test_abelian_force_is_the_four_word_force_to_a_few_ulps(dims):
+    U = _noisy_field(dims, "u1")
+    u = np.ascontiguousarray(_ml(U.links))
+    got, want = asd_force(U), _em(_four_word_force(u, 1))
+    # Both spellings share P, delta_k (D_k = i delta_k) and the two-factor
+    # terms P conj D_k at x, which equal -y = -Re P delta_k to the bit.  Per
+    # plane the other term is a word of four factors (d conj D_k p U_nu, read
+    # at x - nu) or five (b c d conj D_k a, at x - mu), within 4 * 5 eps
+    # |delta| of its exact value as in test_mul_is_matmul_to_a_few_ulps.  The
+    # five-factor word's exact value holds the exact plaquette, which p misses
+    # by 4 * 4 eps; the four-factor word's holds |U_nu|^2, off 1 by at most the
+    # unitarity defect (plus eps, as that measure rounds once); y rounds by
+    # eps/2.  An entry meets such a term in three base planes, and each
+    # spelling rounds at most six additions, each by eps/2 of at most 6 delta.
+    # C - conj(C) = 2i Im C, so the four-word force's -Pi adds no rounding.
+    eps = np.finfo(float).eps
+    D = _sd_asd([plaquette_field(U, *p).imag for p in _PLANES4])[1]
+    delta = max(float(np.abs(d).max()) for d in D)
+    defect = unitarity_defect(U) + eps
+    bound = (3 * ((4 * 5 + 4 * 4 + 0.5) * eps + defect) + 2 * 6 * 3 * eps) * delta
+    assert got.dtype == float and got.shape == U.links.shape
+    assert not want.real.any()
+    assert np.abs(got - want.imag).max() <= bound
+
+
 # The cooling loop spelled as separate passes with np.roll shifts on
 # matrix-last links: the force, then the trial energies, then a fresh clover
 # charge for every history row.  cool_to_sd's single plane sweep per field
@@ -578,12 +625,18 @@ def _roll_clover_charge(u, rank):
 
 
 def _roll_energies(u, rank):
+    if rank == 1:
+        # the u(1) parts i Im P as their real coefficient Im P
+        return _energies(_sd_asd([_em(_ml_mul(*_roll_links(u, *p)).imag) for p in _PLANES4]),
+                         rank)
     return _energies(_sd_asd([_em(_ml_project_algebra(_ml_mul(*_roll_links(u, *p)), rank))
                               for p in _PLANES4]), rank)
 
 
 def _roll_asd_force(u, rank):
     P = {p: _ml_mul(*_roll_links(u, *p)) for p in _PLANES4}
+    if rank == 1:
+        return _abelian_force(P, u)
     D = _sd_asd([_ml_project_algebra(P[p], rank) for p in _PLANES4])[1]
     out = np.zeros_like(u)
     for (mu, nu), (k, s) in _PLANE_SIGNS.items():

@@ -1,6 +1,7 @@
 """The README's experiments run end to end and write what they promise."""
 
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -52,6 +53,23 @@ def test_obstruction_sweep_reads_the_standard_context(tmp_path, monkeypatch):
     assert load("obstruction_sweep").main(["--out", str(tmp_path / "sweep.csv")]) == 0
     assert len(seen) == 3 * 6
     assert all(ctx is chernsimons.CSContext.standard() for ctx in seen)
+
+
+def test_output_digests_hash_every_output(tmp_path, capsys):
+    """Each command's stdout and every file it writes gets one ``md5 name``
+    line, sorted; paths are relative to OUTDIR, so stdout does not name it."""
+    digests, outdir = load("output_digests"), tmp_path / "out"
+    cmds = [("flow", ["flow", "--group", "u1", "--lattice", "2x2x2x2", "--tol", "1",
+                      "--out", "f.lat"]),
+            ("deform", ["deform", "--xi", "xi.json"])]
+    assert digests.main([str(outdir)], cmds) == 0
+    names = sorted(os.listdir(outdir))
+    assert names == ["deform.out", "f.lat", "f.lat.csv", "f.lat.json", "flow.out", "xi.json"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"{hashlib.md5((outdir / n).read_bytes()).hexdigest()} {n}" for n in names]
+    assert json.loads((outdir / "flow.out").read_text())["out"] == "f.lat"
+    with pytest.raises(SystemExit, match="not empty"):
+        digests.main([str(outdir)], cmds)
 
 
 def readme_recipe():
