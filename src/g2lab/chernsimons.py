@@ -55,7 +55,7 @@ class CSContext:
 _STANDARD: CSContext | None = None
 
 
-def cs_one_form(ctx: CSContext, F: FourierField, b: FourierField) -> float:
+def cs_one_form(F: FourierField, b: FourierField) -> float:
     """rho_A(b): the integral of tr(F_A ^ b) ^ star_phi.
 
     Vanishes for every b exactly when F has no 7-component; linear in b.
@@ -235,27 +235,25 @@ def obstruction_verdict(ctx: CSContext, F: FourierField, xi: ConstForm,
 # lattice (site-sum) quadrature
 
 
-def rho_lattice(ctx: CSContext, U, v) -> float:
+def rho_lattice(U, v) -> float:
     """rho(beta_v) by site-sum quadrature on a 7D lattice field."""
     return _cs_integral(U, _clover_stack(U, _PLANES7), v,
                         standard_structure().star_phi)
 
 
-def perturbed_rho_lattice(ctx: CSContext, U, v, xi: ConstForm) -> float:
+def perturbed_rho_lattice(U, v, xi: ConstForm) -> float:
     """(r_phi)(beta_v) by site-sum quadrature, in charge units."""
     return _cs_integral(U, _clover_stack(U, _PLANES7), v, xi) / EIGHT_PI_SQ
 
 
-def obstruction_verdict_lattice(ctx: CSContext, U, xi: ConstForm,
-                                tol: float = 0.05) -> ObstructionReport:
+def obstruction_verdict_lattice(U, xi: ConstForm, tol: float = 0.05) -> ObstructionReport:
     """Lattice analogue of obstruction_verdict, with clover charge and
     site-sum quadrature; the tolerance reflects discretization error.  One
     clover pass over the 21 planes serves q, rho and r_phi."""
     F = _clover_stack(U, _PLANES7)
-    base = F[_BASE_PLANES].imag if U.rank == 1 else F[_BASE_PLANES]
 
     def measure(v):
-        return (_charge(U, base),
+        return (_charge(U, F[_BASE_PLANES]),
                 _cs_integral(U, F, v, standard_structure().star_phi),
                 _cs_integral(U, F, v, xi) / EIGHT_PI_SQ)
     return _verdict(xi, tol, measure)

@@ -370,12 +370,11 @@ def cmd_residual(args) -> int:
 
 def cmd_cs(args) -> int:
     U7 = _read_field(args.field, ndim=7)
-    ctx = CSContext.standard()
     v = tuple(float(x) for x in (1, 0, 0, 0, 0, 0, 0))
-    values = [rho_lattice(ctx, U7, v)]
+    values = [rho_lattice(U7, v)]
     for k in range(args.probe_offsets):
         probe = add_link_noise(U7, args.probe_amplitude, args.seed + k + 1)
-        values.append(rho_lattice(ctx, probe, v))
+        values.append(rho_lattice(probe, v))
     _emit({
         "command": "cs", "seed": args.seed,
         "v": list(v), "probe_offsets": args.probe_offsets,
@@ -388,7 +387,7 @@ def cmd_cs(args) -> int:
 
 def cmd_obstruct(args) -> int:
     U7 = _read_field(args.field, ndim=7)
-    rep = obstruction_verdict_lattice(CSContext.standard(), U7, _load_xi(args.xi))
+    rep = obstruction_verdict_lattice(U7, _load_xi(args.xi))
     _emit({"command": "obstruct", "report": rep.to_json_dict()})
     return EXIT_OK
 

@@ -4,12 +4,12 @@ Links live on (site, direction) pairs as U(1) phases u or SU(2) matrices
 [[a, b], [-conj b, conj a]], a form that products, sums and real multiples
 keep, so every array stores row 0 alone, u or (a, b), on axis 0: links are
 (r, direction, *sites), site arrays (r, *sites), plane stacks (planes, r,
-*sites); snapshots hold whole matrices.  Inside cooling, u(1) values i y
-(the SD/ASD parts, the force, the base-plane clovers behind the charge) are
-stored as their real coefficient y, and the U(1) force is the one field
-Y = Im(P conj D) per plane read at x, x - mu and x - nu.  The clover-averaged
-plaquette measures curvature; cooling drives the ASD energy to zero while the
-(quasi-conserved) charge selects the sector.
+*sites); snapshots hold whole matrices.  Every u(1)-valued array (the
+SD/ASD parts, the force, the clovers and their stacks) stores i y as its real
+coefficient y, and the U(1) force is the one field Y = Im(P conj D) per plane
+read at x, x - mu and x - nu.  The clover-averaged plaquette measures
+curvature; cooling drives the ASD energy to zero while the (quasi-conserved)
+charge selects the sector.
 """
 
 from __future__ import annotations
@@ -130,19 +130,14 @@ def _project_algebra(m: np.ndarray) -> np.ndarray:
 
 
 def clover_field(U: LatticeGaugeField, mu: int, nu: int) -> np.ndarray:
-    """Anti-Hermitian traceless clover average F^_{mu nu}(x).
+    """Anti-Hermitian traceless clover average F^_{mu nu}(x), u(1) as its
+    real coefficient of i.
 
     Four plaquette leaves around the site, F^ = (C - C^+)/8 minus the trace
     part; approximates a^2 F_{mu nu} to O(a^4) with exact antisymmetry.
     """
     links = _plane_links(U, mu, nu)
-    F = _clover(U, mu, nu, _mul(*links), links)
-    if U.rank == 2:
-        return F
-    # i F, with the real part +0 that (C - C^+)/8 has
-    out = np.zeros(F.shape, complex)
-    out.imag = F
-    return out
+    return _clover(U, mu, nu, _mul(*links), links)
 
 
 def _clover(U: LatticeGaugeField, mu: int, nu: int, p: np.ndarray, links=None,
@@ -187,7 +182,7 @@ def _clover_stack(U: LatticeGaugeField, planes) -> np.ndarray:
     """clover_field of every (mu, nu) in ``planes``, stacked on axis 0.
 
     The one clover pass behind every lattice curvature observable."""
-    F = np.empty((len(planes), U.rank, *U.dims), dtype=complex)
+    F = np.empty((len(planes), U.rank, *U.dims), dtype=float if U.rank == 1 else complex)
     for k, (mu, nu) in enumerate(planes):
         F[k] = clover_field(U, mu, nu)
     return F
@@ -195,7 +190,7 @@ def _clover_stack(U: LatticeGaugeField, planes) -> np.ndarray:
 
 def _charge(U: LatticeGaugeField, f) -> float:
     """(1/8 pi^2) sum tr(F^F) from the six base planes ``f`` (_PLANES4),
-    u(1) ones as real coefficients of i."""
+    u(1) ones real, as clover_field returns them."""
     f01, f02, f03, f12, f13, f23 = f
     dens = _mul(f01, f23) - _mul(f02, f13) + _mul(f03, f12)
     if U.rank == 1:
@@ -215,8 +210,7 @@ def clover_charge(U: LatticeGaugeField) -> float:
     first four directions; gauge invariant by construction."""
     if U.ndim < 4:
         raise ValueError("need at least 4 directions")
-    F = _clover_stack(U, _PLANES4)
-    return _charge(U, F.imag if U.rank == 1 else F)
+    return _charge(U, _clover_stack(U, _PLANES4))
 
 
 def _norm_sq(x: np.ndarray, rank: int) -> float:
@@ -241,11 +235,6 @@ def _energies(parts, rank: int) -> dict:
     total = sd + asd
     return {"sd_sq": sd, "asd_sq": asd, "total": total,
             "asd_fraction": asd / total if total > 0 else 0.0}
-
-
-def chirality_energies(U: LatticeGaugeField) -> dict:
-    """Per-site-summed |F+|^2 and |F-|^2 from the clover field (4D part)."""
-    return _energies(_sd_asd(_clover_stack(U, _PLANES4)), U.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +538,10 @@ def _cs_integral(U: LatticeGaugeField, F: np.ndarray, v,
     times N_mu N_nu is the curvature and the site average is the integral.
     The form algebra is a 21 x 21 table T with
     top(eta_k ^ (v -| eta_l) ^ four_form) = T[k, l]; the sites enter through
-    one contraction of T with tr(F_k F_l) = rank Re sum_r F_k[r] W_l[r], since
-    tr (a, b)(c, d) = 2 Re(a c - b conj d) for W = (c, -conj d).
+    one contraction of T with tr(F_k F_l) = rank Re sum_r F_k[r] W_l[r]:
+    tr (a, b)(c, d) = 2 Re(a c - b conj d) for W = (c, -conj d), and u(1)
+    planes, stored as their real coefficients y, have tr(i y i y') = -y y'
+    for W = -F.
     """
     if U.ndim != 7:
         raise ValueError("expected a 7D lattice field")
@@ -560,14 +551,14 @@ def _cs_integral(U: LatticeGaugeField, F: np.ndarray, v,
     B = np.tensordot(v, _INTERIOR, 1)
     scale = np.array([U.dims[i] * U.dims[j] for i, j in _PLANES7], dtype=float)
     T = (M @ B) * np.outer(scale, scale)
-    W = np.concatenate((F[:, :1], -np.conj(F[:, 1:])), axis=1)
+    W = -F if U.rank == 1 else np.concatenate((F[:, :1], -np.conj(F[:, 1:])), axis=1)
     total = np.einsum("kl,kr...,lr...->", T, F, W, optimize=True)
     return U.rank * float(total.real) / U.n_sites()
 
 
 def asd_residual_4d(U: LatticeGaugeField) -> float:
     """Per-site RMS norm of the ASD clover component of a 4D field."""
-    en = chirality_energies(U)
+    en = _energies(_sd_asd(_clover_stack(U, _PLANES4)), U.rank)
     return float(np.sqrt(en["asd_sq"] / U.n_sites()))
 
 

@@ -11,7 +11,8 @@ from g2lab.exterior import (DimensionMismatch, hodge, interior, is_exact,
                             lex_basis, mat_identity, mat_minor_det, wedge)
 from g2lab.g2core import metric_from_phi, standard_structure as _standard
 from g2lab.gauge.fourier import _components, _pairing, topological_charge
-from g2lab.gauge.lattice import _sd_asd, su2  # noqa: F401  (su2 is imported by the tests)
+from g2lab.gauge.lattice import (  # noqa: F401  (su2 is imported by the tests)
+    _PLANES4, _clover_stack, _energies, _sd_asd, su2)
 
 settings.register_profile(
     "ci",
@@ -305,6 +306,11 @@ def asd_defect_form(F) -> np.ndarray:
     d = F.modes.get((0,) * F.dim, {})
     z = np.zeros((F.group_rank,) * 2, dtype=complex)
     return -np.stack(_sd_asd([d.get(idx, z) for idx in lex_basis(4, 2)])[1])
+
+
+def chirality_energies(U) -> dict:
+    """|F+|^2, |F-|^2, their total and the ASD fraction of the clover field's 4D part."""
+    return _energies(_sd_asd(_clover_stack(U, _PLANES4)), U.rank)
 
 
 def unitarity_defect(U) -> float:

@@ -178,7 +178,7 @@ def test_functional_one_form_consistency(cs_context):
     bb.add_coeff((0, 1, 0, 0, 0, 0, 0), (2,), su2([-0.1, 0.5, 0.2]))
     bb.add_coeff((-1, -1, 0, 0, 0, 0, 0), (5,), su2([0.4, 0.1, -0.3]))
     bb = bb.symmetrized()
-    rho = cs_one_form(cs_context, F, bb)
+    rho = cs_one_form(F, bb)
     errs = [abs((cs_functional(cs_context, a + bb.scale(h))
                  - cs_functional(cs_context, a + bb.scale(-h))) / (2 * h)
                 - rho) for h in (1e-2, 1e-3, 1e-4)]
@@ -197,8 +197,7 @@ def test_functional_one_form_consistency(cs_context):
     chi = FourierField.zero(7, 0, 2, 2)
     chi.add_coeff((0, 1, 0, 0, 0, 0, 0), (), su2([0.4, 0.1, -0.3]))
     chi = chi.symmetrized()
-    assert abs(cs_one_form(cs_context, F,
-                           covariant_d_scalar(a, chi))) < 1e-10
+    assert abs(cs_one_form(F, covariant_d_scalar(a, chi))) < 1e-10
     assert time.monotonic() - t0 < 30.0
 
 

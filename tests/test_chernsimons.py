@@ -57,7 +57,7 @@ def test_functional_vanishes_at_reference(cs_context):
 def test_rho_vanishes_at_lifted_instanton(cs_context):
     F7 = lifted(SD_UNIT, cs_context.fib)
     for b in random_offsets(7, 1, 4, seed=1):
-        assert abs(cs_one_form(cs_context, F7, b)) < 1e-10
+        assert abs(cs_one_form(F7, b)) < 1e-10
 
 
 def test_path_integration_matches_functional(cs_context):
@@ -80,7 +80,7 @@ def test_gradient_slope_two(cs_context):
     bb.add_coeff((-1, -1, 0, 0, 0, 0, 0), (5,), su2([0.4, 0.1, -0.3]))
     bb = bb.symmetrized()
     F = curvature(a)
-    rho = cs_one_form(cs_context, F, bb)
+    rho = cs_one_form(F, bb)
     errs = []
     for h in (1e-2, 1e-3, 1e-4):
         fd = (cs_functional(cs_context, a + bb.scale(h))
@@ -98,14 +98,14 @@ def test_closedness():
     assert closedness_residual(a, offs[0], offs[0]) == 0.0
 
 
-def test_gauge_orbit_annihilation(cs_context):
+def test_gauge_orbit_annihilation():
     a = su2_potential()
     F = curvature(a)
     chi = FourierField.zero(7, 0, 2, 2)
     chi.add_coeff((0, 1, 0, 0, 0, 0, 0), (), su2([0.4, 0.1, -0.3]))
     chi = chi.symmetrized()
     b = covariant_d_scalar(a, chi)
-    assert abs(cs_one_form(cs_context, F, b)) < 1e-10
+    assert abs(cs_one_form(F, b)) < 1e-10
 
 
 def test_translation_tangent_structure(cs_context):
@@ -213,37 +213,35 @@ def test_verdicts_refuse_a_tolerance_that_is_not_positive_and_finite(cs_context,
     with pytest.raises(ValueError, match="tolerance"):
         obstruction_verdict(cs_context, F7, xi, tol=tol)
     with pytest.raises(ValueError, match="tolerance"):
-        obstruction_verdict_lattice(cs_context, U7, xi, tol=tol)
+        obstruction_verdict_lattice(U7, xi, tol=tol)
 
 
-def test_lattice_quadrature_matches_continuum(cs_context):
+def test_lattice_quadrature_matches_continuum():
     from g2lab.gauge.lattice import constant_flux_field, lift_lattice_7d
     U7 = lift_lattice_7d(constant_flux_field((8, 8, 8, 8), SD_UNIT, "u1"),
                          (4, 4, 4))
-    assert abs(rho_lattice(cs_context, U7, E1)) < 1e-10
-    r = perturbed_rho_lattice(cs_context, U7, E1, XI_IV)
+    assert abs(rho_lattice(U7, E1)) < 1e-10
+    r = perturbed_rho_lattice(U7, E1, XI_IV)
     assert r == pytest.approx(-1.0, rel=0.05)
-    rep = obstruction_verdict_lattice(cs_context, U7, XI_IV)
+    rep = obstruction_verdict_lattice(U7, XI_IV)
     assert rep.verdict is Verdict.OBSTRUCTED
-    rep0 = obstruction_verdict_lattice(
-        cs_context, U7, ConstForm.basis(7, (1, 2, 3, 4), 1.0))
+    rep0 = obstruction_verdict_lattice(U7, ConstForm.basis(7, (1, 2, 3, 4), 1.0))
     assert rep0.verdict is Verdict.SURVIVES
 
 
-def test_lattice_r_phi_converges_at_fourth_order(cs_context):
+def test_lattice_r_phi_converges_at_fourth_order():
     # r_phi(beta_e1) reads the clover curvature, whose error on the unit SD
     # flux falls as N^-4; the continuum value is eps(e1) q = -1
     from g2lab.gauge.lattice import constant_flux_field, lift_lattice_7d
     sizes = [6, 8, 12]
-    err = [abs(perturbed_rho_lattice(
-        cs_context, lift_lattice_7d(constant_flux_field((n,) * 4, SD_UNIT, "u1"),
-                                    (2, 2, 2)), E1, XI_IV) + 1.0)
+    err = [abs(perturbed_rho_lattice(lift_lattice_7d(constant_flux_field((n,) * 4, SD_UNIT, "u1"),
+                                                     (2, 2, 2)), E1, XI_IV) + 1.0)
            for n in sizes]
     order = -np.polyfit(np.log(sizes), np.log(err), 1)[0]
     assert order == pytest.approx(4.0, abs=0.1)
 
 
-def test_lattice_verdict_is_one_clover_pass(cs_context, monkeypatch):
+def test_lattice_verdict_is_one_clover_pass(monkeypatch):
     """obstruction_verdict_lattice builds the 21 clover planes once and
     reads q, rho and r_phi from them."""
     from g2lab.gauge import lattice
@@ -257,11 +255,10 @@ def test_lattice_verdict_is_one_clover_pass(cs_context, monkeypatch):
     monkeypatch.setattr(lattice, "clover_field",
                         lambda U, mu, nu: planes.append((mu, nu))
                         or clover(U, mu, nu))
-    rep = obstruction_verdict_lattice(cs_context, U7, XI_IV)
+    rep = obstruction_verdict_lattice(U7, XI_IV)
     assert len(planes) == 21 and len(set(planes)) == 21
     monkeypatch.undo()
     assert rep.rho_value != 0.0
-    assert rep.rho_value == rho_lattice(cs_context, U7, rep.v)
+    assert rep.rho_value == rho_lattice(U7, rep.v)
     assert rep.q == lattice.clover_charge(U7)
-    assert rep.r_phi_value == perturbed_rho_lattice(cs_context, U7, rep.v,
-                                                    XI_IV)
+    assert rep.r_phi_value == perturbed_rho_lattice(U7, rep.v, XI_IV)

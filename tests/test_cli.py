@@ -173,18 +173,24 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_lattice_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """OpenBLAS splits some sums by its thread count, np.vdot's among them:
-    a flow and a residual in fresh processes under 1 and 2 threads write the
-    same stdout and the same files, byte for byte."""
-    flow = ["flow", "--group", "su2", "--seed", "3", "--lattice"]
-    argvs = [flow + ["6x6x6x6", "--out", "six.lat"], flow + ["4x4x4x4", "--out", "four.lat"],
-             ["lift", "--in", "four.lat", "--tgrid", "2x2x2", "--out", "lift.lat"],
-             ["residual", "--in", "lift.lat"]]
+    """OpenBLAS splits some sums by its thread count, np.vdot's among them,
+    and tensordot and einsum may call it: flows, and the residual, cs and
+    obstruct of both groups' lifts, in fresh processes under 1 and 2 threads
+    write the same stdout and the same files, byte for byte."""
+    flow = ["flow", "--seed", "3", "--lattice"]
+    argvs = [flow + ["6x6x6x6", "--group", "su2", "--out", "six.lat"]]
+    for group in ("su2", "u1"):
+        four, lift = f"four-{group}.lat", f"lift-{group}.lat"
+        argvs += [flow + ["4x4x4x4", "--group", group, "--out", four],
+                  ["lift", "--in", four, "--tgrid", "2x2x2", "--out", lift],
+                  ["residual", "--in", lift], ["cs", "--field", lift],
+                  ["obstruct", "--field", lift, "--xi", "xi.json"]]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     outputs = []
     for threads in ("1", "2"):
         cwd = tmp_path / threads
         cwd.mkdir()
+        write_xi(cwd)
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(argvs)], cwd=cwd,
@@ -193,8 +199,12 @@ def test_lattice_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     (out1, files1), (out2, files2) = outputs
     assert out1 == out2
     assert sorted(files1) == sorted(files2) == [
-        "four.lat", "four.lat.csv", "four.lat.json", "lift.lat", "lift.lat.json",
-        "six.lat", "six.lat.csv", "six.lat.json"]
+        "four-su2.lat", "four-su2.lat.csv", "four-su2.lat.json",
+        "four-u1.lat", "four-u1.lat.csv", "four-u1.lat.json",
+        "lift-su2.lat", "lift-su2.lat.json", "lift-u1.lat", "lift-u1.lat.json",
+        "six.lat", "six.lat.csv", "six.lat.json", "xi.json"]
+    assert [json.loads(line)["command"] for line in out1.splitlines()] == [
+        argv[0] for argv in argvs]
     assert [name for name in sorted(files1) if files1[name] != files2[name]] == []
 
 
